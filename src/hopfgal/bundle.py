@@ -170,26 +170,31 @@ def _assemble_system(dom, cod, equations):
 
     equations: list of (lin, rhs) with lin a linear callable on Morphisms
     and rhs a Morphism with the endpoints of lin's output.  Returns
-    (field, positions, A, b) for the stacked system A s = b.
+    (field, positions, A, b) for the stacked system A s = b.  Each equation
+    gives one row block, indexed by the entries (r, c) of its output; the
+    image of each unknown's basis morphism is scattered into its column.
     """
     field = dom.field
     positions = _unknown_positions(dom, cod)
-    one = field.one()
-    columns = []
-    for (i, j) in positions:
+    one, zero = field.one(), field.zero()
+    n = len(positions)
+    blocks = [[[zero] * n for _ in range(rhs.cod.dim * rhs.dom.dim)]
+              for _, rhs in equations]
+    for k, (i, j) in enumerate(positions):
         basis = Morphism(dom, cod, {(i, j): one})
-        images = [lin(basis) for lin, _ in equations]
-        columns.append(images)
+        for (lin, rhs), block in zip(equations, blocks):
+            width = rhs.dom.dim
+            for (r, c), v in lin(basis).entries.items():
+                block[r * width + c][k] = v
     rows = []
     b = []
-    for e, (lin, rhs) in enumerate(equations):
-        shape_dom, shape_cod = rhs.dom, rhs.cod
-        for r in range(shape_cod.dim):
-            for c in range(shape_dom.dim):
-                row = [columns[k][e].entries.get((r, c), field.zero())
-                       for k in range(len(positions))]
-                rows.append(row)
-                b.append([rhs.entries.get((r, c), field.zero())])
+    for (_, rhs), block in zip(equations, blocks):
+        width = rhs.dom.dim
+        rhs_rows = [[zero] for _ in block]
+        for (r, c), v in rhs.entries.items():
+            rhs_rows[r * width + c][0] = v
+        rows.extend(block)
+        b.extend(rhs_rows)
     return field, positions, rows, b
 
 

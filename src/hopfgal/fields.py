@@ -82,8 +82,6 @@ class FpElement:
         return FpElement(self.p, -self.v)
 
     def __pow__(self, k):
-        if k < 0:
-            return FpElement(self.p, pow(self.v, k, self.p))
         return FpElement(self.p, pow(self.v, k, self.p))
 
     def __eq__(self, other):
@@ -107,6 +105,8 @@ class Field:
     """Common interface of the two exact fields."""
 
     def zero(self):
+        """The zero scalar: one shared immutable object per field, so
+        matrix code can skip zero cells by identity before a truth test."""
         raise NotImplementedError
 
     def one(self):
@@ -129,9 +129,10 @@ class Field:
 
 class RationalField(Field):
     characteristic = 0
+    _zero = Fraction(0)
 
     def zero(self):
-        return Fraction(0)
+        return self._zero
 
     def one(self):
         return Fraction(1)
@@ -154,13 +155,14 @@ class PrimeField(Field):
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
             raise FieldError("%r is not prime" % (p,))
         self.p = p
+        self._zero = FpElement(p, 0)
 
     @property
     def characteristic(self):
         return self.p
 
     def zero(self):
-        return FpElement(self.p, 0)
+        return self._zero
 
     def one(self):
         return FpElement(self.p, 1)

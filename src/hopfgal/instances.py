@@ -212,7 +212,10 @@ def parse_instance(text):
                 raise InstanceError(lineno, "unknown directive %r" % head)
         except InstanceError:
             raise
-        except (ValueError, ZeroDivisionError, IndexError, KeyError) as exc:
+        except (ValueError, ZeroDivisionError, IndexError, KeyError,
+                TypeError) as exc:
+            # TypeError: a constructor rejected the declared data, e.g. a
+            # morphism entry that breaks degree preservation
             raise InstanceError(lineno, str(exc) or repr(exc))
     if inst.field is None:
         raise InstanceError(len(lines) + 1, "no field declared")

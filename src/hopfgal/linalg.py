@@ -1,8 +1,16 @@
-"""Dense exact linear algebra over a `Field`.
+"""Exact linear algebra over a `Field`, on one sparse elimination kernel.
 
-Matrices are lists of lists of scalars.  Everything is deterministic:
-Gaussian elimination sweeps columns left to right and picks the topmost
-nonzero entry as pivot, so outputs are reproducible bit for bit.
+Matrices are lists of equal-length rows of scalars.  `rref` is the only
+elimination: it reads each row into a dict from column to nonzero value,
+reduces it against the pivot rows kept so far and then clears its own
+pivot column from them.  Over a prime field it works on plain ints mod p
+and boxes only the nonzero entries of its output.
+
+The reduced row echelon form of a matrix is unique, so `rref` returns
+exactly what dense Gauss-Jordan elimination (columns left to right,
+topmost pivot) returns, whatever order the sparse kernel works in.
+`kernel_basis`, `solve`, `rank` and `inverse` read their answers off that
+canonical form, which keeps every output reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -38,33 +46,62 @@ def mat_mul(field, A, B):
     return C
 
 
+def _subtract(row, f, prow, p):
+    """row -= f * prow in place (mod p when p); cancelled entries are dropped."""
+    for j, x in prow.items():
+        v = row.get(j, 0) - f * x
+        if p:
+            v %= p
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
 def rref(field, A):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    R = [row[:] for row in A]
-    m = len(R)
-    n = len(R[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        pivot_row = None
-        for i in range(r, m):
-            if R[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    R has the shape of A: its nonzero rows in ascending pivot order, then
+    its zero rows.  A is not modified.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    p = field.characteristic
+    z = field.zero()
+    # pivot column -> row with a 1 there and a 0 in every other pivot column
+    pivot_rows = {}
+    for dense in A:
+        # `x is not z` passes over the shared zero without a method call
+        if p:
+            row = {j: x.v for j, x in enumerate(dense) if x is not z and x.v}
+        else:
+            row = {j: x for j, x in enumerate(dense) if x is not z and x}
+        # a pivot row has no entry in another pivot column, so these
+        # subtractions leave row[c] of the later c unchanged
+        for c in [c for c in row if c in pivot_rows]:
+            _subtract(row, row[c], pivot_rows[c], p)
+        if not row:
             continue
-        R[r], R[pivot_row] = R[pivot_row], R[r]
-        inv = field.one() / R[r][c]
-        R[r] = [x * inv for x in R[r]]
-        for i in range(m):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                Ri, Rr = R[i], R[r]
-                R[i] = [a - f * b for a, b in zip(Ri, Rr)]
-        pivots.append(c)
-        r += 1
+        c = min(row)
+        if p:
+            inv = pow(row[c], -1, p)
+            row = {j: v * inv % p for j, v in row.items()}
+        else:
+            inv = field.one() / row[c]
+            row = {j: v * inv for j, v in row.items()}
+        for prow in pivot_rows.values():
+            f = prow.get(c)
+            if f:
+                _subtract(prow, f, row, p)
+        pivot_rows[c] = row
+    pivots = sorted(pivot_rows)
+    R = []
+    for c in pivots:
+        out = [z] * n
+        for j, v in pivot_rows[c].items():
+            out[j] = field.from_int(v) if p else v
+        R.append(out)
+    R.extend([z] * n for _ in range(m - len(pivots)))
     return R, pivots
 
 
@@ -86,14 +123,18 @@ def kernel_basis(field, A, ncols=None):
     R, pivots = rref(field, A)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
     z, o = field.zero(), field.one()
+    basis = []
     for fc in free:
         v = [z] * ncols
         v[fc] = o
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
         basis.append(v)
+    for r, pc in enumerate(pivots):
+        row = R[r]
+        for v, fc in zip(basis, free):
+            x = row[fc]
+            if x is not z and x:
+                v[pc] = -x
     return basis
 
 
@@ -120,19 +161,12 @@ def solve(field, A, B):
 
 
 def inverse(field, A):
+    """The inverse of a square matrix, or None when A is singular.
+
+    One elimination of [A | I]: it has a pivot in the I block exactly when
+    A is singular, and for square A the X with A X = I also has X A = I.
+    """
     n = len(A)
     if any(len(row) != n for row in A):
         return None
-    X = solve(field, A, identity(field, n))
-    if X is None:
-        return None
-    # solve() guarantees A X = I; for square A that also forces X A = I.
-    if rank(field, A) != n:
-        return None
-    return X
-
-
-def transpose(A, ncols=None):
-    if not A:
-        return [[] for _ in range(ncols or 0)]
-    return [list(col) for col in zip(*A)]
+    return solve(field, A, identity(field, n))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .spaces import GradedSpace, unit_space
+from .spaces import GradedSpace
 
 
 class FactorizationError(Exception):
@@ -327,7 +327,3 @@ def is_isomorphism(f):
             return InvertibilityReport(True, g, rk, 0, 0, None)
     return InvertibilityReport(False, None, rk, K.dim, coker_dim,
                                iota if K.dim else None)
-
-
-def unit_morphism(group):
-    return Morphism.identity(unit_space(group))

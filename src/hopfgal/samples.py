@@ -186,10 +186,6 @@ def unit_algebra(group):
     return _unit_algebra(group)
 
 
-def unit_coalgebra(group):
-    return _unit_coalgebra(group)
-
-
 # -- bundle fixtures ---------------------------------------------------------
 
 def trivial_algebra_bundle(h):

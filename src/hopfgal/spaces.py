@@ -118,9 +118,3 @@ def unit_space(group):
 
 def zero_space(group):
     return GradedSpace(group, ())
-
-
-def space_of_dim(group, n, degrees=None):
-    if degrees is None:
-        degrees = (0,) * n
-    return GradedSpace(group, tuple(degrees))

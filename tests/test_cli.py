@@ -2,6 +2,8 @@ import io
 import os
 from contextlib import redirect_stdout, redirect_stderr
 
+import pytest
+
 from hopfgal.cli import main
 from hopfgal.corpus import corpus_commands, default_root, run_commands
 
@@ -79,6 +81,16 @@ def test_malformed_file_exit_2(tmp_path):
     bad.write_text("field rational\nnonsense here\n")
     code, _, err = run(["check", str(bad)])
     assert code == 2 and "line 2" in err
+
+
+@pytest.mark.parametrize("name, message", [
+    ("bad_degree.txt", "line 6: entry (0,1) violates degree preservation"),
+    ("bad_algebra_shape.txt", "line 13: multiplication has wrong shape"),
+])
+def test_structure_rejected_by_a_constructor_is_input_error(name, message):
+    bad = os.path.join(os.path.dirname(__file__), "instances", name)
+    code, out, err = run(["check", bad])
+    assert code == 2 and out == "" and message in err
 
 
 def test_corpus_replay_matches_expected():
