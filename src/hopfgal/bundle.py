@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .hopf import (Algebra, Coalgebra, braided_tensor_algebra,
-                   braided_tensor_coalgebra, check_algebra, check_coalgebra)
-from .morphism import (FactorizationError, Morphism, braiding, coequaliser,
-                       compose, dualize, equaliser,
+from .hopf import (Algebra, Coalgebra, braided_tensor_coalgebra,
+                   braided_tensor_mult, check_algebra, check_coalgebra)
+from .morphism import (FactorizationError, Morphism, coequaliser, compose,
+                       compose_tensor, dualize, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
                        is_isomorphism, tensor)
 from .report import Report, equality_check
@@ -80,13 +80,13 @@ def check_comodule_algebra(x):
         compose(tensor(idP, x.hopf.comult), rho)))
     rep.items.append(equality_check(
         "coaction_counit", compose(tensor(idP, x.hopf.counit), rho), idP))
-    ph = braided_tensor_algebra(x.algebra, x.hopf.algebra)
     rep.items.append(equality_check(
         "coaction_mult",
         compose(rho, x.algebra.mult),
-        compose(ph.mult, tensor(rho, rho))))
+        braided_tensor_mult(x.algebra, x.hopf.algebra, tensor(rho, rho))))
     rep.items.append(equality_check(
-        "coaction_unit", compose(rho, x.algebra.unit), ph.unit))
+        "coaction_unit", compose(rho, x.algebra.unit),
+        tensor(x.algebra.unit, x.hopf.unit)))
     return rep
 
 
@@ -106,7 +106,7 @@ def check_module_coalgebra(x):
     rep.items.append(equality_check(
         "action_comult",
         compose(x.coalgebra.comult, act),
-        compose(tensor(act, act), ph.comult)))
+        compose_tensor([act, act], ph.comult)))
     rep.items.append(equality_check(
         "action_counit",
         compose(x.coalgebra.counit, act),
@@ -598,9 +598,28 @@ def canonical_map_linearity(b):
 
     On the algebra side: can is left P-linear for the induced action on
     P (x)_B P, and right H-colinear for the coaction inherited from the
-    second leg; dually on the comonoid side.  Returns a two-item report.
+    second leg; dually on the comonoid side.  Returns a two-item report;
+    when can or an induced structure does not exist, both items fail with
+    the factorisation's reason.
     """
+    if b.side == "algebra":
+        names = ("can_left_P_linear", "can_right_H_colinear")
+    else:
+        names = ("can_left_P_colinear", "can_right_H_linear")
     rep = Report()
+    try:
+        sides = _linearity_sides(b)
+    except FactorizationError as err:
+        for name in names:
+            rep.add(name, False, details={"reason": str(err)})
+        return rep
+    for name, (lhs, rhs) in zip(names, sides):
+        rep.items.append(equality_check(name, lhs, rhs))
+    return rep
+
+
+def _linearity_sides(b):
+    """The (lhs, rhs) pairs of `canonical_map_linearity`'s two laws."""
     if b.side == "algebra":
         P, H = b.como.space, b.H.space
         idP, idH = Morphism.identity(P), Morphism.identity(H)
@@ -609,35 +628,24 @@ def canonical_map_linearity(b):
         # left P-action on P (x)_B P, factored through id (x) Pi
         lact = factor_through_coequaliser(
             compose(Pi, tensor(b.P.mult, idP)), tensor(idP, Pi))
-        rep.items.append(equality_check(
-            "can_left_P_linear",
-            compose(can, lact),
-            compose(tensor(b.P.mult, idH),
-                    tensor(idP, can))))
         # right H-coaction on P (x)_B P from the second leg
         coact = factor_through_coequaliser(
             compose(tensor(Pi, idH), tensor(idP, b.rho)), Pi)
-        rep.items.append(equality_check(
-            "can_right_H_colinear",
-            compose(tensor(idP, b.H.comult), can),
-            compose(tensor(can, idH), coact)))
-    else:
-        P, H = b.modc.space, b.H.space
-        idP, idH = Morphism.identity(P), Morphism.identity(H)
-        E, iota = b.p_cotensor_p()
-        can = b.canonical_map()
-        # left P-coaction on P box_B P, factored through id (x) iota
-        lcoact = factor_through_equaliser(
-            compose(tensor(b.P.comult, idP), iota), tensor(idP, iota))
-        rep.items.append(equality_check(
-            "can_left_P_colinear",
-            compose(lcoact, can),
-            compose(tensor(idP, can), tensor(b.P.comult, idH))))
-        # right H-action on P box_B P from the second leg
-        ract = factor_through_equaliser(
-            compose(tensor(idP, b.action), tensor(iota, idH)), iota)
-        rep.items.append(equality_check(
-            "can_right_H_linear",
-            compose(can, tensor(idP, b.H.mult)),
-            compose(ract, tensor(can, idH))))
-    return rep
+        return ((compose(can, lact),
+                 compose(tensor(b.P.mult, idH), tensor(idP, can))),
+                (compose(tensor(idP, b.H.comult), can),
+                 compose(tensor(can, idH), coact)))
+    P, H = b.modc.space, b.H.space
+    idP, idH = Morphism.identity(P), Morphism.identity(H)
+    E, iota = b.p_cotensor_p()
+    can = b.canonical_map()
+    # left P-coaction on P box_B P, factored through id (x) iota
+    lcoact = factor_through_equaliser(
+        compose(tensor(b.P.comult, idP), iota), tensor(idP, iota))
+    # right H-action on P box_B P from the second leg
+    ract = factor_through_equaliser(
+        compose(tensor(idP, b.action), tensor(iota, idH)), iota)
+    return ((compose(lcoact, can),
+             compose(tensor(idP, can), tensor(b.P.comult, idH))),
+            (compose(can, tensor(idP, b.H.mult)),
+             compose(ract, tensor(can, idH))))

@@ -21,7 +21,7 @@ from .descent import (check_bmodule, comparison_K, counit_Psi, descend,
 from .dsl import ParseError, run_assertions
 from .hopf import check_hopf
 from .instances import InstanceError, parse_instance
-from .morphism import cokernel, is_isomorphism
+from .morphism import FactorizationError, cokernel, is_isomorphism
 from .quantum import build_quantum_category, cotensor_monoid
 from .report import Report, matrix_triples
 
@@ -91,7 +91,11 @@ def cmd_principal(args):
     if args.sweep_dim:
         alg = b if isinstance(b, AlgebraBundle) else b.dualize()
         rep.extend(sweep_phi_psi(alg, max_dim=args.sweep_dim, seed=_seed()))
-    can = b.canonical_map()
+    try:
+        can = b.canonical_map()
+    except FactorizationError:
+        # no can to print: B.can_bijective already fails with the reason
+        return _emit(rep, args.machine)
     extra = ["can=[%s]" % matrix_triples(can)]
     inv = b.can_inverse()
     if inv is not None:

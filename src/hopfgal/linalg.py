@@ -121,6 +121,15 @@ def kernel_basis(field, A, ncols=None):
         return [[field.one() if i == j else field.zero() for i in range(ncols)]
                 for j in range(ncols)]
     R, pivots = rref(field, A)
+    return kernel_from_rref(field, R, pivots, ncols)
+
+
+def kernel_from_rref(field, R, pivots, ncols):
+    """`kernel_basis` of the first ncols columns, read off an RREF of them.
+
+    R may carry more columns on the right, e.g. the RREF of [A | I]: its
+    left block is rref(A), and `pivots` are then its pivots left of ncols.
+    """
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     z, o = field.zero(), field.one()

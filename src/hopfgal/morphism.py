@@ -31,16 +31,18 @@ class Morphism:
             raise TypeError("domain and codomain over different grading groups")
         self.dom = dom
         self.cod = cod
+        m, n = cod.dim, dom.dim
+        cdeg, ddeg = cod.degrees, dom.degrees
         clean = {}
         for (i, j), v in entries.items():
-            if not (0 <= i < cod.dim and 0 <= j < dom.dim):
-                raise TypeError("entry (%d,%d) outside %dx%d" % (i, j, cod.dim, dom.dim))
+            if not (0 <= i < m and 0 <= j < n):
+                raise TypeError("entry (%d,%d) outside %dx%d" % (i, j, m, n))
             if not v:
                 continue
-            if cod.degrees[i] != dom.degrees[j]:
+            if cdeg[i] != ddeg[j]:
                 raise TypeError(
                     "entry (%d,%d) violates degree preservation (%r vs %r)"
-                    % (i, j, cod.degrees[i], dom.degrees[j]))
+                    % (i, j, cdeg[i], ddeg[j]))
             clean[(i, j)] = v
         self.entries = clean
 
@@ -151,6 +153,51 @@ def tensor_many(*fs):
     return out
 
 
+def compose_tensor(fs, g):
+    """(f_1 (x) ... (x) f_k) o g without building the Kronecker product.
+
+    Each nonzero of g in row r meets only column r of f_1 (x) ... (x) f_k,
+    whose nonzeros are the products of one nonzero from column c_i of each
+    f_i, where (c_1, ..., c_k) is r split left factor major.  The cost is
+    nnz(g) times the product of those column counts; the product itself,
+    with nnz(f_1) ... nnz(f_k) entries, is never built.
+    """
+    dom = fs[0].dom
+    cod = fs[0].cod
+    for f in fs[1:]:
+        dom = dom.tensor(f.dom)
+        cod = cod.tensor(f.cod)
+    if dom != g.cod:
+        raise TypeError("compose_tensor: inner spaces differ (%r vs %r)"
+                        % (dom, g.cod))
+    # per factor: column -> [(row, value)], with the factor's dims
+    factors = []
+    for f in fs:
+        by_col = {}
+        for (i, k), v in f.entries.items():
+            by_col.setdefault(k, []).append((i, v))
+        factors.append((by_col, f.dom.dim, f.cod.dim))
+    entries = {}
+    for (r, j), gv in g.entries.items():
+        # split r right to left; terms are (row so far, product so far)
+        terms = [(0, gv)]
+        stride = 1
+        for by_col, d_dom, d_cod in reversed(factors):
+            r, c = divmod(r, d_dom)
+            col = by_col.get(c)
+            if col is None:
+                terms = ()
+                break
+            terms = [(row + i * stride, v * fv)
+                     for row, v in terms for i, fv in col]
+            stride *= d_cod
+        for i, v in terms:
+            key = (i, j)
+            s = entries.get(key)
+            entries[key] = v if s is None else s + v
+    return Morphism(g.dom, cod, {k: v for k, v in entries.items() if v})
+
+
 def braiding(V, W):
     """tau_{V,W}: V (x) W -> W (x) V, e_i (x) f_j -> chi(|f_j|, |e_i|) f_j (x) e_i."""
     if V.group != W.group:
@@ -197,27 +244,33 @@ def _dense_block(f, rows, cols):
     return block
 
 
-def kernel(f):
-    """(E, iota) with iota: E -> dom(f) a basis of ker f, homogeneous."""
-    field = f.field
-    dom = f.dom
-    order, col_groups = _blocks(dom.degrees)
-    _, row_groups = _blocks(f.cod.degrees)
+def _kernel_inclusion(dom, blocks):
+    """(E, iota) from (degree, columns, kernel basis) per degree block."""
     degs = []
     entries = {}
-    col = 0
-    for d in order:
-        cols = col_groups[d]
-        rows = row_groups.get(d, [])
-        block = _dense_block(f, rows, cols)
-        for vec in linalg.kernel_basis(field, block, ncols=len(cols)):
+    for d, cols, basis in blocks:
+        for vec in basis:
+            col = len(degs)
             for b, c in enumerate(cols):
                 if vec[b]:
                     entries[(c, col)] = vec[b]
             degs.append(d)
-            col += 1
     E = GradedSpace(dom.group, tuple(degs))
     return E, Morphism(E, dom, entries)
+
+
+def kernel(f):
+    """(E, iota) with iota: E -> dom(f) a basis of ker f, homogeneous."""
+    field = f.field
+    order, col_groups = _blocks(f.dom.degrees)
+    _, row_groups = _blocks(f.cod.degrees)
+    blocks = []
+    for d in order:
+        cols = col_groups[d]
+        block = _dense_block(f, row_groups.get(d, []), cols)
+        blocks.append(
+            (d, cols, linalg.kernel_basis(field, block, ncols=len(cols))))
+    return _kernel_inclusion(f.dom, blocks)
 
 
 def cokernel(f):
@@ -296,34 +349,39 @@ class InvertibilityReport:
 
 
 def is_isomorphism(f):
-    """Exact invertibility check with witness: inverse or defect data."""
-    K, iota = kernel(f)
-    rk = f.dom.dim - K.dim
-    coker_dim = f.cod.dim - rk
-    if K.dim == 0 and coker_dim == 0:
-        # invert degree-block by degree-block
-        field = f.field
-        order, col_groups = _blocks(f.dom.degrees)
-        _, row_groups = _blocks(f.cod.degrees)
-        entries = {}
-        ok = True
-        for d in order:
-            cols = col_groups[d]
-            rows = row_groups.get(d, [])
-            if len(rows) != len(cols):
-                ok = False
-                break
-            block = _dense_block(f, rows, cols)
-            inv = linalg.inverse(field, block)
-            if inv is None:
-                ok = False
-                break
+    """Exact invertibility check with witness: inverse or defect data.
+
+    One elimination of [A | I] per degree block A: its left block is
+    rref(A), which gives the rank and the kernel basis `kernel` gives, and
+    when A is square of full rank its right block is the inverse of A.
+    """
+    field = f.field
+    order, col_groups = _blocks(f.dom.degrees)
+    _, row_groups = _blocks(f.cod.degrees)
+    rk = 0
+    blocks = []
+    entries = {}
+    for d in order:
+        cols = col_groups[d]
+        rows = row_groups.get(d, [])
+        n = len(cols)
+        block = _dense_block(f, rows, cols)
+        R, pivots = linalg.rref(field, [a + e for a, e in zip(
+            block, linalg.identity(field, len(rows)))])
+        pivots = [c for c in pivots if c < n]
+        rk += len(pivots)
+        blocks.append((d, cols, linalg.kernel_from_rref(field, R, pivots, n)))
+        if len(pivots) == n == len(rows):
             for a, c in enumerate(cols):
                 for b, r in enumerate(rows):
-                    if inv[a][b]:
-                        entries[(c, r)] = inv[a][b]
-        if ok:
-            g = Morphism(f.cod, f.dom, entries)
-            return InvertibilityReport(True, g, rk, 0, 0, None)
-    return InvertibilityReport(False, None, rk, K.dim, coker_dim,
-                               iota if K.dim else None)
+                    v = R[a][n + b]
+                    if v:
+                        entries[(c, r)] = v
+    kernel_dim = f.dom.dim - rk
+    coker_dim = f.cod.dim - rk
+    if kernel_dim == 0 and coker_dim == 0:
+        return InvertibilityReport(True, Morphism(f.cod, f.dom, entries),
+                                   rk, 0, 0, None)
+    _, iota = _kernel_inclusion(f.dom, blocks)
+    return InvertibilityReport(False, None, rk, kernel_dim, coker_dim,
+                               iota if kernel_dim else None)

@@ -84,8 +84,10 @@ class GradedSpace:
     degrees: tuple
 
     def __post_init__(self):
-        for d in self.degrees:
-            self.group.check(d)
+        degs = self.degrees
+        if degs and (min(degs) < 0 or max(degs) >= self.group.n):
+            for d in degs:
+                self.group.check(d)
 
     @property
     def dim(self):
@@ -98,7 +100,11 @@ class GradedSpace:
     def tensor(self, other):
         if other.group != self.group:
             raise TypeError("tensor of spaces over different grading groups")
-        degs = tuple(self.group.add(a, b) for a in self.degrees for b in other.degrees)
+        n = self.group.n
+        if n == 1:  # Z_1 has the one degree 0
+            degs = (0,) * (self.dim * other.dim)
+        else:
+            degs = tuple((a + b) % n for a in self.degrees for b in other.degrees)
         return GradedSpace(self.group, degs)
 
     def dual(self):

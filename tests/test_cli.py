@@ -100,3 +100,14 @@ def test_corpus_replay_matches_expected():
                   encoding="utf-8") as fh:
             expected = fh.read()
         assert run_commands(directory, commands) == expected, name
+
+
+@pytest.mark.parametrize("flags", [[], ["--dualize"]])
+def test_principal_without_canonical_map_fails_cleanly(flags):
+    # pi sends the base unit to g in P = k[Z_2], which is not coinvariant,
+    # so can: P (x)_B P -> P (x) H does not factor
+    bad = os.path.join(os.path.dirname(__file__), "instances", "bad_pi.txt")
+    code, out, err = run(["principal", bad] + flags)
+    assert code == 1 and err == ""
+    assert "check=B.can_bijective verdict=fail reason=" in out
+    assert "can=[" not in out and out.endswith("result=fail\n")

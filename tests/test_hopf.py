@@ -1,10 +1,14 @@
 from fractions import Fraction
 
+from hopfgal.bundle import (ComoduleAlgebra, check_comodule_algebra,
+                            check_module_coalgebra)
 from hopfgal.fields import QQ, PrimeField
-from hopfgal.hopf import (Algebra, antipode_antihomomorphism_check,
+from hopfgal.hopf import (Algebra, HopfAlgebra,
+                          antipode_antihomomorphism_check,
                           braided_tensor_algebra, check_algebra,
                           check_coalgebra, check_hopf)
-from hopfgal.morphism import Morphism, compose, tensor
+from hopfgal.morphism import Morphism, braiding, compose, tensor, tensor_many
+from hopfgal.report import equality_check
 from hopfgal.samples import (braided_line, cyclic_group_algebra, fun_z2,
                              s3_group_algebra, superline, sweedler_hopf,
                              trivial_hopf)
@@ -100,3 +104,59 @@ def test_dualize_verdict_symmetry():
 def test_check_coalgebra_dual_of_algebra():
     h = s3_group_algebra(QQ)
     assert all(i.ok for i in check_coalgebra(h.algebra.dualize()).items)
+
+
+def clifford_superline():
+    """The superline's coalgebra and antipode on k[x]/(x^2 - 1), x odd.
+
+    Delta(x) = x (x) 1 + 1 (x) x is not an algebra map for x^2 = 1: the
+    braided cross terms cancel and Delta(x)^2 = 2 (1 (x) 1) != Delta(1).
+    """
+    h = superline(QQ)
+    V = h.space
+    one = Fraction(1)
+    mult = Morphism(V.tensor(V), V,
+                    {(0, 0): one, (1, 1): one, (1, 2): one, (0, 3): one})
+    return HopfAlgebra(Algebra(V, mult, h.unit), h.coalgebra, h.antipode)
+
+
+def assert_same_failure(item, expected):
+    assert not item.ok
+    assert item.details == expected.details
+    assert item.witness == expected.witness
+
+
+def test_braided_law_witnesses_match_materialised_path():
+    """The law checks that skip the braided tensor structure maps fail with
+    the defect the materialised maps give."""
+    h = clifford_superline()
+    hh = braided_tensor_algebra(h.algebra, h.algebra)
+    rep = check_hopf(h)
+    assert_same_failure(rep["bialgebra_comult_mult"], equality_check(
+        "", compose(h.comult, h.mult),
+        compose(hh.mult, tensor(h.comult, h.comult))))
+    assert rep["bialgebra_comult_unit"].ok
+    assert compose(h.comult, h.unit) == hh.unit
+
+    # the superline coacting on itself through the Clifford Hopf algebra:
+    # rho(x)^2 = 1 (x) x^2 = 1 (x) 1, but rho(x^2) = 0
+    sl = superline(QQ)
+    x = ComoduleAlgebra(sl.algebra, h, sl.comult)
+    ph = braided_tensor_algebra(x.algebra, x.hopf.algebra)
+    rep = check_comodule_algebra(x)
+    assert_same_failure(rep["coaction_mult"], equality_check(
+        "", compose(x.coaction, x.algebra.mult),
+        compose(ph.mult, tensor(x.coaction, x.coaction))))
+    assert rep["coaction_unit"].ok
+    assert compose(x.coaction, x.algebra.unit) == ph.unit
+
+    # its dual, a module coalgebra whose action is not comultiplicative
+    y = x.dualize()
+    P, H = y.space, y.hopf.space
+    comult = compose(
+        tensor_many(Morphism.identity(P), braiding(P, H), Morphism.identity(H)),
+        tensor(y.coalgebra.comult, y.hopf.comult))
+    assert_same_failure(check_module_coalgebra(y)["action_comult"],
+                        equality_check(
+        "", compose(y.coalgebra.comult, y.action),
+        compose(tensor(y.action, y.action), comult)))

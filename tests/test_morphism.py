@@ -1,13 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopfgal.fields import QQ
+from hopfgal.fields import QQ, PrimeField
 from hopfgal.morphism import (FactorizationError, Morphism, braiding, compose,
-                              coequaliser, dualize, equaliser,
+                              compose_tensor, coequaliser, dualize, equaliser,
                               factor_through_coequaliser,
                               factor_through_equaliser, is_isomorphism,
-                              kernel, tensor)
+                              kernel, tensor, tensor_many)
 from hopfgal.spaces import GradedSpace, GradingGroup, unit_space, zero_space
 
 TRIV = GradingGroup.trivial(QQ)
@@ -172,3 +174,113 @@ def test_zero_dimensional_spaces():
     assert K == V
     t = tensor(Morphism.identity(Z), Morphism.identity(V))
     assert t.dom.dim == 0
+
+
+def test_compose_tensor_shape_mismatch():
+    V, W = space(2), space(3)
+    with pytest.raises(TypeError):
+        compose_tensor([Morphism.identity(V), Morphism.identity(V)],
+                       Morphism.identity(W))
+
+
+# -- property tests: compose_tensor against the materialised product ---------
+
+F7 = PrimeField(7)
+# trivial gradings and Z_n gradings with a nontrivial bicharacter
+GROUPS = [TRIV, Z2, GradingGroup.trivial(F7),
+          GradingGroup.cyclic(3, F7, F7.from_int(2)),
+          GradingGroup.cyclic(6, F7, F7.from_int(3))]
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def graded_space(draw, group, max_dim=3):
+    n = draw(st.integers(1, max_dim))
+    return GradedSpace(group, tuple(
+        draw(st.integers(0, group.n - 1)) for _ in range(n)))
+
+
+@st.composite
+def graded_morphism(draw, dom, cod):
+    """A degree-preserving morphism with each allowed entry nonzero w.p. 1/2."""
+    field = dom.field
+    if field.characteristic:
+        value = st.integers(1, field.characteristic - 1).map(field.from_int)
+    else:
+        value = st.fractions(min_value=-3, max_value=3, max_denominator=2) \
+            .filter(bool)
+    entries = {}
+    for i, di in enumerate(cod.degrees):
+        for j, dj in enumerate(dom.degrees):
+            if di == dj and draw(st.booleans()):
+                entries[(i, j)] = draw(value)
+    return Morphism(dom, cod, entries)
+
+
+@st.composite
+def factor(draw, group):
+    """A random morphism, an identity or a braiding."""
+    kind = draw(st.sampled_from(["random", "identity", "braiding"]))
+    if kind == "braiding":
+        return braiding(draw(graded_space(group, 2)),
+                        draw(graded_space(group, 2)))
+    V = draw(graded_space(group))
+    if kind == "identity":
+        return Morphism.identity(V)
+    return draw(graded_morphism(V, draw(graded_space(group))))
+
+
+@PROPERTY
+@given(st.data())
+def test_compose_tensor_matches_materialised_product(data):
+    group = data.draw(st.sampled_from(GROUPS))
+    fs = data.draw(st.lists(factor(group), min_size=1, max_size=3))
+    inner = tensor_many(*fs).dom
+    g = data.draw(graded_morphism(data.draw(graded_space(group)), inner))
+    assert compose_tensor(fs, g) == compose(tensor_many(*fs), g)
+
+
+@PROPERTY
+@given(st.data())
+def test_compose_tensor_interchange_and_associativity(data):
+    group = data.draw(st.sampled_from(GROUPS))
+    f1, f2, f3 = (data.draw(factor(group)) for _ in range(3))
+    g1 = data.draw(graded_morphism(data.draw(graded_space(group)), f1.dom))
+    g2 = data.draw(graded_morphism(data.draw(graded_space(group)), f2.dom))
+    # (f1 (x) f2) o (g1 (x) g2) = (f1 o g1) (x) (f2 o g2)
+    assert compose(tensor(f1, f2), tensor(g1, g2)) == \
+        tensor(compose(f1, g1), compose(f2, g2))
+    assert tensor(tensor(f1, f2), f3) == tensor(f1, tensor(f2, f3))
+
+
+@PROPERTY
+@given(st.data())
+def test_dualize_involution_and_contravariance_property(data):
+    group = data.draw(st.sampled_from(GROUPS))
+    U, V, W = (data.draw(graded_space(group)) for _ in range(3))
+    f = data.draw(graded_morphism(V, W))
+    g = data.draw(graded_morphism(U, V))
+    assert dualize(dualize(f)) == f
+    assert dualize(compose(f, g)) == compose(dualize(g), dualize(f))
+
+
+@PROPERTY
+@given(st.data())
+def test_is_isomorphism_agrees_with_kernel(data):
+    """The one elimination per block gives `kernel`'s rank and witness."""
+    group = data.draw(st.sampled_from(GROUPS))
+    V = data.draw(graded_space(group))
+    W = V if data.draw(st.booleans()) else data.draw(graded_space(group))
+    f = data.draw(graded_morphism(V, W))
+    rep = is_isomorphism(f)
+    K, iota = kernel(f)
+    assert rep.rank == V.dim - K.dim
+    assert (rep.kernel_dim, rep.cokernel_dim) == (K.dim, W.dim - rep.rank)
+    assert rep.is_iso == (K.dim == 0 and rep.cokernel_dim == 0)
+    if rep.is_iso:
+        assert rep.kernel_inclusion is None
+        assert compose(rep.inverse, f) == Morphism.identity(V)
+        assert compose(f, rep.inverse) == Morphism.identity(W)
+    else:
+        assert rep.inverse is None
+        assert rep.kernel_inclusion == (iota if K.dim else None)

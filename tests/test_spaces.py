@@ -49,3 +49,14 @@ def test_unit_strictness():
     assert one.tensor(V) == V
     assert one.is_unit
     assert zero_space(g).dim == 0
+
+
+def test_out_of_range_degrees_rejected():
+    g = GradingGroup.cyclic(2, QQ, Fraction(-1))
+    for degrees, bad in (((0, 2, 1), 2), ((1, -1), -1)):
+        with pytest.raises(ValueError, match=r"^degree %d outside Z_2$" % bad):
+            GradedSpace(g, degrees)
+    t = GradingGroup.trivial(QQ)
+    with pytest.raises(ValueError, match=r"^degree 1 outside Z_1$"):
+        GradedSpace(t, (0, 1))
+    assert GradedSpace(t, (0,)).tensor(GradedSpace(t, (0, 0))).degrees == (0, 0)
