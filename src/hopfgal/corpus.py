@@ -13,7 +13,7 @@ import io
 import os
 import sys
 
-from .bundle import AlgebraBundle
+from .cli import main
 from .fields import QQ, PrimeField
 from .instances import InstanceWriter, serialize_hopf
 from .morphism import Morphism, compose, tensor
@@ -174,7 +174,6 @@ def _entries():
 
 def run_commands(directory, commands):
     """Execute the CLI command list on one corpus entry; canonical text."""
-    from .cli import main
     instance = os.path.join(directory, "instance.txt")
     out = []
     for cmd in commands:

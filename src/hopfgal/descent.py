@@ -10,12 +10,16 @@ corroborate the faithful-flatness verdict of the bundle module.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .morphism import (FactorizationError, Morphism, braiding, compose,
-                       equaliser, factor_through_coequaliser,
-                       factor_through_equaliser, is_isomorphism, tensor)
+from . import linalg
+from .morphism import (FactorizationError, Morphism, braiding, cokernel,
+                       compose, equaliser, factor_through_coequaliser,
+                       factor_through_equaliser, is_isomorphism, tensor,
+                       tensor_over)
 from .report import Report, equality_check
 from .spaces import GradedSpace
 
@@ -69,14 +73,9 @@ class DescentDatum:
 
     def tensor_b_p(self):
         if not hasattr(self, "_tbp"):
-            from .bundle import tensor_over
-            self._tbp = tensor_over(self.bundle.base.space,
-                                    self.base_action(),
+            self._tbp = tensor_over(self.base_action(),
                                     self.bundle.left_action())
         return self._tbp
-
-    def as_bmodule(self):
-        return BModule(self.carrier, self.base_action())
 
 
 def _q1_structure(d):
@@ -103,11 +102,10 @@ def verify_descent_datum(d):
         "p_module_unit", compose(d.action, tensor(idE, b.P.unit)), idE))
     Q1, Pi1, ins1, collapse = _q1_structure(d)
     # Q2 = (E (x)_B P) (x)_B P with its projection from Q1 (x) P
-    from .bundle import tensor_over
     idB = Morphism.identity(b.base.space)
     q1_baction = factor_through_coequaliser(
         compose(Pi1, tensor(idE, b.right_action())), tensor(Pi1, idB))
-    Q2, Pi2 = tensor_over(b.base.space, q1_baction, b.left_action())
+    Q2, Pi2 = tensor_over(q1_baction, b.left_action())
     try:
         xi_tensor_id = factor_through_coequaliser(
             compose(Pi2, tensor(d.xi, idP)), Pi1)
@@ -126,10 +124,9 @@ def verify_descent_datum(d):
 
 def comparison_K(v, bundle):
     """The descent datum (V (x)_B P, xi: v (x) x -> v (x) 1 (x) x)."""
-    from .bundle import tensor_over
     V, P = v.carrier, bundle.como.space
     idV, idP = Morphism.identity(V), Morphism.identity(P)
-    Q, Pi = tensor_over(bundle.base.space, v.action, bundle.left_action())
+    Q, Pi = tensor_over(v.action, bundle.left_action())
     action = factor_through_coequaliser(
         compose(Pi, tensor(idV, bundle.P.mult)), tensor(Pi, idP))
     d = DescentDatum(bundle, Q, action)
@@ -154,11 +151,10 @@ def descend(d):
 
 def unit_Phi(d):
     """The multiplication map descend(d) (x)_B P -> E and its verdict."""
-    from .bundle import tensor_over
     b = d.bundle
     v, incl = descend(d)
     idP = Morphism.identity(b.como.space)
-    _, Pi = tensor_over(b.base.space, v.action, b.left_action())
+    _, Pi = tensor_over(v.action, b.left_action())
     phi = factor_through_coequaliser(
         compose(d.action, tensor(incl, idP)), Pi)
     return phi, is_isomorphism(phi)
@@ -173,16 +169,11 @@ def counit_Psi(v, bundle):
     """
     d = comparison_K(v, bundle)
     vd, incl = descend(d)
-    _, Pi = _pi_of_k(v, bundle)
+    _, Pi = tensor_over(v.action, bundle.left_action())
     idV = Morphism.identity(v.carrier)
     eta = compose(Pi, tensor(idV, bundle.P.unit))
     psi = factor_through_equaliser(eta, incl)
     return psi, is_isomorphism(psi)
-
-
-def _pi_of_k(v, bundle):
-    from .bundle import tensor_over
-    return tensor_over(bundle.base.space, v.action, bundle.left_action())
 
 
 # -- relative Hopf modules and the transport ---------------------------------
@@ -301,11 +292,10 @@ def _field_roots(field, beta, alpha):
     """Roots of x^2 - beta x - alpha in the field, sorted canonically."""
     roots = []
     if field.characteristic == 0:
-        from fractions import Fraction
         disc = beta * beta + 4 * alpha
         if disc >= 0:
             num, den = disc.numerator, disc.denominator
-            r = _isqrt(num * den)
+            r = math.isqrt(num * den)
             if r * r == num * den:
                 s = Fraction(r, den)
                 roots = sorted({(beta + s) / 2, (beta - s) / 2})
@@ -317,11 +307,6 @@ def _field_roots(field, beta, alpha):
                 roots.append(x)
         roots = sorted(set(roots), key=lambda e: e.v)
     return roots
-
-
-def _isqrt(n):
-    import math
-    return math.isqrt(n)
 
 
 def _module_from_operator(base, T):
@@ -383,7 +368,6 @@ def _w_structure(base):
     col = w * 2 + w
     ww = [rows[i][col] for i in range(2)]
     # express ww = alpha * u + beta * e_w; solve the 2x2 system
-    from . import linalg
     A = [[u[0], field.one() if w == 0 else field.zero()],
          [u[1], field.one() if w == 1 else field.zero()]]
     X = linalg.solve(field, A, [[ww[0]], [ww[1]]])
@@ -455,7 +439,6 @@ def _random_bmodules(base, max_dim, seed, samples):
     field = B.field
     rng = random.Random(seed)
     out = [BModule(B, base.mult)] if B.dim <= max_dim else []
-    from . import linalg
     for _ in range(samples):
         k = rng.randint(1, max(1, max_dim // max(1, B.dim) + 1))
         F = GradedSpace(B.group, (0,) * (k * B.dim))
@@ -475,7 +458,6 @@ def _random_bmodules(base, max_dim, seed, samples):
 
 
 def _module_closure(field, gens, act, F, B):
-    from . import linalg
     vectors = [list(v) for v in gens]
     act_rows = act.to_rows()
     changed = True
@@ -501,8 +483,6 @@ def _module_closure(field, gens, act, F, B):
 
 
 def _quotient_module(field, closed, act, F, B):
-    from . import linalg
-    from .morphism import cokernel
     incl_entries = {}
     R = linalg.rref(field, [list(v) for v in closed])[0] if closed else []
     basis = [row for row in R if any(row)]

@@ -8,6 +8,7 @@ generic matrix code can use ordinary operators on either kind.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -152,7 +153,7 @@ class RationalField(Field):
 
 class PrimeField(Field):
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise FieldError("%r is not prime" % (p,))
         self.p = p
         self._zero = FpElement(p, 0)

@@ -10,6 +10,9 @@ mod p over a prime field).
 
 from __future__ import annotations
 
+from .bundle import (AlgebraBundle, CoalgebraBundle, ComoduleAlgebra,
+                     ModuleCoalgebra)
+from .descent import BModule
 from .dsl import Environment
 from .fields import QQ, PrimeField
 from .hopf import Algebra, Coalgebra, HopfAlgebra
@@ -46,6 +49,8 @@ class Instance:
 
 def _space_product(inst, spec, lineno):
     if spec == "1":
+        if inst.group is None:
+            raise InstanceError(lineno, "unit space before grading")
         return unit_space(inst.group)
     total = None
     for part in spec.split("*"):
@@ -116,6 +121,8 @@ def parse_instance(text):
                 if words[2] != "dim":
                     raise InstanceError(lineno, "expected: space name dim d [degrees ...]")
                 dim = int(words[3])
+                if dim < 0:
+                    raise InstanceError(lineno, "negative dimension %d" % dim)
                 if len(words) > 4:
                     if words[4] != "degrees" or len(words) != 5 + dim:
                         raise InstanceError(lineno, "expected %d degrees" % dim)
@@ -170,21 +177,18 @@ def parse_instance(text):
                     Algebra(ms["m"].cod, ms["m"], ms["u"]),
                     Coalgebra(ms["cm"].dom, ms["cm"], ms["cu"]), ms["S"])
             elif head == "comodule_algebra":
-                from .bundle import ComoduleAlgebra
                 kw = _keywords(words[2:], lineno, ("algebra", "hopf", "coact"))
                 inst.comodules[words[1]] = ComoduleAlgebra(
                     _lookup(inst.algebras, kw["algebra"], lineno, "algebra"),
                     _lookup(inst.hopfs, kw["hopf"], lineno, "hopf"),
                     _lookup(inst.morphisms, kw["coact"], lineno, "morphism"))
             elif head == "module_coalgebra":
-                from .bundle import ModuleCoalgebra
                 kw = _keywords(words[2:], lineno, ("coalgebra", "hopf", "act"))
                 inst.modules[words[1]] = ModuleCoalgebra(
                     _lookup(inst.coalgebras, kw["coalgebra"], lineno, "coalgebra"),
                     _lookup(inst.hopfs, kw["hopf"], lineno, "hopf"),
                     _lookup(inst.morphisms, kw["act"], lineno, "morphism"))
             elif head == "bundle":
-                from .bundle import AlgebraBundle, CoalgebraBundle
                 kw = _keywords(words[2:], lineno,
                                ("side", "total", "base", "pi"))
                 pi = _lookup(inst.morphisms, kw["pi"], lineno, "morphism")
@@ -204,7 +208,6 @@ def parse_instance(text):
                 else:
                     raise InstanceError(lineno, "side must be algebra or comonoid")
             elif head == "bmodule":
-                from .descent import BModule
                 kw = _keywords(words[2:], lineno, ("act",))
                 act = _lookup(inst.morphisms, kw["act"], lineno, "morphism")
                 inst.bmodules[words[1]] = BModule(act.cod, act)

@@ -4,7 +4,9 @@ A `Morphism` is a sparse exact matrix with typed domain and codomain.
 Entries outside matching degrees are forbidden, so every morphism is
 automatically a map of graded spaces.  (Co)equalisers are computed
 degree-block by degree-block with deterministic pivoting, hence their
-bases are reproducible and homogeneous.
+bases are reproducible and homogeneous.  The tensor product over a base
+(`tensor_over`) and the cotensor product (`cotensor`) are the
+(co)equalisers of the two middle (co)actions.
 """
 
 from __future__ import annotations
@@ -291,6 +293,24 @@ def coequaliser(f, g):
     if f.dom != g.dom or f.cod != g.cod:
         raise TypeError("coequaliser of a non-parallel pair")
     return cokernel(f - g)
+
+
+def tensor_over(act_right, act_left):
+    """(M (x)_B N, Pi) from a right action M (x) B -> M and a left action
+    B (x) N -> N; the coequaliser of the two middle contractions."""
+    M, N = act_right.cod, act_left.cod
+    f = tensor(act_right, Morphism.identity(N))
+    g = tensor(Morphism.identity(M), act_left)
+    return coequaliser(f, g)
+
+
+def cotensor(coact_right, coact_left):
+    """(M box_B N, iota) from a right coaction M -> M (x) B and a left
+    coaction N -> B (x) N; the equaliser of the two middle insertions."""
+    M, N = coact_right.dom, coact_left.dom
+    f = tensor(coact_right, Morphism.identity(N))
+    g = tensor(Morphism.identity(M), coact_left)
+    return equaliser(f, g)
 
 
 def factor_through_equaliser(c, iota):

@@ -14,8 +14,7 @@ from __future__ import annotations
 from .hopf import braided_tensor_coalgebra, opposite_coalgebra
 from .morphism import (FactorizationError, Morphism, braiding, coequaliser,
                        compose, equaliser, factor_through_coequaliser,
-                       factor_through_equaliser, is_isomorphism, tensor,
-                       tensor_many)
+                       factor_through_equaliser, tensor, tensor_many)
 from .report import Report, equality_check
 
 
@@ -174,7 +173,7 @@ def build_quantum_category(b):
         return None, rep
 
     # composition m_G on G box_B G, solved from the ambient composite
-    GG, iota_GG = cotensor_pair(rho_G, lam_G)
+    GG, iota_GG = multi_cotensor(rho_G, lam_G, 2)
     E2, i2 = b.p_cotensor_p()
     M_mid = compose(tensor_many(b.action, idP),
                     compose(tensor_many(idP, b.P.counit, idH, idP),
@@ -259,8 +258,3 @@ def build_quantum_category(b):
         right_coaction=rho_G, left_coaction=lam_G,
         pairs_space=GG, pairs_inclusion=iota_GG)
     return qc, rep
-
-
-def cotensor_pair(rho_right, lambda_left):
-    """(X box_B X, iota) for a single carrier with both coactions."""
-    return multi_cotensor(rho_right, lambda_left, 2)

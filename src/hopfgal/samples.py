@@ -7,6 +7,10 @@ k[x]/(x^n) in the Z_n-graded category.
 
 from __future__ import annotations
 
+import itertools
+
+from .bundle import (AlgebraBundle, CoalgebraBundle, ComoduleAlgebra,
+                     ModuleCoalgebra)
 from .fields import QQ
 from .hopf import Algebra, Coalgebra, HopfAlgebra
 from .morphism import Morphism
@@ -64,7 +68,6 @@ def cyclic_group_algebra(field, n):
 
 def s3_group_algebra(field):
     """k[S_3], elements as permutation tuples of (0,1,2)."""
-    import itertools
     elements = sorted(itertools.permutations(range(3)))
     op = lambda a, b: tuple(a[b[i]] for i in range(3))
     def inv(a):
@@ -190,14 +193,12 @@ def unit_algebra(group):
 
 def trivial_algebra_bundle(h):
     """P = H coacting on itself by its comultiplication, base = the unit."""
-    from .bundle import AlgebraBundle, ComoduleAlgebra
     como = ComoduleAlgebra(h.algebra, h, h.comult)
     return AlgebraBundle(como, _unit_algebra(h.space.group), h.unit)
 
 
 def trivial_coalgebra_bundle(h):
     """P = H acting on itself by its multiplication, base = the unit."""
-    from .bundle import CoalgebraBundle, ModuleCoalgebra
     modc = ModuleCoalgebra(h.coalgebra, h, h.mult)
     return CoalgebraBundle(modc, _unit_coalgebra(h.space.group), h.counit)
 
@@ -208,7 +209,6 @@ def set_action_bundle(field, xelems, gelems, op, inv, act):
     The base is Fun(X/G) with the orbit-indicator inclusion, which is
     exactly the coinvariant subalgebra.
     """
-    from .bundle import AlgebraBundle, ComoduleAlgebra
     H = function_hopf(field, gelems, op, inv)
     group = GradingGroup.trivial(field)
     nX, nG = len(xelems), len(gelems)
@@ -273,7 +273,6 @@ def pair_groupoid_bundle(field, n=2):
     Its quantum category is the pair groupoid: morphisms P (x) P, one
     arrow between any two points.
     """
-    from .bundle import CoalgebraBundle, ModuleCoalgebra
     h = trivial_hopf(field)
     coalg = setlike_coalgebra(field, n)
     ident = Morphism.identity(coalg.space)
@@ -293,7 +292,6 @@ def dual_numbers_algebra(field):
 
 def nonflat_bundle(field):
     """P = k over B = k[t]/(t^2) with t acting as zero; not faithfully flat."""
-    from .bundle import AlgebraBundle, ComoduleAlgebra
     h = trivial_hopf(field)
     base = dual_numbers_algebra(field)
     como = ComoduleAlgebra(_unit_algebra(base.space.group), h,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Field, FieldError
+from .fields import FieldError
 
 
 class GradingGroup:

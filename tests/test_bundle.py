@@ -4,17 +4,16 @@ import pytest
 
 from hopfgal.bundle import (AlgebraBundle, ComoduleAlgebra, ModuleCoalgebra,
                             canonical_map_linearity, check_comodule_algebra,
-                            check_module_coalgebra, coinvariants, cotensor,
-                            invariants_base, tensor_over)
+                            check_module_coalgebra, coinvariants,
+                            invariants_base)
 from hopfgal.fields import QQ, PrimeField
-from hopfgal.morphism import (Morphism, compose, dualize,
-                              factor_through_equaliser, tensor)
+from hopfgal.morphism import (Morphism, compose, cotensor, dualize,
+                              factor_through_equaliser, tensor, tensor_over)
 from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              free_z2_bundle, fun_z2, nonflat_bundle,
                              nonfree_z2_bundle, s3_group_algebra,
                              sweedler_hopf, trivial_algebra_bundle,
                              trivial_coalgebra_bundle, unit_algebra)
-from hopfgal.spaces import unit_space
 
 F7 = PrimeField(7)
 
@@ -78,17 +77,16 @@ def test_invariants_base_regular_action():
 def test_tensor_and_cotensor_degenerate():
     h = cyclic_group_algebra(QQ, 2)
     P = h.space
-    one = unit_space(P.group)
     idP = Morphism.identity(P)
     # B = 1: tensor over B is the plain tensor product
-    Q, Pi = tensor_over(one, idP, idP)
+    Q, Pi = tensor_over(idP, idP)
     assert Q.dim == P.dim * P.dim
     # M = N = B regular: collapses to B
-    Q2, _ = tensor_over(P, h.mult, h.mult)
+    Q2, _ = tensor_over(h.mult, h.mult)
     assert Q2.dim == P.dim
-    E, _ = cotensor(one, idP, idP)
+    E, _ = cotensor(idP, idP)
     assert E.dim == P.dim * P.dim
-    E2, _ = cotensor(P, h.comult, h.comult)
+    E2, _ = cotensor(h.comult, h.comult)
     assert E2.dim == P.dim
 
 

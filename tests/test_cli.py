@@ -86,6 +86,9 @@ def test_malformed_file_exit_2(tmp_path):
 @pytest.mark.parametrize("name, message", [
     ("bad_degree.txt", "line 6: entry (0,1) violates degree preservation"),
     ("bad_algebra_shape.txt", "line 13: multiplication has wrong shape"),
+    ("unit_before_grading.txt", "line 3: unit space before grading"),
+    ("negative_dim.txt", "line 4: negative dimension -1"),
+    ("huge_prime.txt", "is not prime"),
 ])
 def test_structure_rejected_by_a_constructor_is_input_error(name, message):
     bad = os.path.join(os.path.dirname(__file__), "instances", name)

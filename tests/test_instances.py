@@ -1,11 +1,19 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgal.corpus import default_root
 from hopfgal.dsl import run_assertions
-from hopfgal.fields import QQ
-from hopfgal.instances import InstanceError, parse_instance
+from hopfgal.fields import QQ, PrimeField
+from hopfgal.hopf import Algebra, Coalgebra, HopfAlgebra
+from hopfgal.instances import (Instance, InstanceError, InstanceWriter,
+                               parse_instance, serialize_hopf)
+from hopfgal.samples import (braided_line, cyclic_group_algebra, fun_z2,
+                             s3_group_algebra, superline, sweedler_hopf)
+from hopfgal.spaces import unit_space
+from test_morphism import GROUPS, graded_morphism, graded_space
 
 CORPUS = default_root()
 
@@ -64,3 +72,128 @@ def test_bad_scalar_rejected():
     with pytest.raises(InstanceError) as exc:
         parse_instance(text)
     assert exc.value.lineno == 5
+
+
+# -- parser fuzz and writer/parser round trip --------------------------------
+
+FUZZ = settings(max_examples=150, deadline=None)
+CORPUS_TEXTS = [read(name) for name in sorted(os.listdir(CORPUS))
+                if os.path.isdir(os.path.join(CORPUS, name))]
+# a few malformed tokens; with the instance's own tokens (swapped names,
+# indices and keywords) none can declare a space or tensor product large
+# enough to make parsing itself slow
+MALFORMED = {"", "-1", "1/0", "x", "*", "=", "#", "1*1", "dim", "end"}
+
+
+def parses_or_rejects(text):
+    """The parser's contract: a valid Instance or a `line N:` InstanceError."""
+    try:
+        inst = parse_instance(text)
+    except InstanceError as exc:
+        assert str(exc).startswith("line %d: " % exc.lineno)
+        return
+    assert isinstance(inst, Instance) and inst.field is not None
+
+
+@FUZZ
+@given(st.text())
+def test_parser_fuzz_any_text(text):
+    parses_or_rejects(text)
+
+
+def mutate(text, rng):
+    """One to four edits of an instance: a token replaced, deleted or
+    inserted, a `key=name` reference pointed at another declared name, or
+    a line dropped or copied."""
+    tokens = sorted(set(text.split()) | MALFORMED)
+    lines = text.splitlines()
+    names = sorted({line.split()[1] for line in lines
+                    if len(line.split()) > 1 and not line[0].isspace()})
+    for _ in range(rng.randint(1, 4)):
+        if not lines:
+            break
+        k = rng.randrange(len(lines))
+        words = lines[k].split()
+        op = rng.choice(["replace", "delete", "insert", "rename",
+                         "drop_line", "copy_line"])
+        if op == "drop_line":
+            del lines[k]
+            continue
+        if op == "copy_line":
+            lines.insert(k, rng.choice(lines))
+            continue
+        keyed = [j for j, w in enumerate(words) if "=" in w]
+        if op == "rename" and keyed:
+            j = rng.choice(keyed)
+            words[j] = words[j].split("=")[0] + "=" + rng.choice(names)
+        elif op == "insert" or not words:
+            words.insert(rng.randint(0, len(words)), rng.choice(tokens))
+        elif op == "delete":
+            del words[rng.randrange(len(words))]
+        else:
+            words[rng.randrange(len(words))] = rng.choice(tokens)
+        lines[k] = " ".join(words)
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(CORPUS_TEXTS), st.randoms(use_true_random=False))
+def test_parser_fuzz_mutated_corpus_instance(text, rng):
+    parses_or_rejects(mutate(text, rng))
+
+
+@FUZZ
+@given(st.data())
+def test_writer_parser_round_trip_morphism(data):
+    group = data.draw(st.sampled_from(GROUPS))
+    V, W = data.draw(graded_space(group)), data.draw(graded_space(group))
+    f = data.draw(graded_morphism(V, W))
+    g = data.draw(graded_morphism(V.tensor(W), W))
+    w = InstanceWriter(group.field, group)
+    w.space("V", V)
+    w.space("W", W)
+    w.morphism("f", f)
+    w.morphism("g", g, domspec="V*W")
+    inst = parse_instance(w.text())
+    assert inst.field == group.field and inst.group == group
+    assert inst.spaces["V"] == V and inst.spaces["W"] == W
+    assert inst.morphisms["f"] == f and inst.morphisms["g"] == g
+
+
+F5, F7 = PrimeField(5), PrimeField(7)
+SAMPLE_HOPFS = [
+    lambda field: cyclic_group_algebra(field, 1),
+    lambda field: cyclic_group_algebra(field, 3),
+    s3_group_algebra, fun_z2, sweedler_hopf, superline,
+]
+
+
+@st.composite
+def hopf_algebra(draw):
+    """A sample Hopf algebra or its dual, or random structure constants of
+    Hopf-algebra shape (the parser checks shapes, not axioms)."""
+    kind = draw(st.sampled_from(["sample", "braided_line", "shaped"]))
+    if kind == "sample":
+        h = draw(st.sampled_from(SAMPLE_HOPFS))(
+            draw(st.sampled_from([QQ, F5, F7])))
+    elif kind == "braided_line":
+        h = braided_line(F7, 3, F7.from_int(2))
+    else:
+        group = draw(st.sampled_from(GROUPS))
+        H, one = draw(graded_space(group)), unit_space(group)
+        HH = H.tensor(H)
+        return HopfAlgebra(
+            Algebra(H, draw(graded_morphism(HH, H)),
+                    draw(graded_morphism(one, H))),
+            Coalgebra(H, draw(graded_morphism(H, HH)),
+                      draw(graded_morphism(H, one))),
+            draw(graded_morphism(H, H)))
+    return h.dualize() if draw(st.booleans()) else h
+
+
+@FUZZ
+@given(hopf_algebra())
+def test_writer_parser_round_trip_hopf(h):
+    w = InstanceWriter(h.space.field, h.space.group)
+    serialize_hopf(w, "H", h)
+    assert parse_instance(w.text()).hopfs["H"] == h
