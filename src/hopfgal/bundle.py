@@ -14,6 +14,15 @@ sides compute can by factoring an explicit composite through the
 deterministic (co)equaliser, so failures surface as quantitative
 defects (corank of can, kernel of the comparison map) rather than
 exceptions.
+
+Condition C solves linear systems for an unknown morphism s (a section
+P -> B (x) P of the left action, or a left-B-linear map P -> B).  Each
+equation is a list of terms c * f o T(s) o g with T(s) one of s,
+id_X (x) s and s (x) id_X.  `_assemble_system` builds the column of each
+degree-matched unknown E_ij from vec(f o E_ij o g) = (g^T (x) f) vec(E_ij),
+i.e. from column i of f and row j of g, as sparse rows that
+`linalg.rref_rows` eliminates directly.  A colinear section solves the
+non-colinear system too, so `faithful_flatness` reuses it.
 """
 
 from __future__ import annotations
@@ -145,61 +154,134 @@ def invariants_base(x):
 
 
 # -- linear morphism-system solver -------------------------------------------
+#
+# A linear condition on an unknown s: dom -> cod is an equation
+# (terms, rhs), meaning sum of c * f o T(s) o g over its terms == rhs.  Each
+# term is (c, f, X, side, g): an int c, morphisms f and g, and T(s) = s
+# when X is None, id_X (x) s when side is LEFT, s (x) id_X when it is RIGHT.
+
+LEFT, RIGHT = "left", "right"
+
 
 def _unknown_positions(dom, cod):
     return [(i, j) for i in range(cod.dim) for j in range(dom.dim)
             if cod.degrees[i] == dom.degrees[j]]
 
 
-def _assemble_system(dom, cod, equations):
-    """Flatten linear conditions on an unknown morphism s: dom -> cod.
+def _legs(X, side, dom, cod):
+    """(T's domain, T's codomain, mi, mj, offsets): E_ij: dom -> cod under T
+    lands in the entries (i * mi + oi, j * mj + oj) of T(E_ij), one per
+    (oi, oj) in offsets (left factor major)."""
+    if X is None:
+        return dom, cod, 1, 1, [(0, 0)]
+    if side == LEFT:
+        return (X.tensor(dom), X.tensor(cod), 1, 1,
+                [(x * cod.dim, x * dom.dim) for x in range(X.dim)])
+    return (dom.tensor(X), cod.tensor(X), X.dim, X.dim,
+            [(x, x) for x in range(X.dim)])
 
-    equations: list of (lin, rhs) with lin a linear callable on Morphisms
-    and rhs a Morphism with the endpoints of lin's output.  Returns
-    (field, positions, A, b) for the stacked system A s = b.  Each equation
-    gives one row block, indexed by the entries (r, c) of its output; the
-    image of each unknown's basis morphism is scattered into its column.
+
+def _assemble_system(dom, cod, equations):
+    """The stacked linear system of `equations` on s: dom -> cod, as sparse rows.
+
+    Returns (positions, rows): positions lists the degree-matched unknowns
+    (i, j), the entries of s; rows maps a row index to a dict from column
+    to nonzero raw scalar (Fraction, or int mod p), ascending in the index.
+    Column k < len(positions) is unknown k and column len(positions) is the
+    right-hand side.  Each equation gives one row block, indexed by the
+    entries (r, c) of its output as r * width + c.  A term's column for the
+    unknown E_ij comes from vec(f o E_ij o g) = (g^T (x) f) vec(E_ij): the
+    products of column i of f with row j of g, summed over x on the id_X
+    legs.
     """
     field = dom.field
+    p = field.characteristic
     positions = _unknown_positions(dom, cod)
-    one, zero = field.one(), field.zero()
     n = len(positions)
-    blocks = [[[zero] * n for _ in range(rhs.cod.dim * rhs.dom.dim)]
-              for _, rhs in equations]
-    for k, (i, j) in enumerate(positions):
-        basis = Morphism(dom, cod, {(i, j): one})
-        for (lin, rhs), block in zip(equations, blocks):
-            width = rhs.dom.dim
-            for (r, c), v in lin(basis).entries.items():
-                block[r * width + c][k] = v
-    rows = []
-    b = []
-    for (_, rhs), block in zip(equations, blocks):
+    targets = {}  # row -> raw right-hand side
+    prepared = []  # (f by column, g by row, mi, mj, offsets) per term
+    offset = 0
+    for terms, rhs in equations:
         width = rhs.dom.dim
-        rhs_rows = [[zero] for _ in block]
-        for (r, c), v in rhs.entries.items():
-            rhs_rows[r * width + c][0] = v
-        rows.extend(block)
-        b.extend(rhs_rows)
-    return field, positions, rows, b
+        for c, f, X, side, g in terms:
+            t_dom, t_cod, *legs = _legs(X, side, dom, cod)
+            if (f.dom, f.cod, g.dom, g.cod) != (t_cod, rhs.cod, rhs.dom, t_dom):
+                raise TypeError("a term's f o T(s) o g does not have the "
+                                "endpoints of its equation's right-hand side")
+            # f's entry (r, k) lands in output row offset + r * width
+            f_cols = {}
+            for (r, k), v in f.entries.items():
+                f_cols.setdefault(k, []).append(
+                    (offset + r * width, c * (v.v if p else v)))
+            g_rows = {}
+            for (k, col), v in g.entries.items():
+                g_rows.setdefault(k, []).append((col, v.v if p else v))
+            prepared.append((f_cols, g_rows, *legs))
+        for (r, col), v in rhs.entries.items():
+            targets[offset + r * width + col] = v.v if p else v
+        offset += rhs.cod.dim * width
+    rows = {}
+    for k, (i, j) in enumerate(positions):
+        column = {}
+        for f_cols, g_rows, mi, mj, offsets in prepared:
+            for oi, oj in offsets:
+                f_col = f_cols.get(i * mi + oi)
+                g_row = g_rows.get(j * mj + oj)
+                if f_col is None or g_row is None:
+                    continue
+                for a, fv in f_col:
+                    for b, gv in g_row:
+                        column[a + b] = column.get(a + b, 0) + fv * gv
+        for row, v in column.items():
+            if p:
+                v %= p
+            if v:
+                rows.setdefault(row, {})[k] = v
+    for row, v in targets.items():
+        rows.setdefault(row, {})[n] = v
+    return positions, {row: rows[row] for row in sorted(rows)}
+
+
+def _box(field, v):
+    return field.from_int(v) if field.characteristic else v
 
 
 def solve_morphism_system(dom, cod, equations):
-    """Deterministic particular solution s: dom -> cod, or None."""
-    field, positions, A, b = _assemble_system(dom, cod, equations)
-    X = linalg.solve(field, A, b)
-    if X is None:
+    """Deterministic particular solution s: dom -> cod, or None.
+
+    The least-pivot solution of the canonical RREF: free unknowns are zero.
+    """
+    field = dom.field
+    positions, rows = _assemble_system(dom, cod, equations)
+    n = len(positions)
+    pivot_rows = linalg.rref_rows(field, rows.values())
+    if n in pivot_rows:  # a pivot in the right-hand side: inconsistent
         return None
-    entries = {positions[k]: X[k][0] for k in range(len(positions)) if X[k][0]}
-    return Morphism(dom, cod, entries)
+    return Morphism(dom, cod, {positions[c]: _box(field, row[n])
+                               for c, row in pivot_rows.items() if n in row})
 
 
 def morphism_nullspace(dom, cod, equations):
-    """Basis of the space of s: dom -> cod solving the homogeneous system."""
-    field, positions, A, _ = _assemble_system(dom, cod, equations)
+    """Basis of the space of s: dom -> cod solving the homogeneous system.
+
+    One basis morphism per free unknown, ascending: 1 there and minus the
+    free column of each pivot row at that row's pivot.
+    """
+    field = dom.field
+    positions, rows = _assemble_system(dom, cod, equations)
+    n = len(positions)
+    for row in rows.values():
+        row.pop(n, None)
+    pivot_rows = linalg.rref_rows(field, rows.values())
+    basis = {k: {} for k in range(n) if k not in pivot_rows}
+    for c, row in pivot_rows.items():
+        for k, v in row.items():
+            if k != c:
+                basis[k][positions[c]] = _box(field, -v)
+    one = field.one()
     out = []
-    for vec in linalg.kernel_basis(field, A, ncols=len(positions)):
-        entries = {positions[k]: vec[k] for k in range(len(positions)) if vec[k]}
+    for k, entries in basis.items():
+        entries[positions[k]] = one
         out.append(Morphism(dom, cod, entries))
     return out
 
@@ -380,22 +462,34 @@ class AlgebraBundle(Bundle):
         return self._memo("translation", build)
 
     def _projectivity_equations(self, colinear):
-        """Linear conditions on a section s: P -> B (x) P of the left action."""
+        """Linear conditions on a section s: P -> B (x) P of the left action:
+        q s = id, s q = (m_B (x) id)(id_B (x) s) and, when colinear,
+        (id_B (x) rho) s = (s (x) id_H) rho."""
         P, B, H = self.como.space, self.base.space, self.H.space
-        idP, idB, idH = (Morphism.identity(s) for s in (P, B, H))
+        BP = B.tensor(P)
+        idP, idB, idBP = (Morphism.identity(s) for s in (P, B, BP))
         q = self.left_action()
         eqs = [
-            (lambda s: compose(q, s), idP),
-            (lambda s: compose(s, q) -
-             compose(tensor(self.base.mult, idP), tensor(idB, s)),
-             Morphism.zero(B.tensor(P), B.tensor(P))),
+            ([(1, q, None, None, idP)], idP),
+            ([(1, idBP, None, None, q),
+              (-1, tensor(self.base.mult, idP), B, LEFT, idBP)],
+             Morphism.zero(BP, BP)),
         ]
         if colinear:
             eqs.append(
-                (lambda s: compose(tensor(idB, self.rho), s) -
-                 compose(tensor(s, idH), self.rho),
-                 Morphism.zero(P, B.tensor(P).tensor(H))))
+                ([(1, tensor(idB, self.rho), None, None, idP),
+                  (-1, Morphism.identity(BP.tensor(H)), H, RIGHT, self.rho)],
+                 Morphism.zero(P, BP.tensor(H))))
         return eqs
+
+    def _trace_ideal_equations(self):
+        """Linear conditions on a left B-linear map f: P -> B:
+        f q = m_B (id_B (x) f)."""
+        P, B = self.como.space, self.base.space
+        return [([(1, Morphism.identity(B), None, None, self.left_action()),
+                  (-1, self.base.mult, B, LEFT,
+                   Morphism.identity(B.tensor(P)))],
+                 Morphism.zero(B.tensor(P), B))]
 
     def equivariant_projectivity(self):
         def build():
@@ -420,19 +514,19 @@ class AlgebraBundle(Bundle):
         def build():
             P, B = self.como.space, self.base.space
             rep = Report()
-            s = solve_morphism_system(
-                P, B.tensor(P), self._projectivity_equations(colinear=False))
+            # the colinear system contains the whole non-colinear one, so a
+            # section proves projectivity; solve the smaller system only
+            # when the colinear one is inconsistent
+            s = self.section()
+            if s is None:
+                s = solve_morphism_system(
+                    P, B.tensor(P),
+                    self._projectivity_equations(colinear=False))
             rep.add("C.projective", s is not None, witness=s)
             # trace ideal: the joint image of all left-B-linear maps P -> B
-            idB = Morphism.identity(B)
-            hom_eqs = [
-                (lambda f: compose(f, self.left_action()) -
-                 compose(self.base.mult, tensor(idB, f)),
-                 Morphism.zero(B.tensor(P), B)),
-            ]
             field = P.field
             vectors = []
-            for f in morphism_nullspace(P, B, hom_eqs):
+            for f in morphism_nullspace(P, B, self._trace_ideal_equations()):
                 rows = f.to_rows()
                 for j in range(P.dim):
                     vectors.append([rows[i][j] for i in range(B.dim)])

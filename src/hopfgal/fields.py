@@ -8,12 +8,61 @@ generic matrix code can use ordinary operators on either kind.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
 class FieldError(ValueError):
     pass
+
+
+def parse_int(text):
+    """An integer token, `-?[0-9]+`: an optional minus sign, then ASCII digits.
+
+    `int()` also reads underscores, a plus sign, surrounding whitespace and
+    non-ASCII digits, none of which the instance format defines.
+    """
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise FieldError("invalid integer %r" % (text,))
+    return int(text)
+
+
+# Miller-Rabin on the first 13 prime bases decides primality below
+# PROVABLE_PRIME_BOUND (Sorenson and Webster, 2015); the bound itself is a
+# strong pseudoprime to all 13 bases.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PROVABLE_PRIME_BOUND = 3317044064679887385961981
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime(n):
+    """Whether n is prime; a FieldError when n is a probable prime at or
+    above PROVABLE_PRIME_BOUND, which this test cannot prove."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    if not all(_strong_probable_prime(n, a) for a in _WITNESSES):
+        return False
+    if n >= PROVABLE_PRIME_BOUND:
+        raise FieldError("cannot prove %d prime: primes from %d on are "
+                         "not supported" % (n, PROVABLE_PRIME_BOUND))
+    return True
 
 
 class FpElement:
@@ -121,8 +170,8 @@ class Field:
         text = text.strip()
         if "/" in text:
             num, den = text.split("/", 1)
-            return self.from_int(int(num)) / self.from_int(int(den))
-        return self.from_int(int(text))
+            return self.from_int(parse_int(num)) / self.from_int(parse_int(den))
+        return self.from_int(parse_int(text))
 
     def format(self, x):
         return str(x)
@@ -153,7 +202,7 @@ class RationalField(Field):
 
 class PrimeField(Field):
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if not is_prime(p):
             raise FieldError("%r is not prime" % (p,))
         self.p = p
         self._zero = FpElement(p, 0)

@@ -5,7 +5,9 @@ group, named graded spaces, named sparse morphisms, then structured
 objects (algebras, coalgebras, Hopf algebras, (co)module structures,
 bundles, base modules) referencing earlier names.  Blank lines and `#`
 comments are ignored.  All scalars are exact (integers or `p/q`, digits
-mod p over a prime field).
+mod p over a prime field).  Every integer token (dimensions, degrees,
+indices, the prime, the grading order, numerators and denominators) is
+an optional minus sign and ASCII digits.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .bundle import (AlgebraBundle, CoalgebraBundle, ComoduleAlgebra,
                      ModuleCoalgebra)
 from .descent import BModule
 from .dsl import Environment
-from .fields import QQ, PrimeField
+from .fields import QQ, PrimeField, parse_int
 from .hopf import Algebra, Coalgebra, HopfAlgebra
 from .morphism import Morphism
 from .spaces import GradedSpace, GradingGroup, unit_space
@@ -97,7 +99,7 @@ def parse_instance(text):
                 if words[1] == "rational":
                     inst.field = QQ
                 elif words[1] == "prime":
-                    inst.field = PrimeField(int(words[2]))
+                    inst.field = PrimeField(parse_int(words[2]))
                 else:
                     raise InstanceError(lineno, "field must be rational or prime p")
             elif head == "grading":
@@ -110,7 +112,7 @@ def parse_instance(text):
                         raise InstanceError(
                             lineno, "expected: grading cyclic n gen g")
                     inst.group = GradingGroup.cyclic(
-                        int(words[2]), inst.field,
+                        parse_int(words[2]), inst.field,
                         inst.field.parse(words[4]))
                 else:
                     raise InstanceError(lineno, "grading must be trivial or cyclic")
@@ -120,13 +122,13 @@ def parse_instance(text):
                 name = words[1]
                 if words[2] != "dim":
                     raise InstanceError(lineno, "expected: space name dim d [degrees ...]")
-                dim = int(words[3])
+                dim = parse_int(words[3])
                 if dim < 0:
                     raise InstanceError(lineno, "negative dimension %d" % dim)
                 if len(words) > 4:
                     if words[4] != "degrees" or len(words) != 5 + dim:
                         raise InstanceError(lineno, "expected %d degrees" % dim)
-                    degrees = tuple(int(w) for w in words[5:])
+                    degrees = tuple(parse_int(w) for w in words[5:])
                 else:
                     degrees = (0,) * dim
                 inst.spaces[name] = GradedSpace(inst.group, degrees)
@@ -149,7 +151,7 @@ def parse_instance(text):
                     if len(parts) != 3:
                         raise InstanceError(entry_lineno, "expected: i j value")
                     try:
-                        r, c = int(parts[0]), int(parts[1])
+                        r, c = parse_int(parts[0]), parse_int(parts[1])
                         value = inst.field.parse(parts[2])
                     except (ValueError, ZeroDivisionError) as exc:
                         raise InstanceError(entry_lineno, str(exc))

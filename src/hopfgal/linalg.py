@@ -1,10 +1,14 @@
 """Exact linear algebra over a `Field`, on one sparse elimination kernel.
 
-Matrices are lists of equal-length rows of scalars.  `rref` is the only
-elimination: it reads each row into a dict from column to nonzero value,
-reduces it against the pivot rows kept so far and then clears its own
-pivot column from them.  Over a prime field it works on plain ints mod p
-and boxes only the nonzero entries of its output.
+`rref_rows` is the only elimination.  It takes a matrix as sparse rows,
+dicts from column to nonzero raw scalar (Fractions over QQ, plain ints
+mod p over F_p), reduces each row against the pivot rows kept so far and
+then clears its own pivot column from them; it returns the pivot rows.
+The morphism-system solver in `bundle` feeds it rows directly.
+
+Dense matrices are lists of equal-length rows of field scalars.  `rref`
+is the dense adapter: it reads dense rows into dicts, calls `rref_rows`
+and writes the pivot rows back out, boxing only nonzero entries.
 
 The reduced row echelon form of a matrix is unique, so `rref` returns
 exactly what dense Gauss-Jordan elimination (columns left to right,
@@ -58,24 +62,19 @@ def _subtract(row, f, prow, p):
             del row[j]
 
 
-def rref(field, A):
-    """Reduced row echelon form.  Returns (R, pivot_columns).
+def rref_rows(field, rows):
+    """The canonical RREF of a sparse matrix given row by row.
 
-    R has the shape of A: its nonzero rows in ascending pivot order, then
-    its zero rows.  A is not modified.
+    rows: an iterable of dicts from column to nonzero raw scalar (a
+    Fraction over QQ, a plain int in [0, p) over F_p); the dicts are
+    reduced in place.  Returns {pivot column: reduced row} in ascending
+    pivot order; each reduced row is such a dict, with a 1 at its pivot
+    and no entry in any other pivot column.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
     p = field.characteristic
-    z = field.zero()
     # pivot column -> row with a 1 there and a 0 in every other pivot column
     pivot_rows = {}
-    for dense in A:
-        # `x is not z` passes over the shared zero without a method call
-        if p:
-            row = {j: x.v for j, x in enumerate(dense) if x is not z and x.v}
-        else:
-            row = {j: x for j, x in enumerate(dense) if x is not z and x}
+    for row in rows:
         # a pivot row has no entry in another pivot column, so these
         # subtractions leave row[c] of the later c unchanged
         for c in [c for c in row if c in pivot_rows]:
@@ -94,15 +93,35 @@ def rref(field, A):
             if f:
                 _subtract(prow, f, row, p)
         pivot_rows[c] = row
-    pivots = sorted(pivot_rows)
+    return {c: pivot_rows[c] for c in sorted(pivot_rows)}
+
+
+def rref(field, A):
+    """Reduced row echelon form of dense rows.  Returns (R, pivot_columns).
+
+    R has the shape of A: its nonzero rows in ascending pivot order, then
+    its zero rows.  A is not modified.  A dense adapter over `rref_rows`.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    p = field.characteristic
+    z = field.zero()
+    # `x is not z` passes over the shared zero without a method call
+    if p:
+        rows = ({j: x.v for j, x in enumerate(dense) if x is not z and x.v}
+                for dense in A)
+    else:
+        rows = ({j: x for j, x in enumerate(dense) if x is not z and x}
+                for dense in A)
+    pivot_rows = rref_rows(field, rows)
     R = []
-    for c in pivots:
+    for row in pivot_rows.values():
         out = [z] * n
-        for j, v in pivot_rows[c].items():
+        for j, v in row.items():
             out[j] = field.from_int(v) if p else v
         R.append(out)
-    R.extend([z] * n for _ in range(m - len(pivots)))
-    return R, pivots
+    R.extend([z] * n for _ in range(m - len(pivot_rows)))
+    return R, list(pivot_rows)
 
 
 def rank(field, A):

@@ -6,6 +6,9 @@ import pytest
 
 from hopfgal.cli import main
 from hopfgal.corpus import corpus_commands, default_root, run_commands
+from hopfgal.fields import PrimeField
+from hopfgal.instances import InstanceWriter, serialize_hopf
+from hopfgal.samples import cyclic_group_algebra
 
 CORPUS = default_root()
 
@@ -89,6 +92,12 @@ def test_malformed_file_exit_2(tmp_path):
     ("unit_before_grading.txt", "line 3: unit space before grading"),
     ("negative_dim.txt", "line 4: negative dimension -1"),
     ("huge_prime.txt", "is not prime"),
+    ("unprovable_prime.txt", "line 2: cannot prove 618970019642690137449562111"
+     " prime"),
+    ("underscore_dim.txt", "line 4: invalid integer '1_0'"),
+    ("underscore_entry.txt", "line 6: invalid integer '1_0'"),
+    ("plus_index.txt", "line 6: invalid integer '+1'"),
+    ("nonascii_degree.txt", "line 4: invalid integer '\u0661'"),
 ])
 def test_structure_rejected_by_a_constructor_is_input_error(name, message):
     bad = os.path.join(os.path.dirname(__file__), "instances", name)
@@ -114,3 +123,14 @@ def test_principal_without_canonical_map_fails_cleanly(flags):
     assert code == 1 and err == ""
     assert "check=B.can_bijective verdict=fail reason=" in out
     assert "can=[" not in out and out.endswith("result=fail\n")
+
+
+def test_check_over_a_61_bit_prime_field(tmp_path):
+    # 2^61 - 1: trial division up to its square root never finished
+    w = InstanceWriter(PrimeField(2**61 - 1), cyclic_group_algebra(
+        PrimeField(2**61 - 1), 2).space.group)
+    serialize_hopf(w, "H", cyclic_group_algebra(PrimeField(2**61 - 1), 2))
+    path = tmp_path / "mersenne61.txt"
+    path.write_text(w.text())
+    code, out, err = run(["check", str(path), "--what", "hopf"])
+    assert code == 0 and err == "" and out.endswith("result=pass\n")

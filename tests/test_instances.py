@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from hopfgal.corpus import default_root
 from hopfgal.dsl import run_assertions
-from hopfgal.fields import QQ, PrimeField
+from hopfgal.fields import (PROVABLE_PRIME_BOUND, QQ, FieldError, PrimeField,
+                            is_prime, parse_int)
 from hopfgal.hopf import Algebra, Coalgebra, HopfAlgebra
 from hopfgal.instances import (Instance, InstanceError, InstanceWriter,
                                parse_instance, serialize_hopf)
@@ -197,3 +199,65 @@ def test_writer_parser_round_trip_hopf(h):
     w = InstanceWriter(h.space.field, h.space.group)
     serialize_hopf(w, "H", h)
     assert parse_instance(w.text()).hopfs["H"] == h
+
+
+# -- integer tokens and primality -------------------------------------------
+
+@pytest.mark.parametrize("text", ["1_0", "+1", " 1", "1 ", "1\n", "\u0661",
+                                  "\uff17", "--1", "", "-", "0x1", "1.0"])
+def test_parse_int_rejects_what_int_accepts_beyond_the_format(text):
+    with pytest.raises(FieldError, match="invalid integer"):
+        parse_int(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=6),
+                 st.text(alphabet="-0123456789_+ ", max_size=6)))
+def test_parse_int_is_the_ascii_integer_grammar(text):
+    if re.fullmatch(r"-?[0-9]+", text, flags=re.ASCII):
+        assert parse_int(text) == int(text)
+    else:
+        with pytest.raises(FieldError):
+            parse_int(text)
+
+
+def test_parse_int_and_field_parse():
+    assert [parse_int(t) for t in ("0", "-0", "007", "-12")] == [0, 0, 7, -12]
+    assert QQ.parse("-3/4") == QQ.parse("3/-4") == QQ.from_int(-3) / 4
+    for text in ("1_0", "1/2_0", "+1/2", "1/ 2"):
+        with pytest.raises(FieldError):
+            QQ.parse(text)
+
+
+def test_is_prime_against_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert all(is_prime(n) == trial(n) for n in range(3000))
+
+
+@pytest.mark.parametrize("p", [2, 41, 43, 2**31 - 1, 2**61 - 1,
+                               PROVABLE_PRIME_BOUND - 168])
+def test_prime_fields_accepted(p):
+    # bound - 168 is the largest prime below the bound
+    assert is_prime(p)
+    assert parse_instance("field prime %d\n" % p).field.characteristic == p
+
+
+@pytest.mark.parametrize("n", [
+    (2**61 - 1) * (2**31 - 1),
+    3825123056546413051,         # strong pseudoprime to the bases 2..31
+    318665857834031151167461,    # strong pseudoprime to the bases 2..37
+    41 * 43,
+])
+def test_large_composites_rejected(n):
+    assert not is_prime(n)
+    with pytest.raises(InstanceError, match="line 1: .* is not prime"):
+        parse_instance("field prime %d\n" % n)
+
+
+def test_probable_primes_above_the_bound_are_input_errors():
+    for n in (PROVABLE_PRIME_BOUND, 2**89 - 1):
+        with pytest.raises(InstanceError,
+                           match="line 1: cannot prove %d prime" % n):
+            parse_instance("field prime %d\n" % n)
+    assert not is_prime(2**89 + 1)  # divisible by 3, decided above the bound

@@ -169,3 +169,45 @@ def test_inverse_matches_dense_reference(fA):
     assert linalg.inverse(field, A) == expected
     if expected is not None:
         assert linalg.mat_mul(field, expected, A) == linalg.identity(field, n)
+
+
+def _raw_rows(field, A):
+    """Dense rows as `rref_rows` input: dicts of nonzero raw scalars."""
+    p = field.characteristic
+    return [{j: x.v if p else x for j, x in enumerate(row) if x} for row in A]
+
+
+@PROPERTY
+@given(st.data())
+def test_rref_rows_matches_dense_rref_and_solve(data):
+    """The sparse-row entry gives the dense RREF's pivots and rows, and its
+    pivot rows of [A | B] give `solve`'s least-pivot solution or its
+    inconsistency."""
+    field, A = data.draw(_field_and_matrix())
+    m, n = len(A), len(A[0])
+    q = data.draw(st.integers(1, 2))
+    if data.draw(st.booleans()):
+        B = data.draw(sparse_matrix(field, rows=m, cols=q))
+    else:  # consistent by construction
+        B = linalg.mat_mul(field, A, data.draw(sparse_matrix(field, rows=n, cols=q)))
+    aug = [a + b for a, b in zip(A, B)]
+    pivot_rows = linalg.rref_rows(field, _raw_rows(field, aug))
+    R, pivots = dense_rref(field, aug)
+    assert list(pivot_rows) == pivots
+    p = field.characteristic
+    box = field.from_int if p else (lambda v: v)
+    for (c, row), dense in zip(pivot_rows.items(), R):
+        assert row[c] == 1
+        assert all(v and (0 < v < p if p else True) for v in row.values())
+        assert [box(row[j]) if j in row else field.zero()
+                for j in range(n + q)] == dense
+    X = linalg.solve(field, A, B)
+    if any(c >= n for c in pivot_rows):
+        assert X is None
+    else:
+        least = linalg.zeros(field, n, q)
+        for c, row in pivot_rows.items():
+            for j in range(q):
+                if n + j in row:
+                    least[c][j] = box(row[n + j])
+        assert least == X
