@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from . import linalg
 from .hopf import (Algebra, Coalgebra, braided_tensor_coalgebra,
                    braided_tensor_mult, check_algebra, check_coalgebra)
-from .morphism import (FactorizationError, Morphism, coequaliser, compose,
-                       compose_tensor, cotensor, dualize, equaliser,
+from .morphism import (FactorizationError, Morphism, box, coequaliser,
+                       compose, compose_tensor, cotensor, dualize, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
-                       is_isomorphism, tensor, tensor_over)
+                       is_isomorphism, raw_rows, tensor, tensor_over)
 from .report import Report, equality_check
 
 
@@ -242,10 +242,6 @@ def _assemble_system(dom, cod, equations):
     return positions, {row: rows[row] for row in sorted(rows)}
 
 
-def _box(field, v):
-    return field.from_int(v) if field.characteristic else v
-
-
 def solve_morphism_system(dom, cod, equations):
     """Deterministic particular solution s: dom -> cod, or None.
 
@@ -257,7 +253,7 @@ def solve_morphism_system(dom, cod, equations):
     pivot_rows = linalg.rref_rows(field, rows.values())
     if n in pivot_rows:  # a pivot in the right-hand side: inconsistent
         return None
-    return Morphism(dom, cod, {positions[c]: _box(field, row[n])
+    return Morphism(dom, cod, {positions[c]: box(field, row[n])
                                for c, row in pivot_rows.items() if n in row})
 
 
@@ -277,7 +273,7 @@ def morphism_nullspace(dom, cod, equations):
     for c, row in pivot_rows.items():
         for k, v in row.items():
             if k != c:
-                basis[k][positions[c]] = _box(field, -v)
+                basis[k][positions[c]] = box(field, -v)
     one = field.one()
     out = []
     for k, entries in basis.items():
@@ -523,14 +519,12 @@ class AlgebraBundle(Bundle):
                     P, B.tensor(P),
                     self._projectivity_equations(colinear=False))
             rep.add("C.projective", s is not None, witness=s)
-            # trace ideal: the joint image of all left-B-linear maps P -> B
-            field = P.field
-            vectors = []
-            for f in morphism_nullspace(P, B, self._trace_ideal_equations()):
-                rows = f.to_rows()
-                for j in range(P.dim):
-                    vectors.append([rows[i][j] for i in range(B.dim)])
-            trace_rank = linalg.rank(field, vectors) if vectors else 0
+            # trace ideal: the joint image of all left-B-linear maps P -> B,
+            # spanned by their columns, the rows of their transposes
+            maps = morphism_nullspace(P, B, self._trace_ideal_equations())
+            columns = [row for f in maps
+                       for row in raw_rows(dualize(f)).values()]
+            trace_rank = len(linalg.rref_rows(P.field, columns))
             rep.add("C.trace_ideal_full", trace_rank == B.dim,
                     details={"trace_rank": trace_rank, "dim_base": B.dim})
             flat = (s is not None) and trace_rank == B.dim

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .morphism import (FactorizationError, Morphism, braiding, cokernel,
-                       compose, equaliser, factor_through_coequaliser,
-                       factor_through_equaliser, is_isomorphism, tensor,
-                       tensor_over)
+from .morphism import (FactorizationError, Morphism, box, braiding,
+                       cokernel, compose, equaliser,
+                       factor_through_coequaliser, factor_through_equaliser,
+                       is_isomorphism, tensor, tensor_over)
 from .report import Report, equality_check
 from .spaces import GradedSpace
 
@@ -344,8 +344,6 @@ def _basis_in_one_w(base, j):
     # pick the first index where the unit has a nonzero coordinate
     k = next(i for i, c in enumerate(u) if c)
     w_index = 1 - k
-    e = [field.zero()] * 2
-    e[j] = field.one()
     # e_j = c0 * u + c1 * e_{w_index}  (u[w_index] may be nonzero)
     if j == w_index:
         c0 = field.zero()
@@ -359,7 +357,6 @@ def _basis_in_one_w(base, j):
 def _w_structure(base):
     """For a commutative 2-dim base: (w_index, alpha, beta) with
     w^2 = alpha * 1 + beta * w in the (1, w) basis."""
-    field = base.space.field
     u = _unit_coordinates(base)
     k = next(i for i, c in enumerate(u) if c)
     w = 1 - k
@@ -367,11 +364,9 @@ def _w_structure(base):
     # w * w in the original basis
     col = w * 2 + w
     ww = [rows[i][col] for i in range(2)]
-    # express ww = alpha * u + beta * e_w; solve the 2x2 system
-    A = [[u[0], field.one() if w == 0 else field.zero()],
-         [u[1], field.one() if w == 1 else field.zero()]]
-    X = linalg.solve(field, A, [[ww[0]], [ww[1]]])
-    return w, X[0][0], X[1][0]
+    # ww = alpha * u + beta * e_w, read off at k (where e_w is 0) and at w
+    alpha = ww[k] / u[k]
+    return w, alpha, ww[w] - alpha * u[w]
 
 
 def enumerate_bmodules(base, max_dim, seed=0, samples=6):
@@ -428,7 +423,6 @@ def _scalar_action(base, V):
     """The unique module structure over a 1-dimensional base."""
     field = V.field
     u = _unit_coordinates(base)[0]
-    idV = Morphism.identity(V)
     return Morphism(V.tensor(base.space), V,
                     {(i, i): field.one() / u for i in range(V.dim)})
 
@@ -449,48 +443,54 @@ def _random_bmodules(base, max_dim, seed, samples):
         for _g in range(rng.randint(1, 2)):
             gens.append([field.from_int(rng.randint(-2, 2))
                          for _i in range(F.dim)])
-        closed = _module_closure(field, gens, act, F, B)
-        quot_dim = F.dim - linalg.rank(field, closed) if closed else F.dim
+        closed = _module_closure(field, gens, act, B)
+        quot_dim = F.dim - len(closed)
         if not 1 <= quot_dim <= max_dim:
             continue
         out.append(_quotient_module(field, closed, act, F, B))
     return out
 
 
-def _module_closure(field, gens, act, F, B):
-    vectors = [list(v) for v in gens]
-    act_rows = act.to_rows()
-    changed = True
-    while changed:
-        changed = False
-        current_rank = linalg.rank(field, vectors)
-        new = []
-        for v in list(vectors):
-            for j in range(B.dim):
-                w = [field.zero()] * F.dim
-                for r in range(F.dim):
-                    s = field.zero()
-                    for i in range(F.dim):
-                        if v[i]:
-                            s = s + act_rows[r][i * B.dim + j] * v[i]
-                    w[r] = s
-                new.append(w)
-        trial = vectors + new
-        if linalg.rank(field, trial) > current_rank:
-            vectors = trial
-            changed = True
-    return vectors
+def _module_closure(field, gens, act, B):
+    """The canonical RREF rows of the submodule of F that gens generate
+    under the right action act: F (x) B -> F.
+
+    Adds the images of the current basis under every basis vector of B
+    until the pivot count stops rising; rows are raw-scalar dicts.
+    """
+    p = field.characteristic
+    # column i of F -> [(row r, basis index j of B, raw act[r, i (x) j])]
+    act_cols = {}
+    for (r, col), v in act.entries.items():
+        i, j = divmod(col, B.dim)
+        act_cols.setdefault(i, []).append((r, j, v.v if p else v))
+    closed = linalg.rref_rows(
+        field, [{i: x.v if p else x for i, x in enumerate(v) if x}
+                for v in gens])
+    while True:
+        rows = [dict(row) for row in closed.values()]
+        for row in closed.values():
+            images = [{} for _ in range(B.dim)]
+            for i, x in row.items():
+                for r, j, a in act_cols.get(i, ()):
+                    images[j][r] = images[j].get(r, 0) + a * x
+            for image in images:
+                if p:
+                    image = {r: v % p for r, v in image.items()}
+                rows.append({r: v for r, v in image.items() if v})
+        grown = linalg.rref_rows(field, rows)
+        if len(grown) == len(closed):
+            return closed
+        closed = grown
 
 
 def _quotient_module(field, closed, act, F, B):
     incl_entries = {}
-    R = linalg.rref(field, [list(v) for v in closed])[0] if closed else []
-    basis = [row for row in R if any(row)]
+    basis = list(closed.values())
     S = GradedSpace(F.group, (0,) * len(basis))
     for c, row in enumerate(basis):
-        for r, val in enumerate(row):
-            if val:
-                incl_entries[(r, c)] = val
+        for r, val in row.items():
+            incl_entries[(r, c)] = box(field, val)
     incl = Morphism(S, F, incl_entries)
     Q, Pi = cokernel(incl)
     qact = factor_through_coequaliser(

@@ -117,17 +117,9 @@ def check_coalgebra(c):
     return rep
 
 
-def braided_tensor_algebra(a, b):
-    """The algebra on A (x) B with multiplication (m_A (x) m_B)(id tau id)."""
-    A, B = a.space, b.space
-    idA, idB = Morphism.identity(A), Morphism.identity(B)
-    mult = compose(tensor(a.mult, b.mult),
-                   tensor(tensor(idA, braiding(B, A)), idB))
-    return Algebra(A.tensor(B), mult, tensor(a.unit, b.unit))
-
-
 def braided_tensor_mult(a, b, g):
-    """m o g for the multiplication m of `braided_tensor_algebra(a, b)`.
+    """m o g for the multiplication m = (m_A (x) m_B) o (id (x) tau (x) id)
+    of the braided tensor product algebra A (x) B.
 
     Computed as (m_A (x) m_B) o ((id (x) tau (x) id) o g) without building
     m, whose domain A (x) B (x) A (x) B has dim(A)^2 dim(B)^2 columns.

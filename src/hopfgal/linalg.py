@@ -4,17 +4,20 @@
 dicts from column to nonzero raw scalar (Fractions over QQ, plain ints
 mod p over F_p), reduces each row against the pivot rows kept so far and
 then clears its own pivot column from them; it returns the pivot rows.
-The morphism-system solver in `bundle` feeds it rows directly.
+The program calls `rref_rows` for every kernel, factorisation, rank and
+morphism system, and `inverse` for the inverse of an invertible map.
 
 Dense matrices are lists of equal-length rows of field scalars.  `rref`
 is the dense adapter: it reads dense rows into dicts, calls `rref_rows`
 and writes the pivot rows back out, boxing only nonzero entries.
+`kernel_basis`, `solve` and `rank` read their answers off it; with `rref`
+they are the dense reference oracle the tests check the sparse paths
+against, and they stay here, beside `inverse`, for the benchmark tracer.
 
 The reduced row echelon form of a matrix is unique, so `rref` returns
 exactly what dense Gauss-Jordan elimination (columns left to right,
-topmost pivot) returns, whatever order the sparse kernel works in.
-`kernel_basis`, `solve`, `rank` and `inverse` read their answers off that
-canonical form, which keeps every output reproducible bit for bit.
+topmost pivot) returns, whatever order the sparse kernel works in, which
+keeps every output reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -28,26 +31,6 @@ def zeros(field, m, n):
 def identity(field, n):
     z, o = field.zero(), field.one()
     return [[o if i == j else z for j in range(n)] for i in range(n)]
-
-
-def mat_mul(field, A, B):
-    m = len(A)
-    n = len(B)
-    q = len(B[0]) if B else 0
-    C = zeros(field, m, q)
-    for i in range(m):
-        Ai = A[i]
-        Ci = C[i]
-        for k in range(n):
-            a = Ai[k]
-            if not a:
-                continue
-            Bk = B[k]
-            for j in range(q):
-                b = Bk[j]
-                if b:
-                    Ci[j] = Ci[j] + a * b
-    return C
 
 
 def _subtract(row, f, prow, p):
@@ -140,15 +123,6 @@ def kernel_basis(field, A, ncols=None):
         return [[field.one() if i == j else field.zero() for i in range(ncols)]
                 for j in range(ncols)]
     R, pivots = rref(field, A)
-    return kernel_from_rref(field, R, pivots, ncols)
-
-
-def kernel_from_rref(field, R, pivots, ncols):
-    """`kernel_basis` of the first ncols columns, read off an RREF of them.
-
-    R may carry more columns on the right, e.g. the RREF of [A | I]: its
-    left block is rref(A), and `pivots` are then its pivots left of ncols.
-    """
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     z, o = field.zero(), field.one()
@@ -156,13 +130,9 @@ def kernel_from_rref(field, R, pivots, ncols):
     for fc in free:
         v = [z] * ncols
         v[fc] = o
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
-    for r, pc in enumerate(pivots):
-        row = R[r]
-        for v, fc in zip(basis, free):
-            x = row[fc]
-            if x is not z and x:
-                v[pc] = -x
     return basis
 
 

@@ -2,9 +2,11 @@
 
 A `Morphism` is a sparse exact matrix with typed domain and codomain.
 Entries outside matching degrees are forbidden, so every morphism is
-automatically a map of graded spaces.  (Co)equalisers are computed
-degree-block by degree-block with deterministic pivoting, hence their
-bases are reproducible and homogeneous.  The tensor product over a base
+automatically a map of graded spaces.  Kernels, (co)equalisers,
+factorisations and ranks come from one sparse elimination of the entries,
+`linalg.rref_rows`, over all degrees at once; its canonical RREF makes
+every basis reproducible, and kernel bases are grouped by degree, so they
+are homogeneous.  The tensor product over a base
 (`tensor_over`) and the cotensor product (`cotensor`) are the
 (co)equalisers of the two middle (co)actions.
 """
@@ -219,60 +221,56 @@ def dualize(f):
         {(j, i): v for (i, j), v in f.entries.items()})
 
 
-# -- degree-blocked elimination helpers -------------------------------------
+# -- sparse elimination ------------------------------------------------------
 
-def _blocks(degrees):
-    """Indices grouped by degree, degrees in order of first occurrence."""
-    order = []
-    groups = {}
-    for idx, d in enumerate(degrees):
-        if d not in groups:
-            groups[d] = []
-            order.append(d)
-        groups[d].append(idx)
-    return order, groups
+def box(field, v):
+    """The field element of a raw scalar as `linalg.rref_rows` takes and
+    returns it (a Fraction over QQ, an int mod p over F_p)."""
+    return field.from_int(v) if field.characteristic else v
 
 
-def _dense_block(f, rows, cols):
-    z = f.field.zero()
-    pos_r = {r: a for a, r in enumerate(rows)}
-    pos_c = {c: b for b, c in enumerate(cols)}
-    block = [[z] * len(cols) for _ in rows]
+def raw_rows(f, rows=None, shift=0):
+    """f's nonzeros as sparse rows of raw scalars, row -> {column: value},
+    added into `rows` with every column moved right by `shift`."""
+    p = f.field.characteristic
+    rows = {} if rows is None else rows
     for (i, j), v in f.entries.items():
-        a = pos_r.get(i)
-        b = pos_c.get(j)
-        if a is not None and b is not None:
-            block[a][b] = v
-    return block
+        rows.setdefault(i, {})[j + shift] = v.v if p else v
+    return rows
 
 
-def _kernel_inclusion(dom, blocks):
-    """(E, iota) from (degree, columns, kernel basis) per degree block."""
-    degs = []
-    entries = {}
-    for d, cols, basis in blocks:
-        for vec in basis:
-            col = len(degs)
-            for b, c in enumerate(cols):
-                if vec[b]:
-                    entries[(c, col)] = vec[b]
-            degs.append(d)
-    E = GradedSpace(dom.group, tuple(degs))
+def _kernel_inclusion(dom, pivot_rows):
+    """(E, iota) read off the canonical RREF of a map out of dom.
+
+    One basis vector per free column: a 1 there and minus the pivot row's
+    entry at each pivot.  Free columns are grouped by degree, degrees in
+    order of first occurrence, ascending within a degree.
+    """
+    field = dom.field
+    groups = {}
+    for j, d in enumerate(dom.degrees):
+        groups.setdefault(d, []).append(j)
+    free = [j for cols in groups.values() for j in cols
+            if j not in pivot_rows]
+    position = {j: k for k, j in enumerate(free)}
+    one = field.one()
+    entries = {(j, k): one for k, j in enumerate(free)}
+    for c, row in pivot_rows.items():
+        for j, v in row.items():
+            if j != c:
+                entries[(c, position[j])] = box(field, -v)
+    E = GradedSpace(dom.group, tuple(dom.degrees[j] for j in free))
     return E, Morphism(E, dom, entries)
 
 
 def kernel(f):
-    """(E, iota) with iota: E -> dom(f) a basis of ker f, homogeneous."""
-    field = f.field
-    order, col_groups = _blocks(f.dom.degrees)
-    _, row_groups = _blocks(f.cod.degrees)
-    blocks = []
-    for d in order:
-        cols = col_groups[d]
-        block = _dense_block(f, row_groups.get(d, []), cols)
-        blocks.append(
-            (d, cols, linalg.kernel_basis(field, block, ncols=len(cols))))
-    return _kernel_inclusion(f.dom, blocks)
+    """(E, iota) with iota: E -> dom(f) a basis of ker f, homogeneous.
+
+    One elimination over every degree at once: a degree-preserving map
+    never mixes its degree blocks, so each RREF row lies in one of them.
+    """
+    pivot_rows = linalg.rref_rows(f.field, raw_rows(f).values())
+    return _kernel_inclusion(f.dom, pivot_rows)
 
 
 def cokernel(f):
@@ -314,30 +312,27 @@ def cotensor(coact_right, coact_left):
 
 
 def factor_through_equaliser(c, iota):
-    """The unique x with iota o x = c (iota assumed injective)."""
+    """The unique x with iota o x = c (iota assumed injective).
+
+    One elimination of [iota | c]: free unknowns are zero, and a pivot in
+    the c block names a degree where c leaves iota's image.
+    """
     if c.cod != iota.cod:
         raise TypeError("factor_through_equaliser: codomains differ")
     field = c.field
-    _, amb_rows = _blocks(iota.cod.degrees)
-    _, e_cols = _blocks(iota.dom.degrees)
-    order, c_cols = _blocks(c.dom.degrees)
+    n = iota.dom.dim
+    pivot_rows = linalg.rref_rows(
+        field, raw_rows(c, raw_rows(iota), n).values())
+    bad = {c.dom.degrees[col - n] for col in pivot_rows if col >= n}
+    if bad:
+        d = next(d for d in c.dom.degrees if d in bad)
+        raise FactorizationError(
+            "image does not lie in the subobject (degree %r)" % (d,))
     entries = {}
-    for d in order:
-        ccols = c_cols[d]
-        rows = amb_rows.get(d, [])
-        ecols = e_cols.get(d, [])
-        A = _dense_block(iota, rows, ecols)
-        B = _dense_block(c, rows, ccols)
-        X = linalg.solve(field, A, B)
-        if X is None:
-            raise FactorizationError(
-                "image does not lie in the subobject (degree %r)" % (d,))
-        for a, r in enumerate(ecols):
-            for b, cc in enumerate(ccols):
-                if X[a][b]:
-                    entries[(r, cc)] = X[a][b]
-    # degrees present in c's codomain but with no c-columns need no work;
-    # consistency outside matched degrees is checked here:
+    for r, row in pivot_rows.items():
+        for col, v in row.items():
+            if col >= n:
+                entries[(r, col - n)] = box(field, v)
     x = Morphism(c.dom, iota.dom, entries)
     if compose(iota, x) != c:
         raise FactorizationError("factorisation through equaliser failed")
@@ -371,37 +366,15 @@ class InvertibilityReport:
 def is_isomorphism(f):
     """Exact invertibility check with witness: inverse or defect data.
 
-    One elimination of [A | I] per degree block A: its left block is
-    rref(A), which gives the rank and the kernel basis `kernel` gives, and
-    when A is square of full rank its right block is the inverse of A.
+    `kernel` gives the rank and the kernel witness; only a square map of
+    full rank is then inverted.
     """
-    field = f.field
-    order, col_groups = _blocks(f.dom.degrees)
-    _, row_groups = _blocks(f.cod.degrees)
-    rk = 0
-    blocks = []
-    entries = {}
-    for d in order:
-        cols = col_groups[d]
-        rows = row_groups.get(d, [])
-        n = len(cols)
-        block = _dense_block(f, rows, cols)
-        R, pivots = linalg.rref(field, [a + e for a, e in zip(
-            block, linalg.identity(field, len(rows)))])
-        pivots = [c for c in pivots if c < n]
-        rk += len(pivots)
-        blocks.append((d, cols, linalg.kernel_from_rref(field, R, pivots, n)))
-        if len(pivots) == n == len(rows):
-            for a, c in enumerate(cols):
-                for b, r in enumerate(rows):
-                    v = R[a][n + b]
-                    if v:
-                        entries[(c, r)] = v
-    kernel_dim = f.dom.dim - rk
+    E, iota = kernel(f)
+    rk = f.dom.dim - E.dim
     coker_dim = f.cod.dim - rk
-    if kernel_dim == 0 and coker_dim == 0:
-        return InvertibilityReport(True, Morphism(f.cod, f.dom, entries),
-                                   rk, 0, 0, None)
-    _, iota = _kernel_inclusion(f.dom, blocks)
-    return InvertibilityReport(False, None, rk, kernel_dim, coker_dim,
-                               iota if kernel_dim else None)
+    if E.dim == 0 and coker_dim == 0:
+        inv = linalg.inverse(f.field, f.to_rows())
+        return InvertibilityReport(
+            True, Morphism.from_rows(f.cod, f.dom, inv), rk, 0, 0, None)
+    return InvertibilityReport(False, None, rk, E.dim, coker_dim,
+                               iota if E.dim else None)

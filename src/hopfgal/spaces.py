@@ -32,8 +32,6 @@ class GradingGroup:
             raise FieldError(
                 "bicharacter generator %r is not an %d-th root of unity" % (gen, n))
         self.gen = gen
-        self._chi = [[gen ** ((a * b) % n) if n > 1 else field.one()
-                      for b in range(n)] for a in range(n)]
 
     @classmethod
     def trivial(cls, field):
@@ -44,7 +42,9 @@ class GradingGroup:
         return cls(n, field, gen)
 
     def chi(self, a, b):
-        return self._chi[a % self.n][b % self.n]
+        n = self.n
+        # for n = 1, gen^1 = 1 makes gen the one
+        return self.gen ** ((a * b) % n) if n > 1 else self.gen
 
     def add(self, a, b):
         return (a + b) % self.n
@@ -59,9 +59,8 @@ class GradingGroup:
 
     @property
     def is_trivial(self):
-        return self.n == 1 or all(
-            self._chi[a][b] == self.field.one()
-            for a in range(self.n) for b in range(self.n))
+        # every chi value is a power of gen = chi(1, 1)
+        return self.n == 1 or self.gen == self.field.one()
 
     def __eq__(self, other):
         return (isinstance(other, GradingGroup) and other.n == self.n

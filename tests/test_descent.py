@@ -1,20 +1,26 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopfgal import linalg
 from hopfgal.descent import (BModule, DescentDatum, RelativeHopfModule,
-                             check_bmodule, comparison_K, counit_Psi, descend,
+                             _module_closure, check_bmodule, comparison_K,
+                             counit_Psi, descend,
                              descent_to_hopf_module, enumerate_bmodules,
                              hopf_module_check, hopf_module_to_descent,
                              invariants_functor, kappa_transport,
                              monad_presentation_report, sweep_phi_psi,
                              unit_Phi, verify_descent_datum)
 from hopfgal.fields import QQ, PrimeField
-from hopfgal.morphism import (Morphism, compose, is_isomorphism, tensor)
+from hopfgal.morphism import (Morphism, box, compose, is_isomorphism, tensor)
 from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              dual_numbers_algebra, free_z2_bundle, fun_z2,
-                             nonflat_bundle, sweedler_hopf,
+                             nonflat_bundle, s3_group_algebra,
+                             set_action_bundle, sweedler_hopf,
                              trivial_algebra_bundle)
+from hopfgal.spaces import GradedSpace
 
 F7 = PrimeField(7)
 
@@ -178,3 +184,51 @@ def test_hopf_module_forced_failure():
         compose(tensor(Morphism.identity(m.carrier), b.H.antipode),
                 m.coaction))
     assert not hopf_module_check(broken, b).ok
+
+
+# -- the submodule closure against the dense rank-growing reference ----------
+
+def dense_closure(field, gens, act, B):
+    """RREF rows of the span of gens and their images under act, grown
+    until the dense rank stops rising."""
+    vectors = [list(v) for v in gens]
+    rows = act.to_rows()
+    n = len(rows)
+    while True:
+        images = [[sum((rows[r][i * B.dim + j] * v[i] for i in range(n)),
+                       field.zero()) for r in range(n)]
+                  for v in vectors for j in range(B.dim)]
+        if linalg.rank(field, vectors + images) == linalg.rank(field, vectors):
+            R, pivots = linalg.rref(field, vectors)
+            return R[:len(pivots)]
+        vectors += images
+
+
+def closure_bases():
+    """Right regular actions of k^2 (diagonal), Sweedler's algebra and
+    k[S_3] over QQ and F_7."""
+    out = []
+    for field in (QQ, F7):
+        diag = set_action_bundle(field, [0, 1, 2, 3], [0, 1],
+                                 lambda a, b: (a + b) % 2, lambda a: a,
+                                 lambda x, g: (x + 2 * g) % 4).base
+        out += [diag, sweedler_hopf(field).algebra,
+                s3_group_algebra(field).algebra]
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_module_closure_matches_dense_reference(data):
+    base = data.draw(st.sampled_from(closure_bases()))
+    B, field = base.space, base.space.field
+    k = data.draw(st.integers(1, 2))
+    act = tensor(Morphism.identity(GradedSpace(B.group, (0,) * k)), base.mult)
+    gens = data.draw(st.lists(
+        st.lists(st.integers(-2, 2).map(field.from_int),
+                 min_size=k * B.dim, max_size=k * B.dim),
+        min_size=1, max_size=2))
+    closed = _module_closure(field, gens, act, B)
+    assert [[box(field, row[i]) if i in row else field.zero()
+             for i in range(k * B.dim)] for row in closed.values()] == \
+        dense_closure(field, gens, act, B)

@@ -4,8 +4,7 @@ from hopfgal.bundle import (ComoduleAlgebra, check_comodule_algebra,
                             check_module_coalgebra)
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.hopf import (Algebra, HopfAlgebra,
-                          antipode_antihomomorphism_check,
-                          braided_tensor_algebra, check_algebra,
+                          antipode_antihomomorphism_check, check_algebra,
                           check_coalgebra, check_hopf)
 from hopfgal.morphism import Morphism, braiding, compose, tensor, tensor_many
 from hopfgal.report import equality_check
@@ -13,6 +12,18 @@ from hopfgal.samples import (braided_line, cyclic_group_algebra, fun_z2,
                              s3_group_algebra, superline, sweedler_hopf,
                              trivial_hopf)
 from hopfgal.spaces import GradedSpace, GradingGroup, unit_space
+
+
+def braided_tensor_algebra(a, b):
+    """The algebra on A (x) B with multiplication (m_A (x) m_B)(id tau id),
+    with its multiplication built as a morphism: the reference for
+    `hopf.braided_tensor_mult`."""
+    A, B = a.space, b.space
+    idA, idB = Morphism.identity(A), Morphism.identity(B)
+    mult = compose(tensor(a.mult, b.mult),
+                   tensor(tensor(idA, braiding(B, A)), idB))
+    return Algebra(A.tensor(B), mult, tensor(a.unit, b.unit))
+
 
 F7 = PrimeField(7)
 

@@ -11,6 +11,19 @@ def F(n, d=1):
     return Fraction(n, d)
 
 
+def mat_mul(field, A, B):
+    """Dense matrix product, for checking dense results."""
+    q = len(B[0]) if B else 0
+    C = linalg.zeros(field, len(A), q)
+    for Ai, Ci in zip(A, C):
+        for a, Bk in zip(Ai, B):
+            if a:
+                for j in range(q):
+                    if Bk[j]:
+                        Ci[j] = Ci[j] + a * Bk[j]
+    return C
+
+
 def test_rref_and_rank():
     A = [[F(1), F(2)], [F(2), F(4)]]
     R, pivots = linalg.rref(QQ, A)
@@ -50,7 +63,7 @@ def test_prime_field_roundtrip():
     assert gf7.parse("1/2") == gf7.from_int(4)
     A = [[gf7.from_int(2), gf7.from_int(1)],
          [gf7.from_int(1), gf7.from_int(1)]]
-    I = linalg.mat_mul(gf7, A, linalg.inverse(gf7, A))
+    I = mat_mul(gf7, A, linalg.inverse(gf7, A))
     assert I == linalg.identity(gf7, 2)
 
 
@@ -136,7 +149,7 @@ def test_kernel_basis_is_annihilated(fA):
     basis = linalg.kernel_basis(field, A)
     assert len(basis) == len(A[0]) - len(dense_rref(field, A)[1])
     for v in basis:
-        assert linalg.mat_mul(field, A, [[x] for x in v]) == \
+        assert mat_mul(field, A, [[x] for x in v]) == \
             linalg.zeros(field, len(A), 1)
 
 
@@ -149,12 +162,12 @@ def test_solve_verifies_or_reports_inconsistency(data):
     if data.draw(st.booleans()):
         B = data.draw(sparse_matrix(field, rows=m, cols=q))
     else:  # consistent by construction
-        B = linalg.mat_mul(field, A, data.draw(sparse_matrix(field, rows=n, cols=q)))
+        B = mat_mul(field, A, data.draw(sparse_matrix(field, rows=n, cols=q)))
     X = linalg.solve(field, A, B)
     pivots = dense_rref(field, [a + b for a, b in zip(A, B)])[1]
     assert (X is None) == any(c >= n for c in pivots)
     if X is not None:
-        assert linalg.mat_mul(field, A, X) == B
+        assert mat_mul(field, A, X) == B
 
 
 @PROPERTY
@@ -168,7 +181,7 @@ def test_inverse_matches_dense_reference(fA):
     expected = [row[n:] for row in R] if pivots == list(range(n)) else None
     assert linalg.inverse(field, A) == expected
     if expected is not None:
-        assert linalg.mat_mul(field, expected, A) == linalg.identity(field, n)
+        assert mat_mul(field, expected, A) == linalg.identity(field, n)
 
 
 def _raw_rows(field, A):
@@ -189,7 +202,7 @@ def test_rref_rows_matches_dense_rref_and_solve(data):
     if data.draw(st.booleans()):
         B = data.draw(sparse_matrix(field, rows=m, cols=q))
     else:  # consistent by construction
-        B = linalg.mat_mul(field, A, data.draw(sparse_matrix(field, rows=n, cols=q)))
+        B = mat_mul(field, A, data.draw(sparse_matrix(field, rows=n, cols=q)))
     aug = [a + b for a, b in zip(A, B)]
     pivot_rows = linalg.rref_rows(field, _raw_rows(field, aug))
     R, pivots = dense_rref(field, aug)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfgal import linalg
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.morphism import (FactorizationError, Morphism, braiding, compose,
                               compose_tensor, coequaliser, dualize, equaliser,
@@ -267,7 +268,7 @@ def test_dualize_involution_and_contravariance_property(data):
 @PROPERTY
 @given(st.data())
 def test_is_isomorphism_agrees_with_kernel(data):
-    """The one elimination per block gives `kernel`'s rank and witness."""
+    """The report's rank, defect and witness are `kernel`'s."""
     group = data.draw(st.sampled_from(GROUPS))
     V = data.draw(graded_space(group))
     W = V if data.draw(st.booleans()) else data.draw(graded_space(group))
@@ -284,3 +285,190 @@ def test_is_isomorphism_agrees_with_kernel(data):
     else:
         assert rep.inverse is None
         assert rep.kernel_inclusion == (iota if K.dim else None)
+
+
+# -- differential tests: the sparse elimination against dense blocks ----------
+#
+# The reference cuts each degree block of a map out as a dense matrix and
+# eliminates it with the dense `linalg` API, block after block, degrees in
+# order of first occurrence.
+
+def _blocks(degrees):
+    """Indices grouped by degree, degrees in order of first occurrence."""
+    groups = {}
+    for idx, d in enumerate(degrees):
+        groups.setdefault(d, []).append(idx)
+    return list(groups), groups
+
+
+def _dense_block(f, rows, cols):
+    z = f.field.zero()
+    pos_r = {r: a for a, r in enumerate(rows)}
+    pos_c = {c: b for b, c in enumerate(cols)}
+    block = [[z] * len(cols) for _ in rows]
+    for (i, j), v in f.entries.items():
+        if i in pos_r and j in pos_c:
+            block[pos_r[i]][pos_c[j]] = v
+    return block
+
+
+def dense_kernel(f):
+    """(degrees of E, entries of iota) from `linalg.kernel_basis` per block."""
+    order, col_groups = _blocks(f.dom.degrees)
+    _, row_groups = _blocks(f.cod.degrees)
+    degrees, entries = [], {}
+    for d in order:
+        cols = col_groups[d]
+        block = _dense_block(f, row_groups.get(d, []), cols)
+        for vec in linalg.kernel_basis(f.field, block, ncols=len(cols)):
+            for b, c in enumerate(cols):
+                if vec[b]:
+                    entries[(c, len(degrees))] = vec[b]
+            degrees.append(d)
+    return tuple(degrees), entries
+
+
+def dense_factor(c, iota):
+    """The entries of x with iota o x = c from `linalg.solve` per block of
+    c's domain, or FactorizationError naming the first inconsistent one."""
+    _, amb_rows = _blocks(iota.cod.degrees)
+    _, e_cols = _blocks(iota.dom.degrees)
+    order, c_cols = _blocks(c.dom.degrees)
+    entries = {}
+    for d in order:
+        rows, ecols, ccols = amb_rows.get(d, []), e_cols.get(d, []), c_cols[d]
+        if not rows:  # c and x are zero in this degree
+            continue
+        X = linalg.solve(c.field, _dense_block(iota, rows, ecols),
+                         _dense_block(c, rows, ccols))
+        if X is None:
+            raise FactorizationError(
+                "image does not lie in the subobject (degree %r)" % (d,))
+        for a, r in enumerate(ecols):
+            for b, cc in enumerate(ccols):
+                if X[a][b]:
+                    entries[(r, cc)] = X[a][b]
+    return entries
+
+
+def dense_rank_and_inverse(f):
+    """(rank, entries of the inverse or None) from the RREF of [A | I] per
+    degree block A."""
+    field = f.field
+    order, col_groups = _blocks(f.dom.degrees)
+    _, row_groups = _blocks(f.cod.degrees)
+    rank, entries = 0, {}
+    for d in order:
+        cols, rows = col_groups[d], row_groups.get(d, [])
+        n = len(cols)
+        R, pivots = linalg.rref(field, [a + e for a, e in zip(
+            _dense_block(f, rows, cols), linalg.identity(field, len(rows)))])
+        left = [c for c in pivots if c < n]
+        rank += len(left)
+        if len(left) == n == len(rows):
+            for a, c in enumerate(cols):
+                for b, r in enumerate(rows):
+                    if R[a][n + b]:
+                        entries[(c, r)] = R[a][n + b]
+    square = f.dom.dim == f.cod.dim == rank
+    return rank, entries if square else None
+
+
+@st.composite
+def invertible_morphism(draw, V):
+    """Identity plus a strictly upper triangular degree-preserving part."""
+    f = draw(graded_morphism(V, V))
+    entries = {(i, j): v for (i, j), v in f.entries.items() if i < j}
+    one = V.field.one()
+    entries.update({(i, i): one for i in range(V.dim)})
+    return Morphism(V, V, entries)
+
+
+DIFFERENTIAL = settings(max_examples=80, deadline=None)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_kernel_matches_dense_blocks(data):
+    group = data.draw(st.sampled_from(GROUPS))
+    V = data.draw(graded_space(group, 5))
+    f = data.draw(graded_morphism(V, data.draw(graded_space(group, 4))))
+    E, iota = kernel(f)
+    assert (E.degrees, iota.entries) == dense_kernel(f)
+    assert compose(f, iota).is_zero()
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_factor_through_equaliser_matches_dense_blocks(data):
+    group = data.draw(st.sampled_from(GROUPS))
+    V = data.draw(graded_space(group, 5))
+    if data.draw(st.booleans()):  # an equaliser: injective
+        _, iota = kernel(data.draw(graded_morphism(
+            V, data.draw(graded_space(group)))))
+    else:
+        iota = data.draw(graded_morphism(data.draw(graded_space(group)), V))
+    W = data.draw(graded_space(group))
+    if data.draw(st.booleans()):  # c = iota o x lies in the image
+        c = compose(iota, data.draw(graded_morphism(W, iota.dom)))
+    else:
+        c = data.draw(graded_morphism(W, V))
+    try:
+        expected = Morphism(W, iota.dom, dense_factor(c, iota))
+    except FactorizationError as exc:
+        expected = str(exc)
+    try:
+        x = factor_through_equaliser(c, iota)
+    except FactorizationError as exc:
+        x = str(exc)
+    assert x == expected
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_is_isomorphism_matches_dense_blocks(data):
+    group = data.draw(st.sampled_from(GROUPS))
+    V = data.draw(graded_space(group, 4))
+    kind = data.draw(st.sampled_from(["invertible", "square", "other"]))
+    if kind == "invertible":
+        f = data.draw(invertible_morphism(V))
+    else:
+        W = V if kind == "square" else data.draw(graded_space(group, 4))
+        f = data.draw(graded_morphism(V, W))
+    rep = is_isomorphism(f)
+    rank, inverse = dense_rank_and_inverse(f)
+    assert rep.rank == rank
+    assert rep.is_iso == (inverse is not None)
+    if rep.is_iso:
+        assert rep.inverse.entries == inverse
+    else:
+        degrees, entries = dense_kernel(f)
+        witness = rep.kernel_inclusion
+        if degrees:
+            assert (witness.dom.degrees, witness.entries) == (degrees, entries)
+        else:
+            assert witness is None
+
+
+def test_kernel_and_factorisation_order_degrees_by_first_occurrence():
+    Z3 = GROUPS[3]
+    one = Z3.field.one()
+    V = GradedSpace(Z3, (1, 0, 1))
+    E, iota = kernel(Morphism.zero(V, zero_space(Z3)))
+    assert E.degrees == (1, 1, 0)
+    assert iota.entries == {(0, 0): one, (2, 1): one, (1, 2): one}
+    # a pivot at column 0 leaves degree 1 first among the free columns, but
+    # degree 0 still comes first
+    V = GradedSpace(Z3, (0, 1, 0))
+    E, iota = kernel(Morphism(V, GradedSpace(Z3, (0,)), {(0, 0): one}))
+    assert E.degrees == (0, 1)
+    assert iota.entries == {(2, 0): one, (1, 1): one}
+    # c misses iota's image in degree 2 and in degree 1; degree 2 comes first
+    # in c's domain
+    U = GradedSpace(Z3, (1, 1, 2, 2))
+    iota = Morphism(GradedSpace(Z3, (1, 2)), U, {(0, 0): one, (2, 1): one})
+    c = Morphism(GradedSpace(Z3, (2, 1)), U, {(3, 0): one, (1, 1): one})
+    with pytest.raises(FactorizationError,
+                       match=r"^image does not lie in the subobject "
+                             r"\(degree 2\)$"):
+        factor_through_equaliser(c, iota)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -60,3 +61,25 @@ def test_out_of_range_degrees_rejected():
     with pytest.raises(ValueError, match=r"^degree 1 outside Z_1$"):
         GradedSpace(t, (0, 1))
     assert GradedSpace(t, (0,)).tensor(GradedSpace(t, (0, 0))).degrees == (0, 0)
+
+
+def test_large_cyclic_group_is_built_without_a_chi_table():
+    tracemalloc.start()
+    try:
+        g = GradingGroup.cyclic(2000, QQ, Fraction(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert g.is_trivial and g.chi(1999, 1999) == Fraction(1)
+
+
+def test_chi_and_is_trivial_match_the_table_formula():
+    F7 = PrimeField(7)
+    for gen in range(1, 7):  # every unit of F_7 is a 6-th root of unity
+        g = GradingGroup.cyclic(6, F7, F7.from_int(gen))
+        table = [[F7.from_int(gen) ** ((a * b) % 6) for b in range(6)]
+                 for a in range(6)]
+        assert [[g.chi(a, b) for b in range(6)] for a in range(6)] == table
+        assert g.chi(-1, 8) == table[5][2]
+        assert g.is_trivial == all(x == F7.one() for row in table for x in row)
