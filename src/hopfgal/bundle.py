@@ -20,8 +20,9 @@ P -> B (x) P of the left action, or a left-B-linear map P -> B).  Each
 equation is a list of terms c * f o T(s) o g with T(s) one of s,
 id_X (x) s and s (x) id_X.  `_assemble_system` builds the column of each
 degree-matched unknown E_ij from vec(f o E_ij o g) = (g^T (x) f) vec(E_ij),
-i.e. from column i of f and row j of g, as sparse rows that
-`linalg.rref_rows` eliminates directly.  A colinear section solves the
+i.e. from column i of f and row j of g, as sparse rows of the field's
+own scalars (Fractions, or ints in [0, p)) that `linalg.rref_rows`
+eliminates directly.  A colinear section solves the
 non-colinear system too, so `faithful_flatness` reuses it.
 """
 
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 from . import linalg
 from .hopf import (Algebra, Coalgebra, braided_tensor_coalgebra,
                    braided_tensor_mult, check_algebra, check_coalgebra)
-from .morphism import (FactorizationError, Morphism, box, coequaliser,
-                       compose, compose_tensor, cotensor, dualize, equaliser,
+from .morphism import (FactorizationError, Morphism, coequaliser, compose,
+                       compose_tensor, cotensor, dualize, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
-                       is_isomorphism, raw_rows, tensor, tensor_over)
+                       is_isomorphism, sparse_rows, tensor, tensor_over)
 from .report import Report, equality_check
 
 
@@ -186,7 +187,7 @@ def _assemble_system(dom, cod, equations):
 
     Returns (positions, rows): positions lists the degree-matched unknowns
     (i, j), the entries of s; rows maps a row index to a dict from column
-    to nonzero raw scalar (Fraction, or int mod p), ascending in the index.
+    to nonzero scalar, ascending in the index.
     Column k < len(positions) is unknown k and column len(positions) is the
     right-hand side.  Each equation gives one row block, indexed by the
     entries (r, c) of its output as r * width + c.  A term's column for the
@@ -194,11 +195,10 @@ def _assemble_system(dom, cod, equations):
     products of column i of f with row j of g, summed over x on the id_X
     legs.
     """
-    field = dom.field
-    p = field.characteristic
+    p = dom.field.characteristic
     positions = _unknown_positions(dom, cod)
     n = len(positions)
-    targets = {}  # row -> raw right-hand side
+    targets = {}  # row -> right-hand side
     prepared = []  # (f by column, g by row, mi, mj, offsets) per term
     offset = 0
     for terms, rhs in equations:
@@ -212,13 +212,13 @@ def _assemble_system(dom, cod, equations):
             f_cols = {}
             for (r, k), v in f.entries.items():
                 f_cols.setdefault(k, []).append(
-                    (offset + r * width, c * (v.v if p else v)))
+                    (offset + r * width, c * v))
             g_rows = {}
             for (k, col), v in g.entries.items():
-                g_rows.setdefault(k, []).append((col, v.v if p else v))
+                g_rows.setdefault(k, []).append((col, v))
             prepared.append((f_cols, g_rows, *legs))
         for (r, col), v in rhs.entries.items():
-            targets[offset + r * width + col] = v.v if p else v
+            targets[offset + r * width + col] = v
         offset += rhs.cod.dim * width
     rows = {}
     for k, (i, j) in enumerate(positions):
@@ -253,7 +253,7 @@ def solve_morphism_system(dom, cod, equations):
     pivot_rows = linalg.rref_rows(field, rows.values())
     if n in pivot_rows:  # a pivot in the right-hand side: inconsistent
         return None
-    return Morphism(dom, cod, {positions[c]: box(field, row[n])
+    return Morphism(dom, cod, {positions[c]: row[n]
                                for c, row in pivot_rows.items() if n in row})
 
 
@@ -273,7 +273,7 @@ def morphism_nullspace(dom, cod, equations):
     for c, row in pivot_rows.items():
         for k, v in row.items():
             if k != c:
-                basis[k][positions[c]] = box(field, -v)
+                basis[k][positions[c]] = -v
     one = field.one()
     out = []
     for k, entries in basis.items():
@@ -523,7 +523,7 @@ class AlgebraBundle(Bundle):
             # spanned by their columns, the rows of their transposes
             maps = morphism_nullspace(P, B, self._trace_ideal_equations())
             columns = [row for f in maps
-                       for row in raw_rows(dualize(f)).values()]
+                       for row in sparse_rows(dualize(f)).values()]
             trace_rank = len(linalg.rref_rows(P.field, columns))
             rep.add("C.trace_ideal_full", trace_rank == B.dim,
                     details={"trace_rank": trace_rank, "dim_base": B.dim})

@@ -21,7 +21,8 @@ from . import samples
 
 
 def _braiding_is_symmetric(group):
-    return all(group.chi(a, b) * group.chi(b, a) == group.field.one()
+    field = group.field
+    return all(field.reduce(group.chi(a, b) * group.chi(b, a)) == field.one()
                for a in range(group.n) for b in range(group.n))
 
 

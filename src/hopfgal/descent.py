@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .morphism import (FactorizationError, Morphism, box, braiding,
-                       cokernel, compose, equaliser,
+from .morphism import (FactorizationError, Morphism, braiding, cokernel,
+                       compose, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
                        is_isomorphism, tensor, tensor_over)
 from .report import Report, equality_check
@@ -81,10 +81,8 @@ class DescentDatum:
 def _q1_structure(d):
     """Helper maps on Q1 = E (x)_B P: the unit insertion and the collapse."""
     b = d.bundle
-    E, P = d.carrier, b.como.space
-    idE, idP = Morphism.identity(E), Morphism.identity(P)
     Q1, Pi1 = d.tensor_b_p()
-    ins1 = compose(Pi1, tensor(idE, b.P.unit))
+    ins1 = compose(Pi1, tensor(Morphism.identity(d.carrier), b.P.unit))
     collapse = factor_through_coequaliser(d.action, Pi1)
     return Q1, Pi1, ins1, collapse
 
@@ -130,7 +128,7 @@ def comparison_K(v, bundle):
     action = factor_through_coequaliser(
         compose(Pi, tensor(idV, bundle.P.mult)), tensor(Pi, idP))
     d = DescentDatum(bundle, Q, action)
-    QE, PiE = d.tensor_b_p()
+    _, PiE = d.tensor_b_p()
     xi = factor_through_coequaliser(
         compose(PiE, tensor(compose(Pi, tensor(idV, bundle.P.unit)), idP)),
         Pi)
@@ -168,7 +166,7 @@ def counit_Psi(v, bundle):
     finite-dimensional failure mode of faithful flatness.
     """
     d = comparison_K(v, bundle)
-    vd, incl = descend(d)
+    _, incl = descend(d)
     _, Pi = tensor_over(v.action, bundle.left_action())
     idV = Morphism.identity(v.carrier)
     eta = compose(Pi, tensor(idV, bundle.P.unit))
@@ -300,12 +298,8 @@ def _field_roots(field, beta, alpha):
                 s = Fraction(r, den)
                 roots = sorted({(beta + s) / 2, (beta - s) / 2})
     else:
-        p = field.characteristic
-        for k in range(p):
-            x = field.from_int(k)
-            if x * x - beta * x - alpha == field.zero():
-                roots.append(x)
-        roots = sorted(set(roots), key=lambda e: e.v)
+        roots = [x for x in range(field.characteristic)
+                 if not field.reduce(x * x - beta * x - alpha)]
     return roots
 
 
@@ -317,11 +311,10 @@ def _module_from_operator(base, T):
     field = B.field
     entries = {}
     # columns of the action V (x) B -> V: v_i (x) b_j
-    unit_col = _unit_coordinates(base)
     for i in range(d):
         for j in range(B.dim):
-            # b_j = unit_col[j] * 1 + w-part; with basis (1, w) of B we act
-            # by c0*I + c1*T where b_j = c0*1 + c1*w
+            # with basis (1, w) of B we act by c0*I + c1*T where
+            # b_j = c0*1 + c1*w
             c0, c1 = _basis_in_one_w(base, j)
             for r in range(d):
                 val = (c0 if r == i else field.zero())
@@ -349,14 +342,15 @@ def _basis_in_one_w(base, j):
         c0 = field.zero()
         c1 = field.one()
     else:
-        c0 = field.one() / u[k]
-        c1 = -(u[w_index] / u[k]) if u[w_index] else field.zero()
+        c0 = field.inv(u[k])
+        c1 = field.reduce(-u[w_index] * c0)
     return c0, c1
 
 
 def _w_structure(base):
     """For a commutative 2-dim base: (w_index, alpha, beta) with
     w^2 = alpha * 1 + beta * w in the (1, w) basis."""
+    field = base.space.field
     u = _unit_coordinates(base)
     k = next(i for i, c in enumerate(u) if c)
     w = 1 - k
@@ -365,8 +359,8 @@ def _w_structure(base):
     col = w * 2 + w
     ww = [rows[i][col] for i in range(2)]
     # ww = alpha * u + beta * e_w, read off at k (where e_w is 0) and at w
-    alpha = ww[k] / u[k]
-    return w, alpha, ww[w] - alpha * u[w]
+    alpha = field.reduce(ww[k] * field.inv(u[k]))
+    return w, alpha, field.reduce(ww[w] - alpha * u[w])
 
 
 def enumerate_bmodules(base, max_dim, seed=0, samples=6):
@@ -424,7 +418,7 @@ def _scalar_action(base, V):
     field = V.field
     u = _unit_coordinates(base)[0]
     return Morphism(V.tensor(base.space), V,
-                    {(i, i): field.one() / u for i in range(V.dim)})
+                    {(i, i): field.inv(u) for i in range(V.dim)})
 
 
 def _random_bmodules(base, max_dim, seed, samples):
@@ -456,17 +450,16 @@ def _module_closure(field, gens, act, B):
     under the right action act: F (x) B -> F.
 
     Adds the images of the current basis under every basis vector of B
-    until the pivot count stops rising; rows are raw-scalar dicts.
+    until the pivot count stops rising; rows are sparse dicts.
     """
     p = field.characteristic
-    # column i of F -> [(row r, basis index j of B, raw act[r, i (x) j])]
+    # column i of F -> [(row r, basis index j of B, act[r, i (x) j])]
     act_cols = {}
     for (r, col), v in act.entries.items():
         i, j = divmod(col, B.dim)
-        act_cols.setdefault(i, []).append((r, j, v.v if p else v))
+        act_cols.setdefault(i, []).append((r, j, v))
     closed = linalg.rref_rows(
-        field, [{i: x.v if p else x for i, x in enumerate(v) if x}
-                for v in gens])
+        field, [{i: x for i, x in enumerate(v) if x} for v in gens])
     while True:
         rows = [dict(row) for row in closed.values()]
         for row in closed.values():
@@ -490,7 +483,7 @@ def _quotient_module(field, closed, act, F, B):
     S = GradedSpace(F.group, (0,) * len(basis))
     for c, row in enumerate(basis):
         for r, val in row.items():
-            incl_entries[(r, c)] = box(field, val)
+            incl_entries[(r, c)] = val
     incl = Morphism(S, F, incl_entries)
     Q, Pi = cokernel(incl)
     qact = factor_through_coequaliser(

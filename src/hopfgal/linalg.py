@@ -1,15 +1,16 @@
 """Exact linear algebra over a `Field`, on one sparse elimination kernel.
 
-`rref_rows` is the only elimination.  It takes a matrix as sparse rows,
-dicts from column to nonzero raw scalar (Fractions over QQ, plain ints
-mod p over F_p), reduces each row against the pivot rows kept so far and
-then clears its own pivot column from them; it returns the pivot rows.
+Scalars are the field's own, Fractions over QQ and ints in [0, p) over
+F_p.  `rref_rows` is the only elimination.  It takes a matrix as sparse
+rows, dicts from column to nonzero scalar, reduces each row against the
+pivot rows kept so far and then clears its own pivot column from them;
+it returns the pivot rows.
 The program calls `rref_rows` for every kernel, factorisation, rank and
 morphism system, and `inverse` for the inverse of an invertible map.
 
 Dense matrices are lists of equal-length rows of field scalars.  `rref`
 is the dense adapter: it reads dense rows into dicts, calls `rref_rows`
-and writes the pivot rows back out, boxing only nonzero entries.
+and writes the pivot rows back out.
 `kernel_basis`, `solve` and `rank` read their answers off it; with `rref`
 they are the dense reference oracle the tests check the sparse paths
 against, and they stay here, beside `inverse`, for the benchmark tracer.
@@ -48,11 +49,11 @@ def _subtract(row, f, prow, p):
 def rref_rows(field, rows):
     """The canonical RREF of a sparse matrix given row by row.
 
-    rows: an iterable of dicts from column to nonzero raw scalar (a
-    Fraction over QQ, a plain int in [0, p) over F_p); the dicts are
-    reduced in place.  Returns {pivot column: reduced row} in ascending
-    pivot order; each reduced row is such a dict, with a 1 at its pivot
-    and no entry in any other pivot column.
+    rows: an iterable of dicts from column to nonzero scalar (a Fraction
+    over QQ, an int in [0, p) over F_p); the dicts are reduced in place.
+    Returns {pivot column: reduced row} in ascending pivot order; each
+    reduced row is such a dict, with a 1 at its pivot and no entry in any
+    other pivot column.
     """
     p = field.characteristic
     # pivot column -> row with a 1 there and a 0 in every other pivot column
@@ -65,11 +66,10 @@ def rref_rows(field, rows):
         if not row:
             continue
         c = min(row)
+        inv = field.inv(row[c])
         if p:
-            inv = pow(row[c], -1, p)
             row = {j: v * inv % p for j, v in row.items()}
         else:
-            inv = field.one() / row[c]
             row = {j: v * inv for j, v in row.items()}
         for prow in pivot_rows.values():
             f = prow.get(c)
@@ -87,21 +87,14 @@ def rref(field, A):
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    p = field.characteristic
     z = field.zero()
-    # `x is not z` passes over the shared zero without a method call
-    if p:
-        rows = ({j: x.v for j, x in enumerate(dense) if x is not z and x.v}
-                for dense in A)
-    else:
-        rows = ({j: x for j, x in enumerate(dense) if x is not z and x}
-                for dense in A)
-    pivot_rows = rref_rows(field, rows)
+    pivot_rows = rref_rows(
+        field, ({j: x for j, x in enumerate(dense) if x} for dense in A))
     R = []
     for row in pivot_rows.values():
         out = [z] * n
         for j, v in row.items():
-            out[j] = field.from_int(v) if p else v
+            out[j] = v
         R.append(out)
     R.extend([z] * n for _ in range(m - len(pivot_rows)))
     return R, list(pivot_rows)
@@ -131,7 +124,7 @@ def kernel_basis(field, A, ncols=None):
         v = [z] * ncols
         v[fc] = o
         for row, pc in zip(R, pivots):
-            v[pc] = -row[fc]
+            v[pc] = field.reduce(-row[fc])
         basis.append(v)
     return basis
 

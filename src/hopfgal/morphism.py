@@ -1,12 +1,15 @@
 """Degree-preserving linear maps and the categorical operations on them.
 
 A `Morphism` is a sparse exact matrix with typed domain and codomain.
-Entries outside matching degrees are forbidden, so every morphism is
-automatically a map of graded spaces.  Kernels, (co)equalisers,
-factorisations and ranks come from one sparse elimination of the entries,
-`linalg.rref_rows`, over all degrees at once; its canonical RREF makes
-every basis reproducible, and kernel bases are grouped by degree, so they
-are homogeneous.  The tensor product over a base
+Its entries are the field's own nonzero scalars, Fractions or ints in
+(0, p).  The constructor is the one place F_p entries are reduced mod p,
+so the operations here build entries with the plain operators and leave
+reduction and zero-dropping to it.  Entries outside matching degrees are
+forbidden, so every morphism is automatically a map of graded spaces.
+Kernels, (co)equalisers, factorisations and ranks come from one sparse
+elimination of the entries, `linalg.rref_rows`, over all degrees at once;
+its canonical RREF makes every basis reproducible, and kernel bases are
+grouped by degree, so they are homogeneous.  The tensor product over a base
 (`tensor_over`) and the cotensor product (`cotensor`) are the
 (co)equalisers of the two middle (co)actions.
 """
@@ -37,10 +40,13 @@ class Morphism:
         self.cod = cod
         m, n = cod.dim, dom.dim
         cdeg, ddeg = cod.degrees, dom.degrees
+        p = dom.field.characteristic
         clean = {}
         for (i, j), v in entries.items():
             if not (0 <= i < m and 0 <= j < n):
                 raise TypeError("entry (%d,%d) outside %dx%d" % (i, j, m, n))
+            if p:
+                v %= p
             if not v:
                 continue
             if cdeg[i] != ddeg[j]:
@@ -135,7 +141,7 @@ def compose(f, g):
             s = entries.get(key)
             p = fv * gv
             entries[key] = p if s is None else s + p
-    return Morphism(g.dom, f.cod, {k: v for k, v in entries.items() if v})
+    return Morphism(g.dom, f.cod, entries)
 
 
 def tensor(f, g):
@@ -199,7 +205,7 @@ def compose_tensor(fs, g):
             key = (i, j)
             s = entries.get(key)
             entries[key] = v if s is None else s + v
-    return Morphism(g.dom, cod, {k: v for k, v in entries.items() if v})
+    return Morphism(g.dom, cod, entries)
 
 
 def braiding(V, W):
@@ -223,19 +229,13 @@ def dualize(f):
 
 # -- sparse elimination ------------------------------------------------------
 
-def box(field, v):
-    """The field element of a raw scalar as `linalg.rref_rows` takes and
-    returns it (a Fraction over QQ, an int mod p over F_p)."""
-    return field.from_int(v) if field.characteristic else v
-
-
-def raw_rows(f, rows=None, shift=0):
-    """f's nonzeros as sparse rows of raw scalars, row -> {column: value},
-    added into `rows` with every column moved right by `shift`."""
-    p = f.field.characteristic
+def sparse_rows(f, rows=None, shift=0):
+    """f's nonzeros as the sparse rows `linalg.rref_rows` takes, row ->
+    {column: value}, added into `rows` with every column moved right by
+    `shift`."""
     rows = {} if rows is None else rows
     for (i, j), v in f.entries.items():
-        rows.setdefault(i, {})[j + shift] = v.v if p else v
+        rows.setdefault(i, {})[j + shift] = v
     return rows
 
 
@@ -258,7 +258,7 @@ def _kernel_inclusion(dom, pivot_rows):
     for c, row in pivot_rows.items():
         for j, v in row.items():
             if j != c:
-                entries[(c, position[j])] = box(field, -v)
+                entries[(c, position[j])] = -v
     E = GradedSpace(dom.group, tuple(dom.degrees[j] for j in free))
     return E, Morphism(E, dom, entries)
 
@@ -269,7 +269,7 @@ def kernel(f):
     One elimination over every degree at once: a degree-preserving map
     never mixes its degree blocks, so each RREF row lies in one of them.
     """
-    pivot_rows = linalg.rref_rows(f.field, raw_rows(f).values())
+    pivot_rows = linalg.rref_rows(f.field, sparse_rows(f).values())
     return _kernel_inclusion(f.dom, pivot_rows)
 
 
@@ -322,7 +322,7 @@ def factor_through_equaliser(c, iota):
     field = c.field
     n = iota.dom.dim
     pivot_rows = linalg.rref_rows(
-        field, raw_rows(c, raw_rows(iota), n).values())
+        field, sparse_rows(c, sparse_rows(iota), n).values())
     bad = {c.dom.degrees[col - n] for col in pivot_rows if col >= n}
     if bad:
         d = next(d for d in c.dom.degrees if d in bad)
@@ -332,7 +332,7 @@ def factor_through_equaliser(c, iota):
     for r, row in pivot_rows.items():
         for col, v in row.items():
             if col >= n:
-                entries[(r, col - n)] = box(field, v)
+                entries[(r, col - n)] = v
     x = Morphism(c.dom, iota.dom, entries)
     if compose(iota, x) != c:
         raise FactorizationError("factorisation through equaliser failed")

@@ -18,7 +18,8 @@ class GradingGroup:
 
     For n = 1 this is the trivial grading of plain vector spaces.  The
     generator value must satisfy gen^n = 1 so that chi is a well-defined
-    bicharacter on Z_n x Z_n.
+    bicharacter on Z_n x Z_n.  The n powers of gen, O(n) scalars, are the
+    only chi values, kept so that chi is one lookup.
     """
 
     def __init__(self, n, field, gen=None):
@@ -26,12 +27,21 @@ class GradingGroup:
             raise ValueError("group order must be positive")
         self.n = n
         self.field = field
-        if gen is None:
-            gen = field.one()
-        if gen ** n != field.one():
+        one = field.one()
+        gen = one if gen is None else field.reduce(gen)
+        # check gen^n = 1 before keeping any powers: over QQ the powers of a
+        # non-root grow, and n of them would take O(n^2) memory
+        power = one
+        for _ in range(n):
+            power = field.reduce(power * gen)
+        if power != one:
             raise FieldError(
                 "bicharacter generator %r is not an %d-th root of unity" % (gen, n))
         self.gen = gen
+        powers = [one]
+        for _ in range(n - 1):
+            powers.append(field.reduce(powers[-1] * gen))
+        self._powers = tuple(powers)
 
     @classmethod
     def trivial(cls, field):
@@ -42,9 +52,7 @@ class GradingGroup:
         return cls(n, field, gen)
 
     def chi(self, a, b):
-        n = self.n
-        # for n = 1, gen^1 = 1 makes gen the one
-        return self.gen ** ((a * b) % n) if n > 1 else self.gen
+        return self._powers[(a * b) % self.n]
 
     def add(self, a, b):
         return (a + b) % self.n

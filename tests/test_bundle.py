@@ -244,7 +244,7 @@ def assemble_by_evaluation(dom, cod, equations):
 
 def assembled_dense(dom, cod, equations):
     """`_assemble_system`'s sparse rows as the reference's (positions, A, b),
-    after checking they hold only nonzero raw scalars in ascending rows."""
+    after checking they hold only nonzero scalars in ascending rows."""
     field = dom.field
     p = field.characteristic
     positions, rows = _assemble_system(dom, cod, equations)
@@ -260,7 +260,6 @@ def assembled_dense(dom, cod, equations):
             assert 0 <= k <= n and v
             if p:
                 assert type(v) is int and 0 < v < p
-                v = field.from_int(v)
             else:
                 assert type(v) is Fraction
             if k == n:

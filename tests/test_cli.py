@@ -9,6 +9,7 @@ from hopfgal.corpus import corpus_commands, default_root, run_commands
 from hopfgal.fields import PrimeField
 from hopfgal.instances import InstanceWriter, serialize_hopf
 from hopfgal.samples import cyclic_group_algebra
+from test_instances import DIVISION_BY_ZERO
 
 CORPUS = default_root()
 
@@ -77,6 +78,14 @@ def test_eval():
 def test_machine_mode_tabs():
     code, out, _ = run(["check", inst("trivial_z2"), "--machine"])
     assert code == 0 and "\t" in out
+
+
+@pytest.mark.parametrize("text, message", DIVISION_BY_ZERO)
+def test_division_by_zero_exit_2(tmp_path, text, message):
+    path = tmp_path / "division.txt"
+    path.write_text(text)
+    code, out, err = run(["check", str(path)])
+    assert code == 2 and out == "" and err == "error: %s\n" % message
 
 
 def test_malformed_file_exit_2(tmp_path):

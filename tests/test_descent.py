@@ -14,7 +14,7 @@ from hopfgal.descent import (BModule, DescentDatum, RelativeHopfModule,
                              monad_presentation_report, sweep_phi_psi,
                              unit_Phi, verify_descent_datum)
 from hopfgal.fields import QQ, PrimeField
-from hopfgal.morphism import (Morphism, box, compose, is_isomorphism, tensor)
+from hopfgal.morphism import Morphism, compose, is_isomorphism, tensor
 from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              dual_numbers_algebra, free_z2_bundle, fun_z2,
                              nonflat_bundle, s3_group_algebra,
@@ -195,8 +195,9 @@ def dense_closure(field, gens, act, B):
     rows = act.to_rows()
     n = len(rows)
     while True:
-        images = [[sum((rows[r][i * B.dim + j] * v[i] for i in range(n)),
-                       field.zero()) for r in range(n)]
+        images = [[field.reduce(sum((rows[r][i * B.dim + j] * v[i]
+                                     for i in range(n)), field.zero()))
+                   for r in range(n)]
                   for v in vectors for j in range(B.dim)]
         if linalg.rank(field, vectors + images) == linalg.rank(field, vectors):
             R, pivots = linalg.rref(field, vectors)
@@ -229,6 +230,6 @@ def test_module_closure_matches_dense_reference(data):
                  min_size=k * B.dim, max_size=k * B.dim),
         min_size=1, max_size=2))
     closed = _module_closure(field, gens, act, B)
-    assert [[box(field, row[i]) if i in row else field.zero()
-             for i in range(k * B.dim)] for row in closed.values()] == \
+    assert [[row.get(i, field.zero()) for i in range(k * B.dim)]
+            for row in closed.values()] == \
         dense_closure(field, gens, act, B)

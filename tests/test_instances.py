@@ -76,6 +76,23 @@ def test_bad_scalar_rejected():
     assert exc.value.lineno == 5
 
 
+DIVISION_BY_ZERO = [
+    ("field prime 7\ngrading trivial\nspace P dim 1\n"
+     "morphism f P P\n  0 0 3/7\nend\n", "line 5: division by zero in F_7"),
+    ("field prime 7\ngrading cyclic 2 gen 3/7\n",
+     "line 2: division by zero in F_7"),
+    ("field rational\ngrading trivial\nspace P dim 1\n"
+     "morphism f P P\n  0 0 1/0\nend\n", "line 5: Fraction(1, 0)"),
+]
+
+
+@pytest.mark.parametrize("text, message", DIVISION_BY_ZERO)
+def test_division_by_zero_is_a_line_error(text, message):
+    with pytest.raises(InstanceError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == message
+
+
 # -- parser fuzz and writer/parser round trip --------------------------------
 
 FUZZ = settings(max_examples=150, deadline=None)

@@ -287,6 +287,53 @@ def test_is_isomorphism_agrees_with_kernel(data):
         assert rep.kernel_inclusion == (iota if K.dim else None)
 
 
+# -- the scalar invariant: Fractions over QQ, ints in (0, p) over F_p ---------
+
+def canonical(field, v):
+    """Whether v is a nonzero entry in the one form the engine keeps."""
+    p = field.characteristic
+    if p:
+        return type(v) is int and 0 < v < p
+    return type(v) is Fraction and v != 0
+
+
+def test_canonical_rejects_floats_and_unreduced_ints():
+    assert canonical(QQ, Fraction(-1, 2)) and canonical(F7, 6)
+    assert not any(canonical(QQ, v) for v in (0.5, 1, Fraction(0)))
+    assert not any(canonical(F7, v) for v in (0, 7, -1, 8, 1.0, True))
+
+
+@PROPERTY
+@given(st.data())
+def test_every_operation_returns_canonical_entries(data):
+    group = data.draw(st.sampled_from(GROUPS))
+    field = group.field
+    U, V, W = (data.draw(graded_space(group)) for _ in range(3))
+    f, f2 = (data.draw(graded_morphism(V, W)) for _ in range(2))
+    g = data.draw(graded_morphism(U, V))
+    h = data.draw(graded_morphism(U, V.tensor(U)))
+    sq = data.draw(graded_morphism(V, V))
+    c = field.from_int(data.draw(st.integers(-9, 9)))
+    results = [compose(f, g), tensor(f, g), compose_tensor([f, g], h), -f,
+               f + f2, f - f2, f.scale(c), kernel(f)[1]]
+    inverse = is_isomorphism(sq).inverse
+    if inverse is not None:
+        results.append(inverse)
+    for m in results:
+        assert all(canonical(field, v) for v in m.entries.values())
+
+
+def test_morphisms_over_different_prime_fields_do_not_mix():
+    V7 = space(2, GradingGroup.trivial(F7))
+    V11 = space(2, GradingGroup.trivial(PrimeField(11)))
+    f, g = Morphism.identity(V7), Morphism.identity(V11)
+    for op in (lambda: f + g, lambda: compose(f, g), lambda: tensor(f, g),
+               lambda: compose_tensor([f], g),
+               lambda: Morphism(V7, V11, {})):
+        with pytest.raises(TypeError):
+            op()
+
+
 # -- differential tests: the sparse elimination against dense blocks ----------
 #
 # The reference cuts each degree block of a map out as a dense matrix and

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfgal.fields import QQ, PrimeField
+from hopfgal.fields import QQ, FieldError, PrimeField
 from hopfgal.spaces import GradedSpace, GradingGroup, unit_space, zero_space
 
 
@@ -24,7 +24,8 @@ def test_cyclic_group_bicharacter():
     for a in range(3):
         for b in range(3):
             for c in range(3):
-                assert g3.chi(g3.add(a, b), c) == g3.chi(a, c) * g3.chi(b, c)
+                assert g3.chi(g3.add(a, b), c) == \
+                    g3.field.reduce(g3.chi(a, c) * g3.chi(b, c))
 
 
 def test_cyclic_group_bad_generator():
@@ -74,11 +75,23 @@ def test_large_cyclic_group_is_built_without_a_chi_table():
     assert g.is_trivial and g.chi(1999, 1999) == Fraction(1)
 
 
+def test_large_order_non_root_is_rejected_without_keeping_its_powers():
+    # the powers of 2 in Q grow; keeping all 2000 of them would take ~250 KiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldError, match="not an 2000-th root of unity"):
+            GradingGroup.cyclic(2000, QQ, Fraction(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_chi_and_is_trivial_match_the_table_formula():
     F7 = PrimeField(7)
     for gen in range(1, 7):  # every unit of F_7 is a 6-th root of unity
         g = GradingGroup.cyclic(6, F7, F7.from_int(gen))
-        table = [[F7.from_int(gen) ** ((a * b) % 6) for b in range(6)]
+        table = [[pow(gen, (a * b) % 6, 7) for b in range(6)]
                  for a in range(6)]
         assert [[g.chi(a, b) for b in range(6)] for a in range(6)] == table
         assert g.chi(-1, 8) == table[5][2]
