@@ -21,14 +21,15 @@ equation is a list of terms c * f o T(s) o g with T(s) one of s,
 id_X (x) s and s (x) id_X.  `_assemble_system` builds the column of each
 degree-matched unknown E_ij from vec(f o E_ij o g) = (g^T (x) f) vec(E_ij),
 i.e. from column i of f and row j of g, as sparse rows of the field's
-own scalars (Fractions, or ints in [0, p)) that `linalg.rref_rows`
-eliminates directly.  A colinear section solves the
-non-colinear system too, so `faithful_flatness` reuses it.
+own scalars (over QQ an int, or a Fraction with denominator > 1; over F_p
+an int in [0, p)) that `linalg.rref_rows` eliminates directly.  A
+colinear section solves the non-colinear system too, so
+`faithful_flatness` reuses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .hopf import (Algebra, Coalgebra, braided_tensor_coalgebra,
@@ -42,17 +43,18 @@ from .report import Report, equality_check
 
 # -- (co)module (co)algebra structures ---------------------------------------
 
-@dataclass(frozen=True)
 class ComoduleAlgebra:
     """An algebra P with a coaction rho: P -> P (x) H that is an algebra map."""
-    algebra: Algebra
-    hopf: object
-    coaction: Morphism
 
-    def __post_init__(self):
-        P, H = self.algebra.space, self.hopf.space
-        if self.coaction.dom != P or self.coaction.cod != P.tensor(H):
+    __slots__ = ("algebra", "hopf", "coaction")
+
+    def __init__(self, algebra, hopf, coaction):
+        P, H = algebra.space, hopf.space
+        if coaction.dom != P or coaction.cod != P.tensor(H):
             raise TypeError("coaction has wrong shape")
+        self.algebra = algebra
+        self.hopf = hopf
+        self.coaction = coaction
 
     @property
     def space(self):
@@ -63,17 +65,18 @@ class ComoduleAlgebra:
                                dualize(self.coaction))
 
 
-@dataclass(frozen=True)
 class ModuleCoalgebra:
     """A coalgebra P with an action act: P (x) H -> P that is a coalgebra map."""
-    coalgebra: Coalgebra
-    hopf: object
-    action: Morphism
 
-    def __post_init__(self):
-        P, H = self.coalgebra.space, self.hopf.space
-        if self.action.dom != P.tensor(H) or self.action.cod != P:
+    __slots__ = ("coalgebra", "hopf", "action")
+
+    def __init__(self, coalgebra, hopf, action):
+        P, H = coalgebra.space, hopf.space
+        if action.dom != P.tensor(H) or action.cod != P:
             raise TypeError("action has wrong shape")
+        self.coalgebra = coalgebra
+        self.hopf = hopf
+        self.action = action
 
     @property
     def space(self):
@@ -235,6 +238,8 @@ def _assemble_system(dom, cod, equations):
         for row, v in column.items():
             if p:
                 v %= p
+            elif type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
             if v:
                 rows.setdefault(row, {})[k] = v
     for row, v in targets.items():

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -24,15 +23,16 @@ from .report import Report, equality_check
 from .spaces import GradedSpace
 
 
-@dataclass(frozen=True)
 class BModule:
     """A right module over the bundle base."""
-    carrier: GradedSpace
-    action: Morphism  # V (x) B -> V
 
-    def __post_init__(self):
-        if self.action.cod != self.carrier:
+    __slots__ = ("carrier", "action")
+
+    def __init__(self, carrier, action):
+        if action.cod != carrier:
             raise TypeError("action has wrong codomain")
+        self.carrier = carrier
+        self.action = action  # V (x) B -> V
 
 
 def check_bmodule(v, base):
@@ -176,13 +176,16 @@ def counit_Psi(v, bundle):
 
 # -- relative Hopf modules and the transport ---------------------------------
 
-@dataclass(frozen=True)
 class RelativeHopfModule:
     """Algebra side: a right P-module with a compatible right H-comodule
     structure; the comonoid side is reached through bundle dualisation."""
-    carrier: GradedSpace
-    action: Morphism    # E (x) P -> E
-    coaction: Morphism  # E -> E (x) H
+
+    __slots__ = ("carrier", "action", "coaction")
+
+    def __init__(self, carrier, action, coaction):
+        self.carrier = carrier
+        self.action = action      # E (x) P -> E
+        self.coaction = coaction  # E -> E (x) H
 
 
 def hopf_module_check(m, bundle):

@@ -10,8 +10,6 @@ contain one `EXPECT <expr> == <expr>` per line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .morphism import Morphism, braiding, compose, tensor
 from .report import Report, equality_check
 
@@ -28,28 +26,54 @@ class ParseError(Exception):
                          % (position, "|".join(sorted(expected)), found))
 
 
-@dataclass(frozen=True)
-class Name:
-    text: str
+class Node:
+    """An expression node, compared by value: equal when of one class with
+    equal fields, in `__slots__` order."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__
+                and other._fields() == self._fields())
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
-@dataclass(frozen=True)
-class Call:
-    head: str
-    args: tuple
+class Name(Node):
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: object
-    right: object
+class Call(Node):
+    __slots__ = ("head", "args")
+
+    def __init__(self, head, args):
+        self.head = head
+        self.args = args
 
 
-@dataclass(frozen=True)
-class Seq:
+class Tensor(Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+
+class Seq(Node):
     """Diagrammatic composite: `first`, then `second`."""
-    first: object
-    second: object
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first, second):
+        self.first = first
+        self.second = second
 
 
 # -- tokenizer ---------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Exact scalar fields: the rationals and prime fields F_p.
 
 All arithmetic in the engine is exact.  A scalar is a plain Python number
-everywhere: a `fractions.Fraction` over QQ, an int in [0, p) over F_p.
+everywhere: over QQ an int when the value is integral and otherwise a
+`fractions.Fraction` with denominator > 1, over F_p an int in [0, p).
 Generic code uses the ordinary operators on either kind; a field object
 owns parsing, the distinguished constants and the two operations the
-operators cannot do alone: `reduce` (back into [0, p) after ring
-arithmetic) and `inv`.
+operators cannot do alone: `reduce` (back into the canonical form after
+ring arithmetic: an integral Fraction to its numerator, an int into
+[0, p)) and `inv`.  Plain `/` is never applied to scalars, since `/` on
+two ints gives a float.
 """
 
 from __future__ import annotations
@@ -99,22 +102,23 @@ class Field:
 
 class RationalField(Field):
     characteristic = 0
-    _zero, _one = Fraction(0), Fraction(1)
 
     def zero(self):
-        return self._zero
+        return 0
 
     def one(self):
-        return self._one
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def reduce(self, x):
+        if type(x) is Fraction and x.denominator == 1:
+            return x.numerator
         return x
 
     def inv(self, x):
-        return self._one / x
+        return self.reduce(Fraction(1) / x)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

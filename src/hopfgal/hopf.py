@@ -8,59 +8,74 @@ trivially graded case it reduces to the classical tensor algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .morphism import (Morphism, braiding, compose, compose_tensor, dualize,
                        is_isomorphism, tensor)
 from .report import Report, equality_check
 from .spaces import unit_space
 
 
-@dataclass(frozen=True)
-class Algebra:
-    space: object
-    mult: Morphism      # A (x) A -> A
-    unit: Morphism      # 1 -> A
+class _Structure:
+    """Structure maps compared by value: equal when of one class with equal
+    fields, in `__slots__` order."""
 
-    def __post_init__(self):
-        AA = self.space.tensor(self.space)
-        if self.mult.dom != AA or self.mult.cod != self.space:
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__
+                and other._fields() == self._fields())
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class Algebra(_Structure):
+    __slots__ = ("space", "mult", "unit")
+
+    def __init__(self, space, mult, unit):
+        AA = space.tensor(space)
+        if mult.dom != AA or mult.cod != space:
             raise TypeError("multiplication has wrong shape")
-        if self.unit.dom != unit_space(self.space.group) or self.unit.cod != self.space:
+        if unit.dom != unit_space(space.group) or unit.cod != space:
             raise TypeError("unit has wrong shape")
+        self.space = space
+        self.mult = mult    # A (x) A -> A
+        self.unit = unit    # 1 -> A
 
     def dualize(self):
         return Coalgebra(self.space.dual(), dualize(self.mult), dualize(self.unit))
 
 
-@dataclass(frozen=True)
-class Coalgebra:
-    space: object
-    comult: Morphism    # C -> C (x) C
-    counit: Morphism    # C -> 1
+class Coalgebra(_Structure):
+    __slots__ = ("space", "comult", "counit")
 
-    def __post_init__(self):
-        CC = self.space.tensor(self.space)
-        if self.comult.dom != self.space or self.comult.cod != CC:
+    def __init__(self, space, comult, counit):
+        CC = space.tensor(space)
+        if comult.dom != space or comult.cod != CC:
             raise TypeError("comultiplication has wrong shape")
-        if self.counit.dom != self.space or self.counit.cod != unit_space(self.space.group):
+        if counit.dom != space or counit.cod != unit_space(space.group):
             raise TypeError("counit has wrong shape")
+        self.space = space
+        self.comult = comult    # C -> C (x) C
+        self.counit = counit    # C -> 1
 
     def dualize(self):
         return Algebra(self.space.dual(), dualize(self.comult), dualize(self.counit))
 
 
-@dataclass(frozen=True)
-class HopfAlgebra:
-    algebra: Algebra
-    coalgebra: Coalgebra
-    antipode: Morphism  # H -> H
+class HopfAlgebra(_Structure):
+    __slots__ = ("algebra", "coalgebra", "antipode")
 
-    def __post_init__(self):
-        if self.algebra.space != self.coalgebra.space:
+    def __init__(self, algebra, coalgebra, antipode):
+        if algebra.space != coalgebra.space:
             raise TypeError("algebra and coalgebra live on different spaces")
-        if self.antipode.dom != self.space or self.antipode.cod != self.space:
+        if antipode.dom != algebra.space or antipode.cod != algebra.space:
             raise TypeError("antipode has wrong shape")
+        self.algebra = algebra
+        self.coalgebra = coalgebra
+        self.antipode = antipode  # H -> H
 
     @property
     def space(self):

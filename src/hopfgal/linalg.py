@@ -1,10 +1,12 @@
 """Exact linear algebra over a `Field`, on one sparse elimination kernel.
 
-Scalars are the field's own, Fractions over QQ and ints in [0, p) over
-F_p.  `rref_rows` is the only elimination.  It takes a matrix as sparse
-rows, dicts from column to nonzero scalar, reduces each row against the
-pivot rows kept so far and then clears its own pivot column from them;
-it returns the pivot rows.
+Scalars are the field's own: over QQ an int when integral and otherwise a
+Fraction with denominator > 1, over F_p an int in [0, p).  `rref_rows` is
+the only elimination.  It takes a matrix as sparse rows, dicts from column
+to nonzero scalar, reduces each row against the pivot rows kept so far and
+then clears its own pivot column from them; it returns the pivot rows,
+which hold scalars in that form, so a row of ints reduced against pivots
+of +-1 stays a row of ints.
 The program calls `rref_rows` for every kernel, factorisation, rank and
 morphism system, and `inverse` for the inverse of an invertible map.
 
@@ -23,6 +25,8 @@ keeps every output reproducible bit for bit.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 def zeros(field, m, n):
     z = field.zero()
@@ -35,11 +39,15 @@ def identity(field, n):
 
 
 def _subtract(row, f, prow, p):
-    """row -= f * prow in place (mod p when p); cancelled entries are dropped."""
+    """row -= f * prow in place, reduced mod p when p and an integral
+    Fraction turned into its numerator otherwise; cancelled entries are
+    dropped."""
     for j, x in prow.items():
         v = row.get(j, 0) - f * x
         if p:
             v %= p
+        elif type(v) is Fraction and v.denominator == 1:
+            v = v.numerator
         if v:
             row[j] = v
         else:
@@ -49,13 +57,15 @@ def _subtract(row, f, prow, p):
 def rref_rows(field, rows):
     """The canonical RREF of a sparse matrix given row by row.
 
-    rows: an iterable of dicts from column to nonzero scalar (a Fraction
-    over QQ, an int in [0, p) over F_p); the dicts are reduced in place.
+    rows: an iterable of dicts from column to nonzero scalar (an int or a
+    Fraction over QQ, an int in [0, p) over F_p); the dicts are reduced in
+    place.
     Returns {pivot column: reduced row} in ascending pivot order; each
     reduced row is such a dict, with a 1 at its pivot and no entry in any
     other pivot column.
     """
     p = field.characteristic
+    reduce = field.reduce
     # pivot column -> row with a 1 there and a 0 in every other pivot column
     pivot_rows = {}
     for row in rows:
@@ -70,7 +80,7 @@ def rref_rows(field, rows):
         if p:
             row = {j: v * inv % p for j, v in row.items()}
         else:
-            row = {j: v * inv for j, v in row.items()}
+            row = {j: reduce(v * inv) for j, v in row.items()}
         for prow in pivot_rows.values():
             f = prow.get(c)
             if f:

@@ -1,11 +1,13 @@
 """Degree-preserving linear maps and the categorical operations on them.
 
 A `Morphism` is a sparse exact matrix with typed domain and codomain.
-Its entries are the field's own nonzero scalars, Fractions or ints in
-(0, p).  The constructor is the one place F_p entries are reduced mod p,
-so the operations here build entries with the plain operators and leave
-reduction and zero-dropping to it.  Entries outside matching degrees are
-forbidden, so every morphism is automatically a map of graded spaces.
+Its entries are the field's own nonzero scalars: over QQ an int, or a
+Fraction with denominator > 1, and over F_p an int in (0, p).  The
+constructor is the one place entries are put in that form (reduced mod p,
+an integral Fraction turned into its numerator), so the operations here
+build entries with the plain operators and leave normalising and
+zero-dropping to it.  Entries outside matching degrees are forbidden, so
+every morphism is automatically a map of graded spaces.
 Kernels, (co)equalisers, factorisations and ranks come from one sparse
 elimination of the entries, `linalg.rref_rows`, over all degrees at once;
 its canonical RREF makes every basis reproducible, and kernel bases are
@@ -16,7 +18,7 @@ grouped by degree, so they are homogeneous.  The tensor product over a base
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .spaces import GradedSpace
@@ -47,6 +49,8 @@ class Morphism:
                 raise TypeError("entry (%d,%d) outside %dx%d" % (i, j, m, n))
             if p:
                 v %= p
+            elif type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
             if not v:
                 continue
             if cdeg[i] != ddeg[j]:
@@ -349,14 +353,18 @@ def factor_through_coequaliser(c, Pi):
     return x
 
 
-@dataclass
 class InvertibilityReport:
-    is_iso: bool
-    inverse: Morphism | None
-    rank: int
-    kernel_dim: int
-    cokernel_dim: int
-    kernel_inclusion: Morphism | None
+    __slots__ = ("is_iso", "inverse", "rank", "kernel_dim", "cokernel_dim",
+                 "kernel_inclusion")
+
+    def __init__(self, is_iso, inverse, rank, kernel_dim, cokernel_dim,
+                 kernel_inclusion):
+        self.is_iso = is_iso
+        self.inverse = inverse  # Morphism or None
+        self.rank = rank
+        self.kernel_dim = kernel_dim
+        self.cokernel_dim = cokernel_dim
+        self.kernel_inclusion = kernel_inclusion  # Morphism or None
 
     @property
     def corank(self):

@@ -8,8 +8,6 @@ line-oriented text form; rendering is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 def matrix_triples(m):
     """Sparse `i j value` text for a Morphism, rows sorted."""
@@ -17,12 +15,14 @@ def matrix_triples(m):
     return "; ".join("%d %d %s" % (i, j, v) for (i, j), v in items) or "(zero)"
 
 
-@dataclass
 class CheckItem:
-    name: str
-    ok: bool
-    details: dict = field(default_factory=dict)
-    witness: object = None  # Morphism or None
+    __slots__ = ("name", "ok", "details", "witness")
+
+    def __init__(self, name, ok, details=None, witness=None):
+        self.name = name
+        self.ok = ok
+        self.details = {} if details is None else details
+        self.witness = witness  # Morphism or None
 
     def render(self, machine=False):
         parts = ["check=%s" % self.name, "verdict=%s" % ("pass" if self.ok else "fail")]

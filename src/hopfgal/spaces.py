@@ -8,7 +8,7 @@ major, and that convention is fixed throughout the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 
 from .fields import FieldError
 
@@ -71,8 +71,9 @@ class GradingGroup:
         return self.n == 1 or self.gen == self.field.one()
 
     def __eq__(self, other):
-        return (isinstance(other, GradingGroup) and other.n == self.n
-                and other.field == self.field and other.gen == self.gen)
+        return self is other or (
+            isinstance(other, GradingGroup) and other.n == self.n
+            and other.field == self.field and other.gen == self.gen)
 
     def __hash__(self):
         return hash((self.n, self.field, self.gen))
@@ -83,18 +84,25 @@ class GradingGroup:
         return "Z%d(chi=%r)" % (self.n, self.gen)
 
 
-@dataclass(frozen=True)
 class GradedSpace:
     """An ordered basis with one grading-group degree per basis vector."""
 
-    group: GradingGroup
-    degrees: tuple
+    __slots__ = ("group", "degrees")
 
-    def __post_init__(self):
-        degs = self.degrees
-        if degs and (min(degs) < 0 or max(degs) >= self.group.n):
-            for d in degs:
-                self.group.check(d)
+    def __init__(self, group, degrees):
+        if degrees and (min(degrees) < 0 or max(degrees) >= group.n):
+            for d in degrees:
+                group.check(d)
+        self.group = group
+        self.degrees = degrees
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is GradedSpace and other.degrees == self.degrees
+            and other.group == self.group)
+
+    def __hash__(self):
+        return hash((self.group, self.degrees))
 
     @property
     def dim(self):
@@ -110,8 +118,11 @@ class GradedSpace:
         n = self.group.n
         if n == 1:  # Z_1 has the one degree 0
             degs = (0,) * (self.dim * other.dim)
-        else:
-            degs = tuple((a + b) % n for a in self.degrees for b in other.degrees)
+        else:  # one shifted copy of other's degrees per degree of self
+            shifted = {a: [(a + b) % n for b in other.degrees]
+                       for a in set(self.degrees)}
+            degs = tuple(chain.from_iterable(
+                [shifted[a] for a in self.degrees]))
         return GradedSpace(self.group, degs)
 
     def dual(self):

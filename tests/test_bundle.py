@@ -261,7 +261,8 @@ def assembled_dense(dom, cod, equations):
             if p:
                 assert type(v) is int and 0 < v < p
             else:
-                assert type(v) is Fraction
+                assert type(v) is int or (
+                    type(v) is Fraction and v.denominator > 1)
             if k == n:
                 b[r][0] = v
             else:

@@ -1,5 +1,6 @@
 import os
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,17 @@ def test_division_by_zero_is_a_line_error(text, message):
     with pytest.raises(InstanceError) as exc:
         parse_instance(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("4/2", 2), ("-6/3", -2), ("3/7", Fraction(3, 7)), ("-5", -5)])
+def test_rational_literals_parse_to_the_canonical_scalar(literal, value):
+    """An integral value is an int, any other a Fraction, in the field's
+    parser and in a parsed entry alike."""
+    inst = parse_instance("field rational\ngrading trivial\nspace P dim 1\n"
+                          "morphism f P P\n  0 0 %s\nend\n" % literal)
+    for v in (QQ.parse(literal), inst.morphisms["f"].entries[(0, 0)]):
+        assert v == value and type(v) is type(value)
 
 
 # -- parser fuzz and writer/parser round trip --------------------------------

@@ -11,6 +11,7 @@ from hopfgal.morphism import (FactorizationError, Morphism, braiding, compose,
                               factor_through_coequaliser,
                               factor_through_equaliser, is_isomorphism,
                               kernel, tensor, tensor_many)
+from hopfgal.report import matrix_triples
 from hopfgal.spaces import GradedSpace, GradingGroup, unit_space, zero_space
 
 TRIV = GradingGroup.trivial(QQ)
@@ -287,19 +288,23 @@ def test_is_isomorphism_agrees_with_kernel(data):
         assert rep.kernel_inclusion == (iota if K.dim else None)
 
 
-# -- the scalar invariant: Fractions over QQ, ints in (0, p) over F_p ---------
+# -- the scalar invariant: the one form of each field's entries ----------------
 
 def canonical(field, v):
     """Whether v is a nonzero entry in the one form the engine keeps."""
     p = field.characteristic
     if p:
         return type(v) is int and 0 < v < p
-    return type(v) is Fraction and v != 0
+    if type(v) is int:
+        return v != 0
+    return type(v) is Fraction and v.denominator > 1
 
 
 def test_canonical_rejects_floats_and_unreduced_ints():
-    assert canonical(QQ, Fraction(-1, 2)) and canonical(F7, 6)
-    assert not any(canonical(QQ, v) for v in (0.5, 1, Fraction(0)))
+    assert canonical(QQ, Fraction(-1, 2)) and canonical(QQ, -3)
+    assert canonical(F7, 6)
+    assert not any(canonical(QQ, v)
+                   for v in (Fraction(2, 1), 0, 0.5, True, Fraction(0)))
     assert not any(canonical(F7, v) for v in (0, 7, -1, 8, 1.0, True))
 
 
@@ -519,3 +524,48 @@ def test_kernel_and_factorisation_order_degrees_by_first_occurrence():
                        match=r"^image does not lie in the subobject "
                              r"\(degree 2\)$"):
         factor_through_equaliser(c, iota)
+
+
+def boxed(f):
+    """f with every entry a Fraction, integral ones included; set past the
+    constructor, which would turn the integral ones into ints."""
+    g = Morphism.zero(f.dom, f.cod)
+    g.entries = {k: Fraction(v) for k, v in f.entries.items()}
+    return g
+
+
+QQ_GROUPS = [g for g in GROUPS if not g.field.characteristic]
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_int_and_fraction_entries_give_the_same_results(data):
+    """Each operation gives equal entries and the same report text on
+    int-form QQ morphisms and on Fraction-boxed copies of them."""
+    group = data.draw(st.sampled_from(QQ_GROUPS))
+    U, V, W = (data.draw(graded_space(group)) for _ in range(3))
+    f = data.draw(graded_morphism(V, W))
+    g = data.draw(graded_morphism(U, V))
+    h = data.draw(graded_morphism(U, V.tensor(U)))
+    sq = data.draw(st.one_of(invertible_morphism(V), graded_morphism(V, V)))
+    iota = kernel(data.draw(graded_morphism(W, V)))[1]
+    c = compose(iota, data.draw(graded_morphism(U, iota.dom))) \
+        if data.draw(st.booleans()) else data.draw(graded_morphism(U, W))
+
+    def results(f, g, h, sq, iota, c):
+        rep = is_isomorphism(sq)
+        out = [compose(f, g), tensor(f, g), compose_tensor([f, g], h),
+               kernel(f)[1], rep.inverse or rep.kernel_inclusion]
+        try:
+            out.append(factor_through_equaliser(c, iota))
+        except FactorizationError as exc:
+            out.append(str(exc))
+        return out
+
+    plain = results(f, g, h, sq, iota, c)
+    fractions = results(*map(boxed, (f, g, h, sq, iota, c)))
+    for a, b in zip(plain, fractions):
+        if isinstance(a, Morphism):
+            assert a.entries == b.entries
+            a, b = matrix_triples(a), matrix_triples(b)
+        assert a == b
