@@ -415,13 +415,13 @@ class AlgebraBundle(Bundle):
 
     def left_action(self):
         """B (x) P -> P through pi."""
-        idP = Morphism.identity(self.como.space)
-        return compose(self.P.mult, tensor(self.pi, idP))
+        return self._memo("left_action", lambda: compose(
+            self.P.mult, tensor(self.pi, Morphism.identity(self.como.space))))
 
     def right_action(self):
         """P (x) B -> P through pi."""
-        idP = Morphism.identity(self.como.space)
-        return compose(self.P.mult, tensor(idP, self.pi))
+        return self._memo("right_action", lambda: compose(
+            self.P.mult, tensor(Morphism.identity(self.como.space), self.pi)))
 
     def p_tensor_p(self):
         """(P (x)_B P, Pi)."""

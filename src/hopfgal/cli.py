@@ -16,7 +16,7 @@ import sys
 
 from .bundle import (AlgebraBundle, canonical_map_linearity,
                      check_comodule_algebra, check_module_coalgebra)
-from .descent import (check_bmodule, comparison_K, counit_Psi, descend,
+from .descent import (check_bmodule, comparison_K, counit_of_K, descend,
                       sweep_phi_psi, unit_Phi, verify_descent_datum)
 from .dsl import ParseError, run_assertions
 from .hopf import check_hopf
@@ -125,7 +125,7 @@ def cmd_descent(args):
         w, incl = descend(d)
         rep.add("descended_dim", True, details={"dim": w.carrier.dim})
         for label, builder in (("phi_iso", lambda: unit_Phi(d)),
-                               ("psi_iso", lambda: counit_Psi(v, b))):
+                               ("psi_iso", lambda: counit_of_K(d))):
             _, verdict = builder()
             rep.add(label, verdict.is_iso,
                     details={"rank": verdict.rank,

@@ -49,7 +49,11 @@ def check_bmodule(v, base):
 
 
 class DescentDatum:
-    """A right P-module E with a compatible map xi: E -> E (x)_B P."""
+    """A right P-module E with a compatible map xi: E -> E (x)_B P.
+
+    The maps built from E and its action alone are kept on first use;
+    the descended module is kept until xi is reassigned.
+    """
 
     def __init__(self, bundle, carrier, action, xi=None):
         self.bundle = bundle
@@ -58,33 +62,49 @@ class DescentDatum:
         if action.dom != carrier.tensor(bundle.como.space) or \
                 action.cod != carrier:
             raise TypeError("P-action has wrong shape")
-        Q, Pi = self.tensor_b_p()
+        self._cache = {}
         if xi is None:
-            xi = compose(Pi, tensor(Morphism.identity(carrier),
-                                    bundle.P.unit))
-        if xi.dom != carrier or xi.cod != Q:
+            xi = self.unit_insertion()
+        if xi.dom != carrier or xi.cod != self.tensor_b_p()[0]:
             raise TypeError("xi has wrong shape")
         self.xi = xi
 
+    @property
+    def xi(self):
+        return self._xi
+
+    @xi.setter
+    def xi(self, xi):
+        self._xi = xi
+        self._cache.pop("descended", None)
+
+    def _memo(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def base_action(self):
         """The restricted right B-action on E."""
-        idE = Morphism.identity(self.carrier)
-        return compose(self.action, tensor(idE, self.bundle.pi))
+        return self._memo("base_action", lambda: compose(
+            self.action, tensor(Morphism.identity(self.carrier),
+                                self.bundle.pi)))
 
     def tensor_b_p(self):
-        if not hasattr(self, "_tbp"):
-            self._tbp = tensor_over(self.base_action(),
-                                    self.bundle.left_action())
-        return self._tbp
+        return self._memo("tbp", lambda: tensor_over(
+            self.base_action(), self.bundle.left_action()))
+
+    def unit_insertion(self):
+        """E -> E (x)_B P, e -> [e (x) 1]."""
+        return self._memo("insertion", lambda: compose(
+            self.tensor_b_p()[1], tensor(Morphism.identity(self.carrier),
+                                         self.bundle.P.unit)))
 
 
 def _q1_structure(d):
     """Helper maps on Q1 = E (x)_B P: the unit insertion and the collapse."""
-    b = d.bundle
     Q1, Pi1 = d.tensor_b_p()
-    ins1 = compose(Pi1, tensor(Morphism.identity(d.carrier), b.P.unit))
     collapse = factor_through_coequaliser(d.action, Pi1)
-    return Q1, Pi1, ins1, collapse
+    return Q1, Pi1, d.unit_insertion(), collapse
 
 
 def verify_descent_datum(d):
@@ -121,7 +141,11 @@ def verify_descent_datum(d):
 
 
 def comparison_K(v, bundle):
-    """The descent datum (V (x)_B P, xi: v (x) x -> v (x) 1 (x) x)."""
+    """The descent datum (V (x)_B P, xi: v (x) x -> v (x) 1 (x) x).
+
+    The datum also keeps `eta`: V -> V (x)_B P, v -> [v (x) 1], which
+    `counit_of_K` factors through the descended module.
+    """
     V, P = v.carrier, bundle.como.space
     idV, idP = Morphism.identity(V), Morphism.identity(P)
     Q, Pi = tensor_over(v.action, bundle.left_action())
@@ -129,22 +153,21 @@ def comparison_K(v, bundle):
         compose(Pi, tensor(idV, bundle.P.mult)), tensor(Pi, idP))
     d = DescentDatum(bundle, Q, action)
     _, PiE = d.tensor_b_p()
-    xi = factor_through_coequaliser(
-        compose(PiE, tensor(compose(Pi, tensor(idV, bundle.P.unit)), idP)),
-        Pi)
-    d.xi = xi
+    eta = compose(Pi, tensor(idV, bundle.P.unit))
+    d.xi = factor_through_coequaliser(compose(PiE, tensor(eta, idP)), Pi)
+    d.eta = eta
     return d
 
 
 def descend(d):
     """(V, incl): the equaliser of xi and the unit insertion, as a B-module."""
-    b = d.bundle
-    _, _, ins1, _ = _q1_structure(d)
-    Vsp, incl = equaliser(d.xi, ins1)
-    idB = Morphism.identity(b.base.space)
-    act = factor_through_equaliser(
-        compose(d.base_action(), tensor(incl, idB)), incl)
-    return BModule(Vsp, act), incl
+    def build():
+        Vsp, incl = equaliser(d.xi, d.unit_insertion())
+        idB = Morphism.identity(d.bundle.base.space)
+        act = factor_through_equaliser(
+            compose(d.base_action(), tensor(incl, idB)), incl)
+        return BModule(Vsp, act), incl
+    return d._memo("descended", build)
 
 
 def unit_Phi(d):
@@ -158,20 +181,22 @@ def unit_Phi(d):
     return phi, is_isomorphism(phi)
 
 
-def counit_Psi(v, bundle):
-    """The comparison V -> descend(K(V)) and its verdict.
+def counit_of_K(d):
+    """The comparison V -> descend(d) for d = comparison_K(v, bundle), and
+    its verdict.
 
     Its composite with the descended inclusion is v -> [v (x) 1]; the map
     has nonzero kernel exactly when that insertion kills part of V, the
     finite-dimensional failure mode of faithful flatness.
     """
-    d = comparison_K(v, bundle)
     _, incl = descend(d)
-    _, Pi = tensor_over(v.action, bundle.left_action())
-    idV = Morphism.identity(v.carrier)
-    eta = compose(Pi, tensor(idV, bundle.P.unit))
-    psi = factor_through_equaliser(eta, incl)
+    psi = factor_through_equaliser(d.eta, incl)
     return psi, is_isomorphism(psi)
+
+
+def counit_Psi(v, bundle):
+    """The comparison V -> descend(K(V)) and its verdict; see `counit_of_K`."""
+    return counit_of_K(comparison_K(v, bundle))
 
 
 # -- relative Hopf modules and the transport ---------------------------------
@@ -455,7 +480,7 @@ def _module_closure(field, gens, act, B):
     Adds the images of the current basis under every basis vector of B
     until the pivot count stops rising; rows are sparse dicts.
     """
-    p = field.characteristic
+    reduce = field.reduce
     # column i of F -> [(row r, basis index j of B, act[r, i (x) j])]
     act_cols = {}
     for (r, col), v in act.entries.items():
@@ -471,8 +496,7 @@ def _module_closure(field, gens, act, B):
                 for r, j, a in act_cols.get(i, ()):
                     images[j][r] = images[j].get(r, 0) + a * x
             for image in images:
-                if p:
-                    image = {r: v % p for r, v in image.items()}
+                image = {r: reduce(v) for r, v in image.items()}
                 rows.append({r: v for r, v in image.items() if v})
         grown = linalg.rref_rows(field, rows)
         if len(grown) == len(closed):
@@ -499,8 +523,8 @@ def sweep_phi_psi(bundle, max_dim=3, seed=0):
     rep = Report()
     mods = enumerate_bmodules(bundle.base, max_dim, seed=seed)
     for n, v in enumerate(mods):
-        _, verdict_psi = counit_Psi(v, bundle)
         d = comparison_K(v, bundle)
+        _, verdict_psi = counit_of_K(d)
         _, verdict_phi = unit_Phi(d)
         rep.add("sweep.module_%02d_phi" % n, verdict_phi.is_iso,
                 details={"dim": v.carrier.dim,

@@ -118,6 +118,8 @@ class RationalField(Field):
         return x
 
     def inv(self, x):
+        if type(x) is int and (x == 1 or x == -1):
+            return x
         return self.reduce(Fraction(1) / x)
 
     def __eq__(self, other):

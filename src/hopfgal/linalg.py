@@ -3,10 +3,18 @@
 Scalars are the field's own: over QQ an int when integral and otherwise a
 Fraction with denominator > 1, over F_p an int in [0, p).  `rref_rows` is
 the only elimination.  It takes a matrix as sparse rows, dicts from column
-to nonzero scalar, reduces each row against the pivot rows kept so far and
-then clears its own pivot column from them; it returns the pivot rows,
-which hold scalars in that form, so a row of ints reduced against pivots
-of +-1 stays a row of ints.
+to nonzero scalar, and works in two phases, each touching only entries
+that are there:
+
+- forward: each row is cleared of the pivot columns it holds, taken in
+  increasing order from a heap that also receives the later pivot columns
+  fill-in lands in, and its leading entry is scaled to 1 (no inversion
+  and no rescaled copy when it is 1 already);
+- back-substitution, once, in descending pivot order: each echelon row
+  subtracts the final rows of the later pivot columns it holds.
+
+It returns the pivot rows, which hold scalars in that form, so a row of
+ints reduced against pivots of +-1 stays a row of ints.
 The program calls `rref_rows` for every kernel, factorisation, rank and
 morphism system, and `inverse` for the inverse of an invertible map.
 
@@ -26,6 +34,7 @@ keeps every output reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 def zeros(field, m, n):
@@ -54,52 +63,96 @@ def _subtract(row, f, prow, p):
             del row[j]
 
 
+def _forward(row, heap, echelon, p):
+    """Clear from row, in place, every column that has an echelon row;
+    heap holds the ones row has now.
+
+    The columns are taken in increasing order: an echelon row has no entry
+    left of its pivot, so subtracting it changes row only at that pivot
+    and to its right, and a later pivot column it fills in is pushed.  A
+    column pushed twice is found already cleared.
+    """
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        f = row.get(c)
+        if f is None:
+            continue
+        for j, x in echelon[c].items():
+            v = row.get(j)
+            if v is None:
+                v = -f * x
+                if j in echelon:
+                    heappush(heap, j)
+            else:
+                v -= f * x
+            if p:
+                v %= p
+            elif type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
+
 def rref_rows(field, rows):
     """The canonical RREF of a sparse matrix given row by row.
 
-    rows: an iterable of dicts from column to nonzero scalar (an int or a
-    Fraction over QQ, an int in [0, p) over F_p); the dicts are reduced in
-    place.
+    rows: an iterable of dicts from column to nonzero scalar in the
+    field's canonical form (over QQ an int, or a Fraction with denominator
+    > 1; over F_p an int in [0, p)); the dicts are reduced in place, and a
+    reduced row may be returned as the very dict it came in.
     Returns {pivot column: reduced row} in ascending pivot order; each
     reduced row is such a dict, with a 1 at its pivot and no entry in any
     other pivot column.
+
+    Forward phase: each row is cleared of the pivot columns it holds and
+    its leading entry scaled to 1, with no inversion when it is 1 already.
+    Back-substitution: in descending pivot order each echelon row
+    subtracts the final rows of the later pivot columns it holds.
     """
     p = field.characteristic
     reduce = field.reduce
-    # pivot column -> row with a 1 there and a 0 in every other pivot column
-    pivot_rows = {}
+    # pivot column -> row with a 1 there and no entry to its left
+    echelon = {}
     for row in rows:
-        # a pivot row has no entry in another pivot column, so these
-        # subtractions leave row[c] of the later c unchanged
-        for c in [c for c in row if c in pivot_rows]:
-            _subtract(row, row[c], pivot_rows[c], p)
+        heap = [c for c in row if c in echelon]
+        if heap:
+            _forward(row, heap, echelon, p)
         if not row:
             continue
         c = min(row)
-        inv = field.inv(row[c])
-        if p:
-            row = {j: v * inv % p for j, v in row.items()}
-        else:
-            row = {j: reduce(v * inv) for j, v in row.items()}
-        for prow in pivot_rows.values():
-            f = prow.get(c)
-            if f:
-                _subtract(prow, f, row, p)
-        pivot_rows[c] = row
-    return {c: pivot_rows[c] for c in sorted(pivot_rows)}
+        lead = row[c]
+        if lead != 1:
+            inv = field.inv(lead)
+            if p:
+                row = {j: v * inv % p for j, v in row.items()}
+            else:
+                row = {j: reduce(v * inv) for j, v in row.items()}
+        echelon[c] = row
+    pivots = sorted(echelon)
+    # a final row has no entry in another pivot column, so the subtractions
+    # from one row commute and leave its other pivot columns untouched
+    for c in reversed(pivots):
+        row = echelon[c]
+        for j in [j for j in row if j != c and j in echelon]:
+            _subtract(row, row[j], echelon[j], p)
+    return {c: echelon[c] for c in pivots}
 
 
 def rref(field, A):
     """Reduced row echelon form of dense rows.  Returns (R, pivot_columns).
 
     R has the shape of A: its nonzero rows in ascending pivot order, then
-    its zero rows.  A is not modified.  A dense adapter over `rref_rows`.
+    its zero rows.  A is not modified.  A dense adapter over `rref_rows`;
+    A's entries may be any field scalars, an integral Fraction too.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    z = field.zero()
-    pivot_rows = rref_rows(
-        field, ({j: x for j, x in enumerate(dense) if x} for dense in A))
+    z, reduce = field.zero(), field.reduce
+    pivot_rows = rref_rows(field, ({j: reduce(x) for j, x in enumerate(dense)
+                                    if x} for dense in A))
     R = []
     for row in pivot_rows.values():
         out = [z] * n

@@ -96,6 +96,14 @@ class GradedSpace:
         self.group = group
         self.degrees = degrees
 
+    @classmethod
+    def _of_valid(cls, group, degrees):
+        """A space whose degrees are in range by construction, unchecked."""
+        space = cls.__new__(cls)
+        space.group = group
+        space.degrees = degrees
+        return space
+
     def __eq__(self, other):
         return self is other or (
             other.__class__ is GradedSpace and other.degrees == self.degrees
@@ -123,10 +131,14 @@ class GradedSpace:
                        for a in set(self.degrees)}
             degs = tuple(chain.from_iterable(
                 [shifted[a] for a in self.degrees]))
-        return GradedSpace(self.group, degs)
+        return GradedSpace._of_valid(self.group, degs)
 
     def dual(self):
-        return GradedSpace(self.group, tuple(self.group.neg(d) for d in self.degrees))
+        n = self.group.n
+        if n == 1:
+            return self
+        return GradedSpace._of_valid(
+            self.group, tuple([(-d) % n for d in self.degrees]))
 
     @property
     def is_unit(self):

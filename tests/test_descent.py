@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgal import linalg
+from hopfgal import descent, linalg
 from hopfgal.descent import (BModule, DescentDatum, RelativeHopfModule,
                              _module_closure, check_bmodule, comparison_K,
                              counit_Psi, descend,
@@ -127,6 +127,37 @@ def test_sweep_report():
     b = free_z2_bundle(QQ)
     rep = sweep_phi_psi(b, max_dim=3)
     assert rep.ok, rep.render()
+
+
+def test_sweep_builds_one_comparison_datum_per_module(monkeypatch):
+    for b in (free_z2_bundle(QQ), nonflat_bundle(QQ)):
+        mods = enumerate_bmodules(b.base, 3, seed=1)
+        separate = []
+        for v in mods:
+            _, phi = unit_Phi(comparison_K(v, b))
+            _, psi = counit_Psi(v, b)
+            separate += [phi.is_iso, psi.is_iso]
+        calls = []
+
+        def counted(v, bundle):
+            calls.append(v)
+            return comparison_K(v, bundle)
+        monkeypatch.setattr(descent, "comparison_K", counted)
+        rep = sweep_phi_psi(b, max_dim=3, seed=1)
+        monkeypatch.undo()
+        assert len(calls) == len(mods)
+        assert [item.ok for item in rep.items] == separate
+
+
+def test_descend_is_kept_until_xi_changes():
+    b = free_z2_bundle(QQ)
+    d = comparison_K(enumerate_bmodules(b.base, 2)[0], b)
+    first = descend(d)
+    assert descend(d) is first
+    d.xi = d.unit_insertion()  # the equaliser of ins with itself is all of E
+    v, incl = descend(d)
+    assert v.carrier == d.carrier
+    assert is_isomorphism(incl).is_iso
 
 
 def test_nonflat_psi_kernel_witness():

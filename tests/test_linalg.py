@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgal import linalg
-from hopfgal.fields import QQ, PrimeField
+from hopfgal.fields import QQ, PrimeField, RationalField
 
 
 def F(n, d=1):
@@ -67,6 +68,16 @@ def test_prime_field_roundtrip():
     assert I == linalg.identity(gf7, 2)
 
 
+def test_rational_inverse_keeps_unit_ints():
+    assert QQ.inv(1) == 1 and type(QQ.inv(1)) is int
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
+    assert QQ.inv(Fraction(-1, 2)) == -2 and type(QQ.inv(Fraction(-1, 2))) is int
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
+        QQ.inv(0)
+
+
 # -- differential and property tests against the dense reference -------------
 
 def dense_rref(field, A):
@@ -113,7 +124,7 @@ def canonical(field, x):
     return not p and type(x) is Fraction and x.denominator > 1
 
 
-FIELDS = [QQ, PrimeField(7), PrimeField(101)]
+FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(101)]
 PROPERTY = settings(max_examples=40, deadline=None)
 
 
@@ -231,3 +242,72 @@ def test_rref_rows_matches_dense_rref_and_solve(data):
                 if n + j in row:
                     least[c][j] = row[n + j]
         assert least == X
+
+
+class RecordingQQ(RationalField):
+    """QQ that records every scalar it is asked to invert."""
+
+    def __init__(self):
+        self.inverted = []
+
+    def inv(self, x):
+        self.inverted.append(x)
+        return super().inv(x)
+
+
+@st.composite
+def low_density_matrix(draw):
+    """(field, A): up to 16 x 24 with about one cell in eight nonzero; over
+    QQ often only the integers +-1 and +-2."""
+    field = draw(st.sampled_from(["int", "frac", 2, 7, 101]))
+    if field == "int":
+        field, value = RecordingQQ(), st.sampled_from([1, -1, 2, -2])
+    elif field == "frac":
+        field = RecordingQQ()
+        value = st.fractions(min_value=-3, max_value=3, max_denominator=2) \
+            .filter(bool).map(field.reduce)
+    else:
+        field = PrimeField(field)
+        value = st.integers(1, field.characteristic - 1)
+    m, n = draw(st.integers(1, 16)), draw(st.integers(1, 24))
+    A = linalg.zeros(field, m, n)
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), value)
+    for i, j, v in draw(st.lists(cells, max_size=m * n // 8 + 1)):
+        A[i][j] = v
+    return field, A
+
+
+@PROPERTY
+@given(low_density_matrix())
+def test_rref_rows_matches_dense_rref_at_low_density(fA):
+    """Larger, sparser matrices than the other differential tests, where a
+    row meets few pivots and fill-in reaches later pivot columns; a row of
+    ints reduced only against pivots of +-1 stays a row of ints."""
+    field, A = fA
+    pivot_rows = linalg.rref_rows(field, _sparse_rows(A))
+    inverted = list(getattr(field, "inverted", ()))
+    R, pivots = dense_rref(field, A)
+    assert list(pivot_rows) == pivots
+    n = len(A[0])
+    for row, dense in zip(pivot_rows.values(), R):
+        assert all(v and canonical(field, v) for v in row.values())
+        assert [row.get(j, 0) for j in range(n)] == dense
+    ints = all(type(x) is int for dense in A for x in dense)
+    if ints and all(x in (1, -1) for x in inverted):
+        assert all(type(v) is int
+                   for row in pivot_rows.values() for v in row.values())
+
+
+def test_rref_rows_follows_fill_in_into_a_later_pivot_column():
+    """The third row holds pivot column 0 only; clearing it fills in pivot
+    column 2, and only clearing that too cancels the row to zero."""
+    field = RecordingQQ()
+    rows = [{0: 1, 2: 1}, {2: 1, 3: 1}, {0: 1, 3: -1}]
+    dense = [[row.get(j, 0) for j in range(4)] for row in rows]
+    pivot_rows = linalg.rref_rows(field, rows)
+    assert pivot_rows == {0: {0: 1, 3: -1}, 2: {2: 1, 3: 1}}
+    R, pivots = dense_rref(QQ, dense)
+    assert pivots == [0, 2]
+    assert [[row.get(j, 0) for j in range(4)]
+            for row in pivot_rows.values()] == R[:2]
+    assert field.inverted == []  # every leading entry was already 1

@@ -41,6 +41,12 @@ def test_tensor_and_dual():
     assert VW.degrees == (1, 0)
     assert V.dual().degrees == (0, 1)
     assert V.dual().dual() == V
+    g3 = GradingGroup.cyclic(3, PrimeField(7), PrimeField(7).from_int(2))
+    U = GradedSpace(g3, (0, 1, 2))
+    assert U.dual().degrees == (0, 2, 1)
+    assert U.tensor(GradedSpace(g3, (2,))).degrees == (2, 0, 1)
+    T = GradedSpace(GradingGroup.trivial(QQ), (0, 0))
+    assert T.dual() == T and T.tensor(T).degrees == (0,) * 4
 
 
 def test_unit_strictness():
