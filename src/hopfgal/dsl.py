@@ -10,7 +10,8 @@ contain one `EXPECT <expr> == <expr>` per line.
 
 from __future__ import annotations
 
-from .morphism import Morphism, braiding, compose, tensor
+from .morphism import (Morphism, braiding, braiding_endpoints, compose,
+                       compose_tensor, tensor_compose, tensor_many)
 from .report import Report, equality_check
 
 HEADS = {"id": 1, "m": 1, "u": 1, "cm": 1, "cu": 1, "S": 1, "br": 2,
@@ -234,6 +235,16 @@ class Environment:
                 return pool[name]
         raise TypeError("no %s named %r" % (kind, name))
 
+    def atom_endpoints(self, e):
+        """(domain, codomain) of an atom; `id` and `br` are not built."""
+        if isinstance(e, Call) and e.head in ("id", "br"):
+            V = self.space(e.args[0])
+            if e.head == "id":
+                return V, V
+            return braiding_endpoints(V, self.space(e.args[1]))
+        f = self.atom_morphism(e)
+        return f.dom, f.cod
+
     def atom_morphism(self, e):
         if isinstance(e, Name):
             if e.text not in self.morphisms:
@@ -268,8 +279,7 @@ class Environment:
 def typecheck(e, env):
     """(domain, codomain) of a well-typed expression; TypeError otherwise."""
     if isinstance(e, (Name, Call)):
-        f = env.atom_morphism(e)
-        return f.dom, f.cod
+        return env.atom_endpoints(e)
     if isinstance(e, Tensor):
         ld, lc = typecheck(e.left, env)
         rd, rc = typecheck(e.right, env)
@@ -286,12 +296,30 @@ def typecheck(e, env):
 
 
 def evaluate(e, env):
+    """The morphism of e, after one `typecheck` of the whole expression."""
+    typecheck(e, env)
+    return _evaluate(e, env)
+
+
+def _factors(e, env):
+    """The evaluated factors of a `*` tree, left to right."""
+    if isinstance(e, Tensor):
+        return _factors(e.left, env) + _factors(e.right, env)
+    return [_evaluate(e, env)]
+
+
+def _evaluate(e, env):
+    """`evaluate` of a typechecked expression.  A `*` side of a `;` is
+    composed factor by factor and never built as a Kronecker product."""
     if isinstance(e, (Name, Call)):
         return env.atom_morphism(e)
     if isinstance(e, Tensor):
-        return tensor(evaluate(e.left, env), evaluate(e.right, env))
-    typecheck(e, env)
-    return compose(evaluate(e.second, env), evaluate(e.first, env))
+        return tensor_many(*_factors(e, env))
+    if isinstance(e.second, Tensor):
+        return compose_tensor(_factors(e.second, env), _evaluate(e.first, env))
+    if isinstance(e.first, Tensor):
+        return tensor_compose(_evaluate(e.second, env), _factors(e.first, env))
+    return compose(_evaluate(e.second, env), _evaluate(e.first, env))
 
 
 def assert_equal(lhs, rhs, env, name="expect"):
@@ -301,7 +329,7 @@ def assert_equal(lhs, rhs, env, name="expect"):
         raise TypeError(
             "cannot compare %r with %r: endpoints differ (%d -> %d vs %d -> %d)"
             % (print_expr(lhs), print_expr(rhs), ld.dim, lc.dim, rd.dim, rc.dim))
-    item = equality_check(name, evaluate(lhs, env), evaluate(rhs, env),
+    item = equality_check(name, _evaluate(lhs, env), _evaluate(rhs, env),
                           details={"lhs": print_expr(lhs),
                                    "rhs": print_expr(rhs)})
     if not item.ok:

@@ -9,7 +9,7 @@ trivially graded case it reduces to the classical tensor algebra.
 from __future__ import annotations
 
 from .morphism import (Morphism, braiding, compose, compose_tensor, dualize,
-                       is_isomorphism, tensor)
+                       is_isomorphism, tensor, tensor_compose)
 from .report import Report, equality_check
 from .spaces import unit_space
 
@@ -108,12 +108,12 @@ def check_algebra(a):
     rep = Report()
     rep.items.append(equality_check(
         "associativity",
-        compose(a.mult, tensor(a.mult, idA)),
-        compose(a.mult, tensor(idA, a.mult))))
+        tensor_compose(a.mult, [a.mult, idA]),
+        tensor_compose(a.mult, [idA, a.mult])))
     rep.items.append(equality_check(
-        "unit_left", compose(a.mult, tensor(a.unit, idA)), idA))
+        "unit_left", tensor_compose(a.mult, [a.unit, idA]), idA))
     rep.items.append(equality_check(
-        "unit_right", compose(a.mult, tensor(idA, a.unit)), idA))
+        "unit_right", tensor_compose(a.mult, [idA, a.unit]), idA))
     return rep
 
 
@@ -123,12 +123,12 @@ def check_coalgebra(c):
     rep = Report()
     rep.items.append(equality_check(
         "coassociativity",
-        compose(tensor(c.comult, idC), c.comult),
-        compose(tensor(idC, c.comult), c.comult)))
+        compose_tensor([c.comult, idC], c.comult),
+        compose_tensor([idC, c.comult], c.comult)))
     rep.items.append(equality_check(
-        "counit_left", compose(tensor(c.counit, idC), c.comult), idC))
+        "counit_left", compose_tensor([c.counit, idC], c.comult), idC))
     rep.items.append(equality_check(
-        "counit_right", compose(tensor(idC, c.counit), c.comult), idC))
+        "counit_right", compose_tensor([idC, c.counit], c.comult), idC))
     return rep
 
 
@@ -187,11 +187,11 @@ def check_hopf(h):
     unit_eps = compose(h.unit, h.counit)
     rep.items.append(equality_check(
         "antipode_left",
-        compose(h.mult, compose(tensor(h.antipode, idH), h.comult)),
+        compose(h.mult, compose_tensor([h.antipode, idH], h.comult)),
         unit_eps))
     rep.items.append(equality_check(
         "antipode_right",
-        compose(h.mult, compose(tensor(idH, h.antipode), h.comult)),
+        compose(h.mult, compose_tensor([idH, h.antipode], h.comult)),
         unit_eps))
 
     inv = is_isomorphism(h.antipode)
@@ -208,6 +208,6 @@ def antipode_antihomomorphism_check(h):
     """m o (S (x) S) o tau = S o m, the braided anti-homomorphism law."""
     return equality_check(
         "antipode_antihom",
-        compose(h.mult, compose(tensor(h.antipode, h.antipode),
-                                braiding(h.space, h.space))),
+        compose(tensor_compose(h.mult, [h.antipode, h.antipode]),
+                braiding(h.space, h.space)),
         compose(h.antipode, h.mult))

@@ -7,7 +7,14 @@ constructor is the one place entries are put in that form (reduced mod p,
 an integral Fraction turned into its numerator), so the operations here
 build entries with the plain operators and leave normalising and
 zero-dropping to it.  Entries outside matching degrees are forbidden, so
-every morphism is automatically a map of graded spaces.
+every morphism is automatically a map of graded spaces.  The constructor
+checks every result, in three loops: the bounds of every key, zero-valued
+ones included; one canonicalising pass (a loop mod p over F_p, a dict
+comprehension over QQ); and degree preservation over the kept entries,
+which is skipped only for the trivial grading, where it cannot fail.
+`compose_tensor` ((f_1 (x) ... (x) f_k) o g) and `tensor_compose`
+(f o (g_1 (x) ... (x) g_k)) compose with a Kronecker product without
+building it.
 Kernels, (co)equalisers, factorisations and ranks come from one sparse
 elimination of the entries, `linalg.rref_rows`, over all degrees at once;
 its canonical RREF makes every basis reproducible, and kernel bases are
@@ -36,28 +43,34 @@ class Morphism:
     __slots__ = ("dom", "cod", "entries")
 
     def __init__(self, dom, cod, entries):
-        if dom.group != cod.group:
+        group = dom.group
+        if group != cod.group:
             raise TypeError("domain and codomain over different grading groups")
         self.dom = dom
         self.cod = cod
         m, n = cod.dim, dom.dim
-        cdeg, ddeg = cod.degrees, dom.degrees
-        p = dom.field.characteristic
-        clean = {}
-        for (i, j), v in entries.items():
-            if not (0 <= i < m and 0 <= j < n):
+        for i, j in entries:  # every key, zero-valued ones included
+            if i < 0 or i >= m or j < 0 or j >= n:
                 raise TypeError("entry (%d,%d) outside %dx%d" % (i, j, m, n))
-            if p:
+        p = dom.field.characteristic
+        if p:
+            clean = {}
+            for k, v in entries.items():
                 v %= p
-            elif type(v) is Fraction and v.denominator == 1:
-                v = v.numerator
-            if not v:
-                continue
-            if cdeg[i] != ddeg[j]:
-                raise TypeError(
-                    "entry (%d,%d) violates degree preservation (%r vs %r)"
-                    % (i, j, cdeg[i], ddeg[j]))
-            clean[(i, j)] = v
+                if v:
+                    clean[k] = v
+        else:
+            clean = {k: (v.numerator if type(v) is Fraction
+                         and v.denominator == 1 else v)
+                     for k, v in entries.items() if v}
+        # Z_1 has the one degree 0, so only a Z_n grading can be violated
+        if group.n != 1:
+            cdeg, ddeg = cod.degrees, dom.degrees
+            for i, j in clean:
+                if cdeg[i] != ddeg[j]:
+                    raise TypeError(
+                        "entry (%d,%d) violates degree preservation (%r vs %r)"
+                        % (i, j, cdeg[i], ddeg[j]))
         self.entries = clean
 
     # -- constructors ------------------------------------------------------
@@ -167,6 +180,15 @@ def tensor_many(*fs):
     return out
 
 
+def _product_spaces(fs):
+    """(domain, codomain) of f_1 (x) ... (x) f_k."""
+    dom, cod = fs[0].dom, fs[0].cod
+    for f in fs[1:]:
+        dom = dom.tensor(f.dom)
+        cod = cod.tensor(f.cod)
+    return dom, cod
+
+
 def compose_tensor(fs, g):
     """(f_1 (x) ... (x) f_k) o g without building the Kronecker product.
 
@@ -176,11 +198,7 @@ def compose_tensor(fs, g):
     nnz(g) times the product of those column counts; the product itself,
     with nnz(f_1) ... nnz(f_k) entries, is never built.
     """
-    dom = fs[0].dom
-    cod = fs[0].cod
-    for f in fs[1:]:
-        dom = dom.tensor(f.dom)
-        cod = cod.tensor(f.cod)
+    dom, cod = _product_spaces(fs)
     if dom != g.cod:
         raise TypeError("compose_tensor: inner spaces differ (%r vs %r)"
                         % (dom, g.cod))
@@ -212,16 +230,64 @@ def compose_tensor(fs, g):
     return Morphism(g.dom, cod, entries)
 
 
-def braiding(V, W):
-    """tau_{V,W}: V (x) W -> W (x) V, e_i (x) f_j -> chi(|f_j|, |e_i|) f_j (x) e_i."""
+def tensor_compose(f, gs):
+    """f o (g_1 (x) ... (x) g_k) without building the Kronecker product.
+
+    The mirror of `compose_tensor`: each nonzero of f in column c meets
+    only row c of g_1 (x) ... (x) g_k, whose nonzeros are the products of
+    one nonzero from row r_i of each g_i, where (r_1, ..., r_k) is c split
+    left factor major.  The cost is nnz(f) times the product of those row
+    counts.
+    """
+    dom, cod = _product_spaces(gs)
+    if f.dom != cod:
+        raise TypeError("tensor_compose: inner spaces differ (%r vs %r)"
+                        % (f.dom, cod))
+    # per factor: row -> [(column, value)], with the factor's dims
+    factors = []
+    for g in gs:
+        by_row = {}
+        for (k, j), v in g.entries.items():
+            by_row.setdefault(k, []).append((j, v))
+        factors.append((by_row, g.dom.dim, g.cod.dim))
+    entries = {}
+    for (i, c), fv in f.entries.items():
+        # split c right to left; terms are (column so far, product so far)
+        terms = [(0, fv)]
+        stride = 1
+        for by_row, d_dom, d_cod in reversed(factors):
+            c, r = divmod(c, d_cod)
+            row = by_row.get(r)
+            if row is None:
+                terms = ()
+                break
+            terms = [(col + j * stride, v * gv)
+                     for col, v in terms for j, gv in row]
+            stride *= d_dom
+        for j, v in terms:
+            key = (i, j)
+            s = entries.get(key)
+            entries[key] = v if s is None else s + v
+    return Morphism(dom, f.cod, entries)
+
+
+def braiding_endpoints(V, W):
+    """(V (x) W, W (x) V), the domain and codomain of tau_{V,W}."""
     if V.group != W.group:
         raise TypeError("braiding of spaces over different grading groups")
-    group = V.group
+    return V.tensor(W), W.tensor(V)
+
+
+def braiding(V, W):
+    """tau_{V,W}: V (x) W -> W (x) V, e_i (x) f_j -> chi(|f_j|, |e_i|) f_j (x) e_i."""
+    dom, cod = braiding_endpoints(V, W)
+    chi = V.group.chi
+    m, n = V.dim, W.dim
     entries = {}
     for i, di in enumerate(V.degrees):
         for j, dj in enumerate(W.degrees):
-            entries[(j * V.dim + i, i * W.dim + j)] = group.chi(dj, di)
-    return Morphism(V.tensor(W), W.tensor(V), entries)
+            entries[(j * m + i, i * n + j)] = chi(dj, di)
+    return Morphism(dom, cod, entries)
 
 
 def dualize(f):

@@ -66,10 +66,17 @@ class Report:
 
 
 def equality_check(name, lhs, rhs, details=None):
-    """A check item asserting two morphisms are equal, with defect witness."""
-    defect = lhs - rhs
-    item = CheckItem(name, defect.is_zero(), dict(details or {}))
+    """A check item asserting two morphisms are equal, with defect witness.
+
+    Entries are canonical (nonzero, one form per scalar), so equal maps
+    have equal `entries` dicts; the defect lhs - rhs is only built for the
+    witness of a failure.
+    """
+    if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
+        raise TypeError("sum of morphisms with different endpoints")
+    item = CheckItem(name, lhs.entries == rhs.entries, dict(details or {}))
     if not item.ok:
+        defect = lhs - rhs
         item.witness = defect
         item.details["defect_nonzeros"] = len(defect.entries)
     return item

@@ -1,14 +1,20 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopfgal import morphism
 from hopfgal.dsl import (Call, Environment, Name, ParseError, Seq, Tensor,
                          assert_equal, atom_pool, evaluate, parse, print_expr,
                          random_well_typed, run_assertions, typecheck)
-from hopfgal.fields import QQ
+from hopfgal.fields import QQ, PrimeField
 from hopfgal.morphism import compose, tensor
-from hopfgal.samples import (cyclic_group_algebra, superline,
+from hopfgal.samples import (braided_line, cyclic_group_algebra, superline,
+                             sweedler_hopf, trivial_algebra_bundle,
                              trivial_coalgebra_bundle)
+from hopfgal.spaces import GradedSpace, GradingGroup
 
 
 def z2_env():
@@ -129,3 +135,102 @@ def test_atom_pool_covers_structures():
     h, b, env = z2_env()
     heads = {a[0].head for a in atom_pool(env) if isinstance(a[0], Call)}
     assert {"id", "br", "m", "u", "cm", "cu", "S", "act"} <= heads
+
+
+# -- fused evaluation against a plain tensor-then-compose evaluator ----------
+
+def reference_evaluate(e, env):
+    """Every `*` built as a Kronecker product, every `;` a plain compose."""
+    if isinstance(e, (Name, Call)):
+        return env.atom_morphism(e)
+    if isinstance(e, Tensor):
+        return tensor(reference_evaluate(e.left, env),
+                      reference_evaluate(e.right, env))
+    return compose(reference_evaluate(e.second, env),
+                   reference_evaluate(e.first, env))
+
+
+def hopf_env(h):
+    return Environment(
+        spaces={"V": h.space}, hopfs={"H": h},
+        comodules={"P": trivial_algebra_bundle(h).como},
+        modules={"Q": trivial_coalgebra_bundle(h).modc},
+        morphisms={"s": h.antipode})
+
+
+F7 = PrimeField(7)
+ENVS = {"sweedler": hopf_env(sweedler_hopf(QQ)),
+        "superline": hopf_env(superline()),
+        "braided_line_f7": hopf_env(braided_line(F7, 3, F7.from_int(2)))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ENVS)), st.integers(0, 2 ** 32 - 1))
+def test_fused_evaluate_matches_reference(name, seed):
+    env = ENVS[name]
+    e = random_well_typed(env, random.Random(seed), steps=4)
+    got = evaluate(e, env)
+    want = reference_evaluate(e, env)
+    assert (got.dom, got.cod, got.entries) == (want.dom, want.cod, want.entries)
+
+
+def test_fused_shapes_match_reference():
+    env = ENVS["superline"]
+    for src in ["(m(H) * id(H)) ; m(H)", "cm(H) ; (id(H) * cm(H))",
+                "cm(H) ; (S(H) * id(H)) ; m(H)",
+                "(id(V) * br(V,V)) ; (br(V,V) * id(V))",
+                "(coact(P) * coact(P)) ; (id(P) * br(H,P) * id(H)) ; "
+                "(m(P) * m(H))",
+                "(id(Q) * cm(H)) ; (br(Q,H) * id(H)) ; (act(Q) * id(H))",
+                "(s * id(V)) ; ((s * s) ; br(V,V))"]:
+        e = parse(src)
+        assert evaluate(e, env) == reference_evaluate(e, env), src
+
+
+def test_evaluate_rejects_an_ill_typed_composite_with_the_same_text():
+    h, b, env = z2_env()
+    cases = {
+        "cu(H) ; m(H)":
+            "cannot compose 'm(H)' after 'cu(H)': middle objects differ "
+            "(dim 1, degrees (0,) vs dim 4, degrees (0, 0, 0, 0))",
+        "(id(H) * id(H)) ; cu(H)":
+            "cannot compose 'cu(H)' after 'id(H) * id(H)': middle objects "
+            "differ (dim 4, degrees (0, 0, 0, 0) vs dim 2, degrees (0, 0))",
+        "id(V) * (cu(H) ; m(H))":
+            "cannot compose 'm(H)' after 'cu(H)': middle objects differ "
+            "(dim 1, degrees (0,) vs dim 4, degrees (0, 0, 0, 0))",
+        "m(H) ; (id(V) * cm(H))":
+            "cannot compose 'id(V) * cm(H)' after 'm(H)': middle objects "
+            "differ (dim 2, degrees (0, 0) vs dim 4, degrees (0, 0, 0, 0))",
+    }
+    for src, text in cases.items():
+        with pytest.raises(TypeError, match="^%s$" % re.escape(text)):
+            evaluate(parse(src), env)
+
+
+def test_typecheck_reads_id_and_br_endpoints_without_building_them(
+        monkeypatch):
+    h, b, env = z2_env()
+    built = []
+    init = morphism.Morphism.__init__
+
+    def counting(self, dom, cod, entries):
+        built.append((dom, cod))
+        init(self, dom, cod, entries)
+
+    monkeypatch.setattr(morphism.Morphism, "__init__", counting)
+    e = parse("br(V,W) ; (id(W) * id(V)) ; br(W,V) ; (br(V,V) * id(V))")
+    dom, cod = typecheck(e, env)
+    assert built == []
+    f = evaluate(e, env)
+    assert built and (f.dom, f.cod) == (dom, cod)
+
+
+def test_braiding_across_grading_groups_is_rejected_alike():
+    env = Environment(spaces={
+        "V": GradedSpace(GradingGroup.trivial(QQ), (0,)),
+        "W": GradedSpace(GradingGroup.cyclic(2, QQ, -1), (1,))})
+    text = "^braiding of spaces over different grading groups$"
+    for check in (typecheck, evaluate):
+        with pytest.raises(TypeError, match=text):
+            check(parse("br(V,W)"), env)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ from hopfgal.morphism import (FactorizationError, Morphism, braiding, compose,
                               compose_tensor, coequaliser, dualize, equaliser,
                               factor_through_coequaliser,
                               factor_through_equaliser, is_isomorphism,
-                              kernel, tensor, tensor_many)
-from hopfgal.report import matrix_triples
+                              kernel, tensor, tensor_compose, tensor_many)
+from hopfgal.report import CheckItem, equality_check, matrix_triples
 from hopfgal.spaces import GradedSpace, GradingGroup, unit_space, zero_space
 
 TRIV = GradingGroup.trivial(QQ)
@@ -185,7 +186,14 @@ def test_compose_tensor_shape_mismatch():
                        Morphism.identity(W))
 
 
-# -- property tests: compose_tensor against the materialised product ---------
+def test_tensor_compose_shape_mismatch():
+    V, W = space(2), space(3)
+    with pytest.raises(TypeError, match="^tensor_compose: inner spaces differ"):
+        tensor_compose(Morphism.identity(W),
+                       [Morphism.identity(V), Morphism.identity(V)])
+
+
+# -- property tests: fused composites against the materialised product -------
 
 F7 = PrimeField(7)
 # trivial gradings and Z_n gradings with a nontrivial bicharacter
@@ -221,14 +229,19 @@ def graded_morphism(draw, dom, cod):
 
 @st.composite
 def factor(draw, group):
-    """A random morphism, an identity or a braiding."""
-    kind = draw(st.sampled_from(["random", "identity", "braiding"]))
+    """A random morphism, an identity, a braiding, or a map into, out of or
+    on a zero-dimensional space."""
+    kind = draw(st.sampled_from(["random", "identity", "braiding", "zero"]))
     if kind == "braiding":
         return braiding(draw(graded_space(group, 2)),
                         draw(graded_space(group, 2)))
     V = draw(graded_space(group))
     if kind == "identity":
         return Morphism.identity(V)
+    if kind == "zero":
+        Z = zero_space(group)
+        return draw(st.sampled_from([Morphism.zero(V, Z), Morphism.zero(Z, V),
+                                     Morphism.identity(Z)]))
     return draw(graded_morphism(V, draw(graded_space(group))))
 
 
@@ -240,6 +253,16 @@ def test_compose_tensor_matches_materialised_product(data):
     inner = tensor_many(*fs).dom
     g = data.draw(graded_morphism(data.draw(graded_space(group)), inner))
     assert compose_tensor(fs, g) == compose(tensor_many(*fs), g)
+
+
+@PROPERTY
+@given(st.data())
+def test_tensor_compose_matches_materialised_product(data):
+    group = data.draw(st.sampled_from(GROUPS))
+    gs = data.draw(st.lists(factor(group), min_size=1, max_size=3))
+    inner = tensor_many(*gs).cod
+    f = data.draw(graded_morphism(inner, data.draw(graded_space(group))))
+    assert tensor_compose(f, gs) == compose(f, tensor_many(*gs))
 
 
 @PROPERTY
@@ -319,8 +342,10 @@ def test_every_operation_returns_canonical_entries(data):
     h = data.draw(graded_morphism(U, V.tensor(U)))
     sq = data.draw(graded_morphism(V, V))
     c = field.from_int(data.draw(st.integers(-9, 9)))
-    results = [compose(f, g), tensor(f, g), compose_tensor([f, g], h), -f,
-               f + f2, f - f2, f.scale(c), kernel(f)[1]]
+    k = data.draw(graded_morphism(V.tensor(V), W))
+    results = [compose(f, g), tensor(f, g), compose_tensor([f, g], h),
+               tensor_compose(k, [sq, g]), -f, f + f2, f - f2, f.scale(c),
+               kernel(f)[1]]
     inverse = is_isomorphism(sq).inverse
     if inverse is not None:
         results.append(inverse)
@@ -328,15 +353,118 @@ def test_every_operation_returns_canonical_entries(data):
         assert all(canonical(field, v) for v in m.entries.values())
 
 
+# -- the constructor's rejections, each with its exact message -----------------
+
+def _message(text):
+    return "^%s$" % re.escape(text)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=repr)
+def test_constructor_rejects_entries_outside_the_bounds(group):
+    one = group.field.one()
+    V, W = space(2, group), space(3, group)
+    for key in [(3, 0), (0, 2), (-1, 0), (0, -1), (7, 9)]:
+        for value in (one, 0):  # a zero-valued key is still checked
+            with pytest.raises(TypeError, match=_message(
+                    "entry (%d,%d) outside 3x2" % key)):
+                Morphism(V, W, {(0, 0): one, key: value})
+    with pytest.raises(TypeError, match=_message("entry (0,0) outside 0x0")):
+        Morphism(zero_space(group), zero_space(group), {(0, 0): 0})
+
+
+@pytest.mark.parametrize("group", [g for g in GROUPS if g.n > 1], ids=repr)
+def test_constructor_rejects_a_nonzero_entry_across_degrees(group):
+    field = group.field
+    V = GradedSpace(group, (0, 1))
+    W = GradedSpace(group, (1, 0, 1))
+    for value in (field.one(), field.from_int(-2), Fraction(1, 2)):
+        if field.characteristic and type(value) is Fraction:
+            continue
+        with pytest.raises(TypeError, match=_message(
+                "entry (1,1) violates degree preservation (0 vs 1)")):
+            Morphism(V, W, {(0, 1): field.one(), (1, 1): value})
+        with pytest.raises(TypeError, match=_message(
+                "entry (0,0) violates degree preservation (1 vs 0)")):
+            Morphism(V, W, {(0, 0): value})
+
+
+@pytest.mark.parametrize("group", [g for g in GROUPS if g.n > 1], ids=repr)
+def test_constructor_drops_a_zero_entry_across_degrees(group):
+    field = group.field
+    one = field.one()
+    V = GradedSpace(group, (0, 1))
+    W = GradedSpace(group, (1, 0, 1))
+    # 0, and a value the field reduces to 0, at mismatched degrees (0, 0)
+    zeros = [0, field.zero(), field.from_int(0)]
+    zeros.append(field.characteristic or Fraction(0))
+    for z in zeros:
+        f = Morphism(V, W, {(0, 0): z, (0, 1): one})
+        assert f.entries == {(0, 1): one}
+
+
+def test_constructor_rejects_endpoints_over_different_grading_groups():
+    pairs = [(GROUPS[3], GROUPS[4]), (TRIV, GROUPS[2]), (TRIV, Z2),
+             (GROUPS[2], GradingGroup.trivial(PrimeField(11)))]
+    for a, b in pairs:
+        with pytest.raises(TypeError, match=_message(
+                "domain and codomain over different grading groups")):
+            Morphism(space(1, a), space(1, b), {(0, 0): a.field.one()})
+
+
 def test_morphisms_over_different_prime_fields_do_not_mix():
     V7 = space(2, GradingGroup.trivial(F7))
     V11 = space(2, GradingGroup.trivial(PrimeField(11)))
     f, g = Morphism.identity(V7), Morphism.identity(V11)
     for op in (lambda: f + g, lambda: compose(f, g), lambda: tensor(f, g),
-               lambda: compose_tensor([f], g),
+               lambda: compose_tensor([f], g), lambda: tensor_compose(f, [g]),
                lambda: Morphism(V7, V11, {})):
         with pytest.raises(TypeError):
             op()
+
+
+# -- equality_check against a reference that always builds lhs - rhs ---------
+
+def reference_equality_check(name, lhs, rhs, details=None):
+    defect = lhs - rhs
+    item = CheckItem(name, defect.is_zero(), dict(details or {}))
+    if not item.ok:
+        item.witness = defect
+        item.details["defect_nonzeros"] = len(defect.entries)
+    return item
+
+
+@PROPERTY
+@given(st.data())
+def test_equality_check_matches_reference(data):
+    group = data.draw(st.sampled_from(GROUPS))
+    V, W = data.draw(graded_space(group)), data.draw(graded_space(group))
+    lhs = data.draw(graded_morphism(V, W))
+    kind = data.draw(st.sampled_from(["same", "rebuilt", "other"]))
+    if kind == "same":
+        rhs = lhs
+    elif kind == "rebuilt":  # equal entries, another object
+        rhs = Morphism(V, W, dict(lhs.entries))
+    else:
+        rhs = data.draw(graded_morphism(V, W))
+    details = data.draw(st.sampled_from([None, {"lhs": "a ; b"}]))
+    got = equality_check("eq", lhs, rhs, details)
+    want = reference_equality_check("eq", lhs, rhs, details)
+    assert got.ok == want.ok == (lhs.entries == rhs.entries)
+    assert got.details == want.details
+    assert got.witness == want.witness
+    for machine in (False, True):
+        assert got.render(machine) == want.render(machine)
+
+
+def test_equality_check_rejects_different_endpoints():
+    V, W = space(2), space(3)
+    for lhs, rhs in [(Morphism.zero(V, V), Morphism.zero(V, W)),
+                     (Morphism.zero(V, V), Morphism.zero(W, V)),
+                     (Morphism.identity(V), Morphism.identity(W))]:
+        for check in (equality_check, reference_equality_check):
+            with pytest.raises(TypeError, match="^sum of morphisms with "
+                                                "different endpoints$"):
+                check("eq", lhs, rhs)
 
 
 # -- differential tests: the sparse elimination against dense blocks ----------
