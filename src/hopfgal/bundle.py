@@ -37,7 +37,8 @@ from .hopf import (Algebra, Coalgebra, braided_tensor_coalgebra,
 from .morphism import (FactorizationError, Morphism, coequaliser, compose,
                        compose_tensor, cotensor, dualize, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
-                       is_isomorphism, sparse_rows, tensor, tensor_over)
+                       is_isomorphism, sparse_rows, tensor, tensor_compose,
+                       tensor_over)
 from .report import Report, equality_check
 
 
@@ -89,16 +90,16 @@ class ModuleCoalgebra:
 
 def check_comodule_algebra(x):
     P, H = x.space, x.hopf.space
-    idP = Morphism.identity(P)
+    idP, idH = Morphism.identity(P), Morphism.identity(H)
     rho = x.coaction
     rep = Report()
     rep.extend(check_algebra(x.algebra), prefix="carrier.")
     rep.items.append(equality_check(
         "coaction_coassoc",
-        compose(tensor(rho, Morphism.identity(H)), rho),
-        compose(tensor(idP, x.hopf.comult), rho)))
+        compose_tensor([rho, idH], rho),
+        compose_tensor([idP, x.hopf.comult], rho)))
     rep.items.append(equality_check(
-        "coaction_counit", compose(tensor(idP, x.hopf.counit), rho), idP))
+        "coaction_counit", compose_tensor([idP, x.hopf.counit], rho), idP))
     rep.items.append(equality_check(
         "coaction_mult",
         compose(rho, x.algebra.mult),
@@ -111,16 +112,16 @@ def check_comodule_algebra(x):
 
 def check_module_coalgebra(x):
     P, H = x.space, x.hopf.space
-    idP = Morphism.identity(P)
+    idP, idH = Morphism.identity(P), Morphism.identity(H)
     act = x.action
     rep = Report()
     rep.extend(check_coalgebra(x.coalgebra), prefix="carrier.")
     rep.items.append(equality_check(
         "action_assoc",
-        compose(act, tensor(act, Morphism.identity(H))),
-        compose(act, tensor(idP, x.hopf.mult))))
+        tensor_compose(act, [act, idH]),
+        tensor_compose(act, [idP, x.hopf.mult])))
     rep.items.append(equality_check(
-        "action_unit", compose(act, tensor(idP, x.hopf.unit)), idP))
+        "action_unit", tensor_compose(act, [idP, x.hopf.unit]), idP))
     ph = braided_tensor_coalgebra(x.coalgebra, x.hopf.coalgebra)
     rep.items.append(equality_check(
         "action_comult",
@@ -141,7 +142,7 @@ def coinvariants(x):
     idP = Morphism.identity(P)
     Bsp, iota = equaliser(x.coaction, tensor(idP, x.hopf.unit))
     mult = factor_through_equaliser(
-        compose(x.algebra.mult, tensor(iota, iota)), iota)
+        tensor_compose(x.algebra.mult, [iota, iota]), iota)
     unit = factor_through_equaliser(x.algebra.unit, iota)
     return Algebra(Bsp, mult, unit), iota
 
@@ -152,7 +153,7 @@ def invariants_base(x):
     idP = Morphism.identity(P)
     Bsp, Pi = coequaliser(tensor(idP, x.hopf.counit), x.action)
     comult = factor_through_coequaliser(
-        compose(tensor(Pi, Pi), x.coalgebra.comult), Pi)
+        compose_tensor([Pi, Pi], x.coalgebra.comult), Pi)
     counit = factor_through_coequaliser(x.coalgebra.counit, Pi)
     return Coalgebra(Bsp, comult, counit), Pi
 
@@ -415,13 +416,13 @@ class AlgebraBundle(Bundle):
 
     def left_action(self):
         """B (x) P -> P through pi."""
-        return self._memo("left_action", lambda: compose(
-            self.P.mult, tensor(self.pi, Morphism.identity(self.como.space))))
+        return self._memo("left_action", lambda: tensor_compose(
+            self.P.mult, [self.pi, Morphism.identity(self.como.space)]))
 
     def right_action(self):
         """P (x) B -> P through pi."""
-        return self._memo("right_action", lambda: compose(
-            self.P.mult, tensor(Morphism.identity(self.como.space), self.pi)))
+        return self._memo("right_action", lambda: tensor_compose(
+            self.P.mult, [Morphism.identity(self.como.space), self.pi]))
 
     def p_tensor_p(self):
         """(P (x)_B P, Pi)."""
@@ -432,7 +433,7 @@ class AlgebraBundle(Bundle):
         def build():
             P, H = self.como.space, self.H.space
             idP, idH = Morphism.identity(P), Morphism.identity(H)
-            composite = compose(tensor(self.P.mult, idH), tensor(idP, self.rho))
+            composite = compose_tensor([self.P.mult, idH], tensor(idP, self.rho))
             _, Pi = self.p_tensor_p()
             return factor_through_coequaliser(composite, Pi)
         return self._memo("can", build)
@@ -441,11 +442,11 @@ class AlgebraBundle(Bundle):
         idP = Morphism.identity(self.como.space)
         return [
             equality_check("A.pi_mult", compose(self.pi, self.base.mult),
-                           compose(self.P.mult, tensor(self.pi, self.pi))),
+                           tensor_compose(self.P.mult, [self.pi, self.pi])),
             equality_check("A.pi_unit", compose(self.pi, self.base.unit),
                            self.P.unit),
             equality_check("A.pi_equalises", compose(self.rho, self.pi),
-                           compose(tensor(idP, self.H.unit), self.pi)),
+                           compose_tensor([idP, self.H.unit], self.pi)),
         ]
 
     def _comparison_map(self):
@@ -459,7 +460,7 @@ class AlgebraBundle(Bundle):
             if inv is None:
                 return None
             idH = Morphism.identity(self.H.space)
-            return compose(inv, tensor(self.P.unit, idH))
+            return tensor_compose(inv, [self.P.unit, idH])
         return self._memo("translation", build)
 
     def _projectivity_equations(self, colinear):
@@ -549,14 +550,14 @@ class AlgebraBundle(Bundle):
         can = self.canonical_map()
         # left P-action on P (x)_B P, factored through id (x) Pi
         lact = factor_through_coequaliser(
-            compose(Pi, tensor(self.P.mult, idP)), tensor(idP, Pi))
+            tensor_compose(Pi, [self.P.mult, idP]), tensor(idP, Pi))
         # right H-coaction on P (x)_B P from the second leg
         coact = factor_through_coequaliser(
-            compose(tensor(Pi, idH), tensor(idP, self.rho)), Pi)
+            compose_tensor([Pi, idH], tensor(idP, self.rho)), Pi)
         return ((compose(can, lact),
-                 compose(tensor(self.P.mult, idH), tensor(idP, can))),
-                (compose(tensor(idP, self.H.comult), can),
-                 compose(tensor(can, idH), coact)))
+                 compose_tensor([self.P.mult, idH], tensor(idP, can))),
+                (compose_tensor([idP, self.H.comult], can),
+                 compose_tensor([can, idH], coact)))
 
 
 class CoalgebraBundle(Bundle):
@@ -596,12 +597,12 @@ class CoalgebraBundle(Bundle):
     def right_coaction(self):
         """P -> P (x) B through pi."""
         idP = Morphism.identity(self.modc.space)
-        return compose(tensor(idP, self.pi), self.P.comult)
+        return compose_tensor([idP, self.pi], self.P.comult)
 
     def left_coaction(self):
         """P -> B (x) P through pi."""
         idP = Morphism.identity(self.modc.space)
-        return compose(tensor(self.pi, idP), self.P.comult)
+        return compose_tensor([self.pi, idP], self.P.comult)
 
     def p_cotensor_p(self):
         """(P box_B P, iota)."""
@@ -612,8 +613,8 @@ class CoalgebraBundle(Bundle):
         def build():
             P, H = self.modc.space, self.H.space
             idP, idH = Morphism.identity(P), Morphism.identity(H)
-            composite = compose(tensor(idP, self.action),
-                                tensor(self.P.comult, idH))
+            composite = compose_tensor([idP, self.action],
+                                       tensor(self.P.comult, idH))
             _, iota = self.p_cotensor_p()
             return factor_through_equaliser(composite, iota)
         return self._memo("can", build)
@@ -622,11 +623,11 @@ class CoalgebraBundle(Bundle):
         idP = Morphism.identity(self.modc.space)
         return [
             equality_check("A.pi_comult", compose(self.base.comult, self.pi),
-                           compose(tensor(self.pi, self.pi), self.P.comult)),
+                           compose_tensor([self.pi, self.pi], self.P.comult)),
             equality_check("A.pi_counit", compose(self.base.counit, self.pi),
                            self.P.counit),
             equality_check("A.pi_coequalises", compose(self.pi, self.action),
-                           compose(self.pi, tensor(idP, self.H.counit))),
+                           tensor_compose(self.pi, [idP, self.H.counit])),
         ]
 
     def _comparison_map(self):
@@ -655,14 +656,14 @@ class CoalgebraBundle(Bundle):
         can = self.canonical_map()
         # left P-coaction on P box_B P, factored through id (x) iota
         lcoact = factor_through_equaliser(
-            compose(tensor(self.P.comult, idP), iota), tensor(idP, iota))
+            compose_tensor([self.P.comult, idP], iota), tensor(idP, iota))
         # right H-action on P box_B P from the second leg
         ract = factor_through_equaliser(
-            compose(tensor(idP, self.action), tensor(iota, idH)), iota)
+            compose_tensor([idP, self.action], tensor(iota, idH)), iota)
         return ((compose(lcoact, can),
-                 compose(tensor(idP, can), tensor(self.P.comult, idH))),
-                (compose(can, tensor(idP, self.H.mult)),
-                 compose(ract, tensor(can, idH))))
+                 compose_tensor([idP, can], tensor(self.P.comult, idH))),
+                (tensor_compose(can, [idP, self.H.mult]),
+                 tensor_compose(ract, [can, idH])))
 
 
 def canonical_map_linearity(b):

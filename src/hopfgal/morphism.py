@@ -14,7 +14,10 @@ comprehension over QQ); and degree preservation over the kept entries,
 which is skipped only for the trivial grading, where it cannot fail.
 `compose_tensor` ((f_1 (x) ... (x) f_k) o g) and `tensor_compose`
 (f o (g_1 (x) ... (x) g_k)) compose with a Kronecker product without
-building it.
+building it, or its inner space: they apply the legs one at a time, right
+to left, each non-identity leg one pass over the entries and each
+identity leg skipped, and under the trivial grading they check the inner
+space by the product of the dims.
 Kernels, (co)equalisers, factorisations and ranks come from one sparse
 elimination of the entries, `linalg.rref_rows`, over all degrees at once;
 its canonical RREF makes every basis reproducible, and kernel bases are
@@ -180,95 +183,135 @@ def tensor_many(*fs):
     return out
 
 
-def _product_spaces(fs):
-    """(domain, codomain) of f_1 (x) ... (x) f_k."""
-    dom, cod = fs[0].dom, fs[0].cod
-    for f in fs[1:]:
-        dom = dom.tensor(f.dom)
-        cod = cod.tensor(f.cod)
-    return dom, cod
+def _tensor_spaces(spaces):
+    """V_1 (x) ... (x) V_k."""
+    out = spaces[0]
+    for V in spaces[1:]:
+        out = out.tensor(V)
+    return out
+
+
+def _tensor_is(spaces, W):
+    """Whether V_1 (x) ... (x) V_k == W.
+
+    Under the trivial grading every degree is 0, so the group and the
+    product of the dims decide and the product is never built.  A Z_n
+    grading, or a factor over another group (which `tensor` rejects),
+    builds the product and compares it.
+    """
+    group = W.group
+    if group.n == 1 and all(V.group == group for V in spaces):
+        dim = 1
+        for V in spaces:
+            dim *= V.dim
+        return dim == W.dim
+    return _tensor_spaces(spaces) == W
+
+
+def _is_identity(f):
+    """Whether f is exactly id_V: dom == cod and entries {(i, i): 1}."""
+    entries = f.entries
+    return (len(entries) == f.dom.dim and f.dom == f.cod
+            and all(i == j and v == 1 for (i, j), v in entries.items()))
+
+
+def _fold_legs(entries, legs, columns):
+    """Apply a Kronecker product to the rows (or, if `columns`, the
+    columns) of `entries`, one leg at a time.
+
+    The index it acts on runs over the product of the legs' input spaces,
+    left leg major.  `legs` holds per leg (lines, d_in, d_out): lines maps
+    an input coordinate x to its nonzeros [(y, value)], and is None for an
+    identity leg.  Legs are applied right to left.  With S the product of
+    the output dims of the legs already applied, an index splits as
+    (prefix, x, suffix) with suffix < S and becomes prefix * d_out * S +
+    y * S + suffix; an identity leg leaves every index where it is and
+    costs nothing.
+    """
+    stride = 1
+    for lines, d_in, d_out in reversed(legs):
+        if lines is not None:
+            out = {}
+            block = d_out * stride
+            for k, v in entries.items():
+                if columns:
+                    o, r = k
+                else:
+                    r, o = k
+                q, s = divmod(r, stride)
+                q, x = divmod(q, d_in)
+                line = lines.get(x)
+                if line is None:
+                    continue
+                base = q * block + s
+                for y, w in line:
+                    n = base + y * stride
+                    key = (o, n) if columns else (n, o)
+                    t = out.get(key)
+                    p = v * w
+                    out[key] = p if t is None else t + p
+            entries = out
+        stride *= d_out
+    return entries
 
 
 def compose_tensor(fs, g):
     """(f_1 (x) ... (x) f_k) o g without building the Kronecker product.
 
-    Each nonzero of g in row r meets only column r of f_1 (x) ... (x) f_k,
-    whose nonzeros are the products of one nonzero from column c_i of each
-    f_i, where (c_1, ..., c_k) is r split left factor major.  The cost is
-    nnz(g) times the product of those column counts; the product itself,
-    with nnz(f_1) ... nnz(f_k) entries, is never built.
+    A right-to-left fold over the legs (`_fold_legs`): each non-identity
+    f_i is one pass over the current entries, sending row (prefix, c,
+    suffix) to (prefix, r, suffix) for each nonzero (r, c) of f_i, and an
+    identity leg is skipped.  The product is never built.  Its domain is
+    checked against g.cod by `_tensor_is`, and its codomain is g.cod
+    itself when every f_i is an endomorphism.
     """
-    dom, cod = _product_spaces(fs)
-    if dom != g.cod:
+    doms = [f.dom for f in fs]
+    if not _tensor_is(doms, g.cod):
         raise TypeError("compose_tensor: inner spaces differ (%r vs %r)"
-                        % (dom, g.cod))
-    # per factor: column -> [(row, value)], with the factor's dims
-    factors = []
+                        % (_tensor_spaces(doms), g.cod))
+    legs = []
     for f in fs:
+        if _is_identity(f):
+            legs.append((None, f.dom.dim, f.dom.dim))
+            continue
         by_col = {}
         for (i, k), v in f.entries.items():
             by_col.setdefault(k, []).append((i, v))
-        factors.append((by_col, f.dom.dim, f.cod.dim))
-    entries = {}
-    for (r, j), gv in g.entries.items():
-        # split r right to left; terms are (row so far, product so far)
-        terms = [(0, gv)]
-        stride = 1
-        for by_col, d_dom, d_cod in reversed(factors):
-            r, c = divmod(r, d_dom)
-            col = by_col.get(c)
-            if col is None:
-                terms = ()
-                break
-            terms = [(row + i * stride, v * fv)
-                     for row, v in terms for i, fv in col]
-            stride *= d_cod
-        for i, v in terms:
-            key = (i, j)
-            s = entries.get(key)
-            entries[key] = v if s is None else s + v
-    return Morphism(g.dom, cod, entries)
+        legs.append((by_col, f.dom.dim, f.cod.dim))
+    if all(f.dom == f.cod for f in fs):
+        cod = g.cod
+    else:
+        cod = _tensor_spaces([f.cod for f in fs])
+    return Morphism(g.dom, cod, _fold_legs(g.entries, legs, False))
 
 
 def tensor_compose(f, gs):
     """f o (g_1 (x) ... (x) g_k) without building the Kronecker product.
 
-    The mirror of `compose_tensor`: each nonzero of f in column c meets
-    only row c of g_1 (x) ... (x) g_k, whose nonzeros are the products of
-    one nonzero from row r_i of each g_i, where (r_1, ..., r_k) is c split
-    left factor major.  The cost is nnz(f) times the product of those row
-    counts.
+    The mirror of `compose_tensor`: the same fold over f's columns, each
+    non-identity g_i sending column (prefix, r, suffix) to (prefix, c,
+    suffix) for each nonzero (r, c) of g_i.  The codomain of the product
+    is checked against f.dom by `_tensor_is`, and its domain is f.dom
+    itself when every g_i is an endomorphism.
     """
-    dom, cod = _product_spaces(gs)
-    if f.dom != cod:
+    cods = [g.cod for g in gs]
+    if not _tensor_is(cods, f.dom):
         raise TypeError("tensor_compose: inner spaces differ (%r vs %r)"
-                        % (f.dom, cod))
-    # per factor: row -> [(column, value)], with the factor's dims
-    factors = []
+                        % (f.dom, _tensor_spaces(cods)))
+    legs = []
     for g in gs:
+        if _is_identity(g):
+            legs.append((None, g.cod.dim, g.cod.dim))
+            continue
         by_row = {}
         for (k, j), v in g.entries.items():
             by_row.setdefault(k, []).append((j, v))
-        factors.append((by_row, g.dom.dim, g.cod.dim))
-    entries = {}
-    for (i, c), fv in f.entries.items():
-        # split c right to left; terms are (column so far, product so far)
-        terms = [(0, fv)]
-        stride = 1
-        for by_row, d_dom, d_cod in reversed(factors):
-            c, r = divmod(c, d_cod)
-            row = by_row.get(r)
-            if row is None:
-                terms = ()
-                break
-            terms = [(col + j * stride, v * gv)
-                     for col, v in terms for j, gv in row]
-            stride *= d_dom
-        for j, v in terms:
-            key = (i, j)
-            s = entries.get(key)
-            entries[key] = v if s is None else s + v
-    return Morphism(dom, f.cod, entries)
+        legs.append((by_row, g.cod.dim, g.dom.dim))
+    if all(g.dom == g.cod for g in gs):
+        dom = f.dom
+    else:
+        dom = _tensor_spaces([g.dom for g in gs])
+    return Morphism(dom, f.cod, _fold_legs(f.entries, legs, True))
 
 
 def braiding_endpoints(V, W):

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from .hopf import braided_tensor_coalgebra, opposite_coalgebra
 from .morphism import (FactorizationError, Morphism, braiding, coequaliser,
-                       compose, equaliser, factor_through_coequaliser,
-                       factor_through_equaliser, tensor, tensor_many)
+                       compose, compose_tensor, equaliser,
+                       factor_through_coequaliser, factor_through_equaliser,
+                       tensor, tensor_many)
 from .report import Report, equality_check
 
 
@@ -23,7 +24,10 @@ def multi_cotensor(rho_right, lambda_left, n):
 
     rho_right: X -> X (x) B and lambda_left: X -> B (x) X; adjacent legs
     are matched pairwise by successive equalisers, so the resulting basis
-    is deterministic.
+    is deterministic.  Each side of an equaliser pair is one
+    `compose_tensor` of the current inclusion, a single pass over its
+    entries: the identity legs cost nothing and no Kronecker product is
+    built.
     """
     X = rho_right.dom
     idX = Morphism.identity(X)
@@ -32,9 +36,10 @@ def multi_cotensor(rho_right, lambda_left, n):
         ambient = ambient.tensor(X)
     E, iota = ambient, Morphism.identity(ambient)
     for k in range(n - 1):
-        f = tensor_many(*([idX] * k + [rho_right] + [idX] * (n - k - 1)))
-        g = tensor_many(*([idX] * (k + 1) + [lambda_left] + [idX] * (n - k - 2)))
-        E2, j = equaliser(compose(f, iota), compose(g, iota))
+        f = compose_tensor([idX] * k + [rho_right] + [idX] * (n - k - 1), iota)
+        g = compose_tensor(
+            [idX] * (k + 1) + [lambda_left] + [idX] * (n - k - 2), iota)
+        E2, j = equaliser(f, g)
         E, iota = E2, compose(iota, j)
     return E, iota
 
@@ -61,7 +66,7 @@ def cotensor_monoid(b):
     E3, i3 = multi_cotensor(rho_r, lam_l, 3)
     rep = Report()
     try:
-        collapse_mid = compose(tensor_many(idP, b.P.counit, idP), i3)
+        collapse_mid = compose_tensor([idP, b.P.counit, idP], i3)
         mult = factor_through_equaliser(collapse_mid, i2)
         rep.add("monoid.mult_exists", True)
     except FactorizationError:
@@ -77,14 +82,14 @@ def cotensor_monoid(b):
     # middle equals collapsing leg 3 then the middle
     E4, i4 = multi_cotensor(rho_r, lam_l, 4)
     a = factor_through_equaliser(
-        compose(tensor_many(idP, b.P.counit, idP, idP), i4), i3)
+        compose_tensor([idP, b.P.counit, idP, idP], i4), i3)
     c = factor_through_equaliser(
-        compose(tensor_many(idP, idP, b.P.counit, idP), i4), i3)
+        compose_tensor([idP, idP, b.P.counit, idP], i4), i3)
     rep.items.append(equality_check(
         "monoid.assoc", compose(mult, a), compose(mult, c)))
     # unit laws through the left/right coaction insertions
-    j_l = factor_through_equaliser(compose(tensor(b.P.comult, idP), i2), i3)
-    j_r = factor_through_equaliser(compose(tensor(idP, b.P.comult), i2), i3)
+    j_l = factor_through_equaliser(compose_tensor([b.P.comult, idP], i2), i3)
+    j_r = factor_through_equaliser(compose_tensor([idP, b.P.comult], i2), i3)
     rep.items.append(equality_check(
         "monoid.unit_left", compose(mult, j_l), Morphism.identity(E2)))
     rep.items.append(equality_check(
@@ -101,9 +106,9 @@ def diagonal_action(b):
     """The diagonal right H-action on P (x) P."""
     P, H = b.modc.space, b.H.space
     idP, idH = Morphism.identity(P), Morphism.identity(H)
-    return compose(tensor(b.action, b.action),
-                   compose(tensor_many(idP, braiding(P, H), idH),
-                           tensor_many(idP, idP, b.H.comult)))
+    return compose_tensor([b.action, b.action],
+                          compose_tensor([idP, braiding(P, H), idH],
+                                         tensor_many(idP, idP, b.H.comult)))
 
 
 def invariants_quotient(b, carrier, action):
@@ -148,18 +153,18 @@ def build_quantum_category(b):
     # right and left B-comodule structures on G, from the two legs
     rho_G = induced_through_PiG(
         "right_coaction",
-        compose(tensor(PiG, idB),
-                compose(tensor_many(idP, idP, b.pi),
-                        tensor(idP, b.P.comult))))
+        compose_tensor([PiG, idB],
+                       compose_tensor([idP, idP, b.pi],
+                                      tensor(idP, b.P.comult))))
     lam_G = induced_through_PiG(
         "left_coaction",
-        compose(tensor(idB, PiG),
-                compose(tensor_many(b.pi, idP, idP),
-                        tensor(b.P.comult, idP))))
+        compose_tensor([idB, PiG],
+                       compose_tensor([b.pi, idP, idP],
+                                      tensor(b.P.comult, idP))))
     # coalgebra structure from P (x) P^op
     ppop = braided_tensor_coalgebra(b.P, opposite_coalgebra(b.P))
     comult_G = induced_through_PiG(
-        "comult", compose(tensor(PiG, PiG), ppop.comult))
+        "comult", compose_tensor([PiG, PiG], ppop.comult))
     counit_G = induced_through_PiG("counit", ppop.counit)
     # unit: B -> G induced from Pi_G o Delta_P along the surjection pi
     try:
@@ -175,11 +180,11 @@ def build_quantum_category(b):
     # composition m_G on G box_B G, solved from the ambient composite
     GG, iota_GG = multi_cotensor(rho_G, lam_G, 2)
     E2, i2 = b.p_cotensor_p()
-    M_mid = compose(tensor_many(b.action, idP),
-                    compose(tensor_many(idP, b.P.counit, idH, idP),
-                            tensor_many(idP, can_inv, idP)))
+    M_mid = compose_tensor([b.action, idP],
+                           compose_tensor([idP, b.P.counit, idH, idP],
+                                          tensor_many(idP, can_inv, idP)))
     composite = compose(PiG, M_mid)  # P (x) (P box P) (x) P -> G
-    q = compose(tensor(PiG, PiG), tensor_many(idP, i2, idP))
+    q = compose_tensor([PiG, PiG], tensor_many(idP, i2, idP))
     try:
         r = factor_through_equaliser(q, iota_GG)
         rep.add("qcat.pairs_cover_exists", True)
@@ -197,14 +202,14 @@ def build_quantum_category(b):
     # coalgebra axioms of G
     rep.items.append(equality_check(
         "qcat.comult_coassoc",
-        compose(tensor(comult_G, idG), comult_G),
-        compose(tensor(idG, comult_G), comult_G)))
+        compose_tensor([comult_G, idG], comult_G),
+        compose_tensor([idG, comult_G], comult_G)))
     rep.items.append(equality_check(
         "qcat.counit_left",
-        compose(tensor(counit_G, idG), comult_G), idG))
+        compose_tensor([counit_G, idG], comult_G), idG))
     rep.items.append(equality_check(
         "qcat.counit_right",
-        compose(tensor(idG, counit_G), comult_G), idG))
+        compose_tensor([idG, counit_G], comult_G), idG))
     # source/target laws against the unit
     rep.items.append(equality_check(
         "qcat.source_unit", compose(source, unit_G), idB))
@@ -214,11 +219,11 @@ def build_quantum_category(b):
     rep.items.append(equality_check(
         "qcat.source_coalgebra_map",
         compose(b.base.comult, source),
-        compose(tensor(source, source), comult_G)))
+        compose_tensor([source, source], comult_G)))
     rep.items.append(equality_check(
         "qcat.target_coalgebra_map",
         compose(b.base.comult, target),
-        compose(tensor(target, target), comult_G)))
+        compose_tensor([target, target], comult_G)))
     rep.items.append(equality_check(
         "qcat.source_counit", compose(b.base.counit, source), counit_G))
     rep.items.append(equality_check(
@@ -226,9 +231,9 @@ def build_quantum_category(b):
     # unit laws of the composition
     try:
         ins_l = factor_through_equaliser(
-            compose(tensor(unit_G, idG), lam_G), iota_GG)
+            compose_tensor([unit_G, idG], lam_G), iota_GG)
         ins_r = factor_through_equaliser(
-            compose(tensor(idG, unit_G), rho_G), iota_GG)
+            compose_tensor([idG, unit_G], rho_G), iota_GG)
         rep.items.append(equality_check(
             "qcat.mult_unit_left", compose(mult_G, ins_l), idG))
         rep.items.append(equality_check(
@@ -242,9 +247,9 @@ def build_quantum_category(b):
         j12 = factor_through_equaliser(iota_G3, tensor(iota_GG, idG))
         j23 = factor_through_equaliser(iota_G3, tensor(idG, iota_GG))
         left = factor_through_equaliser(
-            compose(tensor(mult_G, idG), j12), iota_GG)
+            compose_tensor([mult_G, idG], j12), iota_GG)
         right = factor_through_equaliser(
-            compose(tensor(idG, mult_G), j23), iota_GG)
+            compose_tensor([idG, mult_G], j23), iota_GG)
         rep.items.append(equality_check(
             "qcat.mult_assoc",
             compose(mult_G, left), compose(mult_G, right)))

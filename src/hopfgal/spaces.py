@@ -105,11 +105,18 @@ class GradedSpace:
         return space
 
     def __eq__(self, other):
-        return self is other or (
-            other.__class__ is GradedSpace and other.degrees == self.degrees
-            and other.group == self.group)
+        if self is other:
+            return True
+        if other.__class__ is not GradedSpace or other.group != self.group:
+            return False
+        # Z_1 has the one degree 0, so the dims decide without a tuple compare
+        if self.group.n == 1:
+            return len(other.degrees) == len(self.degrees)
+        return other.degrees == self.degrees
 
     def __hash__(self):
+        # trivially graded spaces of one dim have one degree tuple, so this
+        # agrees with __eq__
         return hash((self.group, self.degrees))
 
     @property

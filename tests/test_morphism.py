@@ -193,6 +193,30 @@ def test_tensor_compose_shape_mismatch():
                        [Morphism.identity(V), Morphism.identity(V)])
 
 
+def test_fused_composites_reject_equal_dims_with_other_degrees():
+    """Under a Z_n grading equal dims are not enough: the degrees of the
+    product are compared, in both directions, with the exact message."""
+    U, W = space(1, Z2, [1]), space(2, Z2, [0, 1])
+    inner = space(2, Z2, [0, 1])  # U (x) W has degrees [1, 0]
+    legs = [Morphism.identity(U), Morphism.identity(W)]
+    product = "Space(dim=2, deg=[1, 0])"
+    with pytest.raises(TypeError, match=_message(
+            "compose_tensor: inner spaces differ (%s vs %r)" % (product, inner))):
+        compose_tensor(legs, Morphism.identity(inner))
+    with pytest.raises(TypeError, match=_message(
+            "tensor_compose: inner spaces differ (%r vs %s)" % (inner, product))):
+        tensor_compose(Morphism.identity(inner), legs)
+    # the other way round: a product in degrees [0, 1] against [1, 0]
+    legs = [Morphism.identity(space(1, Z2, [0])), Morphism.identity(inner)]
+    other = space(2, Z2, [1, 0])
+    with pytest.raises(TypeError, match=_message(
+            "compose_tensor: inner spaces differ (%r vs %r)" % (inner, other))):
+        compose_tensor(legs, Morphism.identity(other))
+    with pytest.raises(TypeError, match=_message(
+            "tensor_compose: inner spaces differ (%r vs %r)" % (other, inner))):
+        tensor_compose(Morphism.identity(other), legs)
+
+
 # -- property tests: fused composites against the materialised product -------
 
 F7 = PrimeField(7)
@@ -228,13 +252,35 @@ def graded_morphism(draw, dom, cod):
 
 
 @st.composite
+def near_identity(draw, group):
+    """An endomorphism that is not the identity but looks like one: 2 id,
+    a permutation of a space concentrated in one degree (all of it under
+    the trivial grading), or id with one diagonal entry missing."""
+    kind = draw(st.sampled_from(["double", "permutation", "missing"]))
+    V = draw(graded_space(group))
+    if kind == "double":
+        return Morphism.identity(V).scale(group.field.from_int(2))
+    if kind == "permutation":
+        n = draw(st.integers(2, 3))
+        V = GradedSpace(group, (draw(st.integers(0, group.n - 1)),) * n)
+        perm = draw(st.permutations(range(n)).filter(
+            lambda p: p != list(range(n))))
+        return Morphism(V, V, {(perm[j], j): 1 for j in range(n)})
+    missing = draw(st.integers(0, V.dim - 1))
+    return Morphism(V, V, {(i, i): 1 for i in range(V.dim) if i != missing})
+
+
+@st.composite
 def factor(draw, group):
-    """A random morphism, an identity, a braiding, or a map into, out of or
-    on a zero-dimensional space."""
-    kind = draw(st.sampled_from(["random", "identity", "braiding", "zero"]))
+    """A random morphism, an identity, one that only looks like an identity,
+    a braiding, or a map into, out of or on a zero-dimensional space."""
+    kind = draw(st.sampled_from(["random", "identity", "near_identity",
+                                 "braiding", "zero"]))
     if kind == "braiding":
         return braiding(draw(graded_space(group, 2)),
                         draw(graded_space(group, 2)))
+    if kind == "near_identity":
+        return draw(near_identity(group))
     V = draw(graded_space(group))
     if kind == "identity":
         return Morphism.identity(V)

@@ -1,11 +1,15 @@
 from hopfgal import linalg
 from hopfgal.fields import QQ, PrimeField
-from hopfgal.morphism import Morphism, compose, factor_through_equaliser, tensor_many
+import pytest
+
+from hopfgal.morphism import (Morphism, compose, equaliser,
+                              factor_through_equaliser, tensor_many)
 from hopfgal.quantum import (build_quantum_category, cotensor_monoid,
-                             diagonal_action)
+                             diagonal_action, multi_cotensor)
 from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              nonfree_z2_bundle, pair_groupoid_bundle,
-                             sweedler_hopf, trivial_coalgebra_bundle)
+                             sweedler_hopf, trivial_coalgebra_bundle,
+                             z2_set_action_bundle)
 
 
 def coinvariant_dim_oracle(b):
@@ -94,3 +98,49 @@ def test_non_invertible_can_refuses():
     qc, rep = build_quantum_category(b)
     assert qc is None
     assert not rep["qcat.can_invertible"].ok
+
+
+def successive_equaliser_multi_cotensor(rho_right, lambda_left, n):
+    """The n-fold cotensor power with every equaliser pair built as a
+    Kronecker product composed with the current inclusion."""
+    X = rho_right.dom
+    idX = Morphism.identity(X)
+    ambient = tensor_many(*[idX] * n).dom
+    E, iota = ambient, Morphism.identity(ambient)
+    for k in range(n - 1):
+        f = tensor_many(*([idX] * k + [rho_right] + [idX] * (n - k - 1)))
+        g = tensor_many(*([idX] * (k + 1) + [lambda_left] + [idX] * (n - k - 2)))
+        E2, j = equaliser(compose(f, iota), compose(g, iota))
+        E, iota = E2, compose(iota, j)
+    return E, iota
+
+
+def _pair_groupoid_coactions():
+    b = pair_groupoid_bundle(QQ, 3)
+    return b.right_coaction(), b.left_coaction()
+
+
+def _free_z2_coactions():
+    # Z_2 acting freely on 4 points by x -> x + 2g, on the comonoid side
+    b = z2_set_action_bundle(QQ, [0, 1, 2, 3],
+                             lambda x, g: (x + 2 * g) % 4).dualize()
+    return b.right_coaction(), b.left_coaction()
+
+
+def _braided_line_coactions():
+    # the Z_3-graded braided line coacting on itself on both sides
+    h = braided_line(PrimeField(7), 3, 2)
+    return h.comult, h.comult
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("coactions", [
+    _pair_groupoid_coactions, _free_z2_coactions, _braided_line_coactions])
+def test_multi_cotensor_matches_successive_equalisers(coactions, n):
+    rho, lam = coactions()
+    E, iota = multi_cotensor(rho, lam, n)
+    E_ref, iota_ref = successive_equaliser_multi_cotensor(rho, lam, n)
+    assert E.group == E_ref.group and E.degrees == E_ref.degrees
+    assert iota.cod == iota_ref.cod and iota.cod.degrees == iota_ref.cod.degrees
+    assert sorted(iota.entries.items()) == sorted(iota_ref.entries.items())
+    assert 0 < E.dim < iota.cod.dim

@@ -102,3 +102,27 @@ def test_chi_and_is_trivial_match_the_table_formula():
         assert [[g.chi(a, b) for b in range(6)] for a in range(6)] == table
         assert g.chi(-1, 8) == table[5][2]
         assert g.is_trivial == all(x == F7.one() for row in table for x in row)
+
+
+def test_trivially_graded_spaces_are_equal_by_dim():
+    t = GradingGroup.trivial(QQ)
+    V = GradedSpace(t, (0,) * 6)
+    built = GradedSpace(t, (0, 0)).tensor(GradedSpace(t, (0, 0, 0)))
+    assert built is not V and built == V and V == built
+    assert hash(built) == hash(V)
+    assert V != GradedSpace(t, (0,) * 5) and V != zero_space(t)
+    # the same dim over another field's trivial grading is another space
+    assert V != GradedSpace(GradingGroup.trivial(PrimeField(7)), (0,) * 6)
+    assert V != (0,) * 6
+
+
+def test_cyclic_graded_spaces_compare_their_degrees():
+    g = GradingGroup.cyclic(3, PrimeField(7), PrimeField(7).from_int(2))
+    V, W = GradedSpace(g, (0, 1, 2)), GradedSpace(g, (0, 2, 1))
+    assert V != W and W != V
+    same = GradedSpace(g, (0, 1)).tensor(GradedSpace(g, (0,)))
+    assert same != V and same == GradedSpace(g, (0, 1))
+    assert hash(same) == hash(GradedSpace(g, (0, 1)))
+    # equal degrees under another bicharacter of Z_3 are another space
+    other = GradingGroup.cyclic(3, PrimeField(7), PrimeField(7).from_int(4))
+    assert V != GradedSpace(other, (0, 1, 2))
