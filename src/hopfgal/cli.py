@@ -5,7 +5,8 @@ Subcommands: `check` (axiom suites), `principal` (bundle conditions),
 category), `eval` (assertion files).  Exit code 0 means every check
 passed, 1 means some check failed, 2 means the input could not be read.
 Reports are canonical: sorted by check name, byte-identical across runs;
-`HGL_SEED` fixes the sampling seed of module sweeps.
+`HGL_SEED` (an integer, default 0) fixes the sampling seed of module
+sweeps; a sweep of no dimension, or a bad seed, is an input error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .bundle import (AlgebraBundle, canonical_map_linearity,
 from .descent import (check_bmodule, comparison_K, counit_of_K, descend,
                       sweep_phi_psi, unit_Phi, verify_descent_datum)
 from .dsl import ParseError, run_assertions
+from .fields import FieldError, parse_int
 from .hopf import check_hopf
 from .instances import InstanceError, parse_instance
 from .morphism import FactorizationError, cokernel, is_isomorphism
@@ -27,7 +29,13 @@ from .report import Report, matrix_triples
 
 
 def _seed():
-    return int(os.environ.get("HGL_SEED", "0"))
+    """The sweep seed from `HGL_SEED` (default 0), an integer as the
+    instance format writes one."""
+    text = os.environ.get("HGL_SEED", "0")
+    try:
+        return parse_int(text)
+    except FieldError:
+        raise InstanceError(0, "HGL_SEED must be an integer, not %r" % text)
 
 
 def _load(path):
@@ -81,6 +89,10 @@ def cmd_check(args):
 
 
 def cmd_principal(args):
+    if args.sweep_dim < 0:
+        raise InstanceError(0, "nothing to sweep for --sweep-dim %d (0 means "
+                            "no sweep)" % args.sweep_dim)
+    seed = _seed() if args.sweep_dim else None
     inst = _load(args.file)
     b = _bundle(inst, side=args.side)
     if args.dualize:
@@ -90,7 +102,7 @@ def cmd_principal(args):
     rep.extend(canonical_map_linearity(b))
     if args.sweep_dim:
         alg = b if isinstance(b, AlgebraBundle) else b.dualize()
-        rep.extend(sweep_phi_psi(alg, max_dim=args.sweep_dim, seed=_seed()))
+        rep.extend(sweep_phi_psi(alg, max_dim=args.sweep_dim, seed=seed))
     try:
         can = b.canonical_map()
     except FactorizationError:
@@ -112,6 +124,10 @@ def cmd_principal(args):
 
 
 def cmd_descent(args):
+    if args.sweep_dim < 1:
+        raise InstanceError(0, "nothing to sweep for --sweep-dim %d"
+                            % args.sweep_dim)
+    seed = None if args.module is not None else _seed()
     inst = _load(args.file)
     b = _bundle(inst, side="algebra")
     rep = Report()
@@ -133,7 +149,7 @@ def cmd_descent(args):
                              "cokernel_dim": verdict.cokernel_dim},
                     witness=None if verdict.is_iso else verdict.kernel_inclusion)
     else:
-        rep.extend(sweep_phi_psi(b, max_dim=args.sweep_dim, seed=_seed()))
+        rep.extend(sweep_phi_psi(b, max_dim=args.sweep_dim, seed=seed))
     return _emit(rep, args.machine)
 
 

@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from . import linalg
 from .morphism import (FactorizationError, Morphism, braiding, cokernel,
-                       compose, equaliser,
+                       compose, compose_tensor, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
-                       is_isomorphism, tensor, tensor_over)
+                       is_isomorphism, tensor, tensor_compose, tensor_over)
 from .report import Report, equality_check
 from .spaces import GradedSpace
 
@@ -41,10 +41,10 @@ def check_bmodule(v, base):
     rep = Report()
     rep.items.append(equality_check(
         "module_assoc",
-        compose(v.action, tensor(v.action, idB)),
-        compose(v.action, tensor(idV, base.mult))))
+        tensor_compose(v.action, [v.action, idB]),
+        tensor_compose(v.action, [idV, base.mult])))
     rep.items.append(equality_check(
-        "module_unit", compose(v.action, tensor(idV, base.unit)), idV))
+        "module_unit", tensor_compose(v.action, [idV, base.unit]), idV))
     return rep
 
 
@@ -85,9 +85,8 @@ class DescentDatum:
 
     def base_action(self):
         """The restricted right B-action on E."""
-        return self._memo("base_action", lambda: compose(
-            self.action, tensor(Morphism.identity(self.carrier),
-                                self.bundle.pi)))
+        return self._memo("base_action", lambda: tensor_compose(
+            self.action, [Morphism.identity(self.carrier), self.bundle.pi]))
 
     def tensor_b_p(self):
         return self._memo("tbp", lambda: tensor_over(
@@ -95,9 +94,9 @@ class DescentDatum:
 
     def unit_insertion(self):
         """E -> E (x)_B P, e -> [e (x) 1]."""
-        return self._memo("insertion", lambda: compose(
-            self.tensor_b_p()[1], tensor(Morphism.identity(self.carrier),
-                                         self.bundle.P.unit)))
+        return self._memo("insertion", lambda: tensor_compose(
+            self.tensor_b_p()[1],
+            [Morphism.identity(self.carrier), self.bundle.P.unit]))
 
 
 def _q1_structure(d):
@@ -114,21 +113,21 @@ def verify_descent_datum(d):
     rep = Report()
     rep.items.append(equality_check(
         "p_module_assoc",
-        compose(d.action, tensor(d.action, idP)),
-        compose(d.action, tensor(idE, b.P.mult))))
+        tensor_compose(d.action, [d.action, idP]),
+        tensor_compose(d.action, [idE, b.P.mult])))
     rep.items.append(equality_check(
-        "p_module_unit", compose(d.action, tensor(idE, b.P.unit)), idE))
+        "p_module_unit", tensor_compose(d.action, [idE, b.P.unit]), idE))
     Q1, Pi1, ins1, collapse = _q1_structure(d)
     # Q2 = (E (x)_B P) (x)_B P with its projection from Q1 (x) P
     idB = Morphism.identity(b.base.space)
     q1_baction = factor_through_coequaliser(
-        compose(Pi1, tensor(idE, b.right_action())), tensor(Pi1, idB))
+        tensor_compose(Pi1, [idE, b.right_action()]), tensor(Pi1, idB))
     Q2, Pi2 = tensor_over(q1_baction, b.left_action())
     try:
         xi_tensor_id = factor_through_coequaliser(
-            compose(Pi2, tensor(d.xi, idP)), Pi1)
+            tensor_compose(Pi2, [d.xi, idP]), Pi1)
         ins_mid = factor_through_coequaliser(
-            compose(Pi2, tensor(ins1, idP)), Pi1)
+            tensor_compose(Pi2, [ins1, idP]), Pi1)
         rep.items.append(equality_check(
             "descent_coassoc",
             compose(xi_tensor_id, d.xi), compose(ins_mid, d.xi)))
@@ -150,11 +149,11 @@ def comparison_K(v, bundle):
     idV, idP = Morphism.identity(V), Morphism.identity(P)
     Q, Pi = tensor_over(v.action, bundle.left_action())
     action = factor_through_coequaliser(
-        compose(Pi, tensor(idV, bundle.P.mult)), tensor(Pi, idP))
+        tensor_compose(Pi, [idV, bundle.P.mult]), tensor(Pi, idP))
     d = DescentDatum(bundle, Q, action)
     _, PiE = d.tensor_b_p()
-    eta = compose(Pi, tensor(idV, bundle.P.unit))
-    d.xi = factor_through_coequaliser(compose(PiE, tensor(eta, idP)), Pi)
+    eta = tensor_compose(Pi, [idV, bundle.P.unit])
+    d.xi = factor_through_coequaliser(tensor_compose(PiE, [eta, idP]), Pi)
     d.eta = eta
     return d
 
@@ -165,7 +164,7 @@ def descend(d):
         Vsp, incl = equaliser(d.xi, d.unit_insertion())
         idB = Morphism.identity(d.bundle.base.space)
         act = factor_through_equaliser(
-            compose(d.base_action(), tensor(incl, idB)), incl)
+            tensor_compose(d.base_action(), [incl, idB]), incl)
         return BModule(Vsp, act), incl
     return d._memo("descended", build)
 
@@ -177,7 +176,7 @@ def unit_Phi(d):
     idP = Morphism.identity(b.como.space)
     _, Pi = tensor_over(v.action, b.left_action())
     phi = factor_through_coequaliser(
-        compose(d.action, tensor(incl, idP)), Pi)
+        tensor_compose(d.action, [incl, idP]), Pi)
     return phi, is_isomorphism(phi)
 
 
@@ -220,23 +219,23 @@ def hopf_module_check(m, bundle):
     rep = Report()
     rep.items.append(equality_check(
         "p_module_assoc",
-        compose(m.action, tensor(m.action, idP)),
-        compose(m.action, tensor(idE, b.P.mult))))
+        tensor_compose(m.action, [m.action, idP]),
+        tensor_compose(m.action, [idE, b.P.mult])))
     rep.items.append(equality_check(
-        "p_module_unit", compose(m.action, tensor(idE, b.P.unit)), idE))
+        "p_module_unit", tensor_compose(m.action, [idE, b.P.unit]), idE))
     rep.items.append(equality_check(
         "h_comodule_coassoc",
-        compose(tensor(m.coaction, idH), m.coaction),
-        compose(tensor(idE, b.H.comult), m.coaction)))
+        compose_tensor([m.coaction, idH], m.coaction),
+        compose_tensor([idE, b.H.comult], m.coaction)))
     rep.items.append(equality_check(
         "h_comodule_counit",
-        compose(tensor(idE, b.H.counit), m.coaction), idE))
+        compose_tensor([idE, b.H.counit], m.coaction), idE))
     rep.items.append(equality_check(
         "hopf_compatibility",
         compose(m.coaction, m.action),
-        compose(tensor(m.action, b.H.mult),
-                compose(tensor(tensor(idE, braiding(H, P)), idH),
-                        tensor(m.coaction, b.rho)))))
+        compose_tensor([m.action, b.H.mult],
+                       compose_tensor([idE, braiding(H, P), idH],
+                                      tensor(m.coaction, b.rho)))))
     return rep
 
 
@@ -247,7 +246,7 @@ def kappa_transport(d):
     idH = Morphism.identity(b.H.space)
     _, Pi1 = d.tensor_b_p()
     return factor_through_coequaliser(
-        compose(tensor(d.action, idH), tensor(idE, b.rho)), Pi1)
+        compose_tensor([d.action, idH], tensor(idE, b.rho)), Pi1)
 
 
 def descent_to_hopf_module(d):
@@ -274,9 +273,9 @@ def invariants_functor(m, bundle):
     Vsp, incl = equaliser(m.coaction,
                           tensor(idE, bundle.H.unit))
     idB = Morphism.identity(bundle.base.space)
-    baction = compose(m.action, tensor(idE, bundle.pi))
+    baction = tensor_compose(m.action, [idE, bundle.pi])
     act = factor_through_equaliser(
-        compose(baction, tensor(incl, idB)), incl)
+        tensor_compose(baction, [incl, idB]), incl)
     return BModule(Vsp, act), incl
 
 
@@ -293,22 +292,22 @@ def monad_presentation_report(d):
     rep = Report()
     rep.items.append(equality_check(
         "monad_assoc",
-        compose(mu, tensor(mu, idH)),
-        compose(mu, tensor(idEH, b.H.mult))))
+        tensor_compose(mu, [mu, idH]),
+        tensor_compose(mu, [idEH, b.H.mult])))
     rep.items.append(equality_check(
-        "monad_unit_left", compose(mu, tensor(eta, idH)), idEH))
+        "monad_unit_left", tensor_compose(mu, [eta, idH]), idEH))
     rep.items.append(equality_check(
-        "monad_unit_right", compose(mu, tensor(idEH, b.H.unit)), idEH))
+        "monad_unit_right", tensor_compose(mu, [idEH, b.H.unit]), idEH))
     # the transported P-action nu on E (x) H
-    nu = compose(tensor(d.action, b.H.mult),
-                 compose(tensor(tensor(idE, braiding(H, P)), idH),
-                         tensor(idEH, b.rho)))
+    nu = compose_tensor([d.action, b.H.mult],
+                        compose_tensor([idE, braiding(H, P), idH],
+                                       tensor(idEH, b.rho)))
     rep.items.append(equality_check(
         "nu_assoc",
-        compose(nu, tensor(nu, idP)),
-        compose(nu, tensor(idEH, b.P.mult))))
+        tensor_compose(nu, [nu, idP]),
+        tensor_compose(nu, [idEH, b.P.mult])))
     rep.items.append(equality_check(
-        "nu_unit", compose(nu, tensor(idEH, b.P.unit)), idEH))
+        "nu_unit", tensor_compose(nu, [idEH, b.P.unit]), idEH))
     return rep
 
 

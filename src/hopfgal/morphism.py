@@ -18,17 +18,29 @@ building it, or its inner space: they apply the legs one at a time, right
 to left, each non-identity leg one pass over the entries and each
 identity leg skipped, and under the trivial grading they check the inner
 space by the product of the dims.
-Kernels, (co)equalisers, factorisations and ranks come from one sparse
-elimination of the entries, `linalg.rref_rows`, over all degrees at once;
-its canonical RREF makes every basis reproducible, and kernel bases are
-grouped by degree, so they are homogeneous.  The tensor product over a base
-(`tensor_over`) and the cotensor product (`cotensor`) are the
-(co)equalisers of the two middle (co)actions.
+Kernels, (co)equalisers and ranks come from one sparse elimination,
+`linalg.rref_rows`, over all degrees at once; its canonical RREF makes
+every basis reproducible, and kernel bases are grouped by degree, so they
+are homogeneous.  An equaliser eliminates the rows of f - g, and a
+coequaliser or cokernel those of the transpose, written straight from the
+entry dicts: neither -g, nor f - g, nor a transpose is built as a
+morphism.  `equaliser_tensor_id` takes the equaliser of f (x) id_W and
+g (x) id_W from the RREF R of f - g alone, as R (x) I.  A factorisation
+is read off unit lines, a row (or column) whose only nonzero is a 1: x
+with iota o x = c is c's rows at a unit row of iota for each of its
+columns, and x with x o Pi = c is c's columns at a unit column of Pi for
+each of its rows.  Without a full set of them, or when that x fails the
+`compose` check every factorisation ends in, one elimination of
+[iota | c] solves it or names the degree where c leaves the image.  The
+tensor product over a base (`tensor_over`) and the cotensor product
+(`cotensor`) are the (co)equalisers of the two middle (co)actions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 from . import linalg
 from .spaces import GradedSpace
@@ -352,28 +364,82 @@ def sparse_rows(f, rows=None, shift=0):
     return rows
 
 
-def _kernel_inclusion(dom, pivot_rows):
-    """(E, iota) read off the canonical RREF of a map out of dom.
+def _difference_rows(f, g=None, transposed=False):
+    """The sparse rows of f - g (of f alone when g is None), or of its
+    transpose if `transposed`, written straight from the entry dicts.
+
+    An entry of f alone is taken as it is and one of g alone negated; a
+    shared one is put through `field.reduce` and dropped when it cancels.
+    Neither -g, nor f - g, nor a transpose is built as a morphism.
+    """
+    a, b = (1, 0) if transposed else (0, 1)
+    rows = {}
+    for key, v in f.entries.items():
+        rows.setdefault(key[a], {})[key[b]] = v
+    if g is not None:
+        reduce = f.field.reduce
+        for key, v in g.entries.items():
+            row = rows.setdefault(key[a], {})
+            j = key[b]
+            w = row.get(j)
+            if w is None:
+                row[j] = reduce(-v)
+                continue
+            w = reduce(w - v)
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+    return rows
+
+
+def _free_basis(space, pivot_rows):
+    """(degrees, entries) of the kernel basis read off a canonical RREF
+    whose columns index `space`.
 
     One basis vector per free column: a 1 there and minus the pivot row's
-    entry at each pivot.  Free columns are grouped by degree, degrees in
-    order of first occurrence, ascending within a degree.
+    entry at each pivot, keyed (column, vector).  Free columns are grouped
+    by degree, degrees in order of first occurrence, ascending within a
+    degree.
     """
-    field = dom.field
-    groups = {}
-    for j, d in enumerate(dom.degrees):
-        groups.setdefault(d, []).append(j)
-    free = [j for cols in groups.values() for j in cols
-            if j not in pivot_rows]
+    degrees = space.degrees
+    if space.group.n == 1:  # Z_1 has the one degree 0: one group
+        columns = range(len(degrees))
+    else:
+        groups = {}
+        for j, d in enumerate(degrees):
+            groups.setdefault(d, []).append(j)
+        columns = chain.from_iterable(groups.values())
+    free = [j for j in columns if j not in pivot_rows]
     position = {j: k for k, j in enumerate(free)}
-    one = field.one()
+    one = space.field.one()
     entries = {(j, k): one for k, j in enumerate(free)}
     for c, row in pivot_rows.items():
         for j, v in row.items():
             if j != c:
                 entries[(c, position[j])] = -v
-    E = GradedSpace(dom.group, tuple(dom.degrees[j] for j in free))
+    return tuple([degrees[j] for j in free]), entries
+
+
+def _kernel_inclusion(dom, pivot_rows):
+    """(E, iota) read off the canonical RREF of a map out of dom; the basis
+    is `_free_basis`."""
+    degrees, entries = _free_basis(dom, pivot_rows)
+    E = GradedSpace(dom.group, degrees)
     return E, Morphism(E, dom, entries)
+
+
+def _cokernel_projection(cod, pivot_rows):
+    """(Q, Pi) read off the canonical RREF of the transpose of a map into
+    cod: Pi is the transpose of that transpose's kernel inclusion.
+
+    The free columns are grouped by the degrees of cod, which fall into
+    the same groups, in the same order, as their negatives in the dual, so
+    Q and Pi are what dualising the kernel of the transpose gives.
+    """
+    degrees, entries = _free_basis(cod, pivot_rows)
+    Q = GradedSpace(cod.group, degrees)
+    return Q, Morphism(cod, Q, {(k, j): v for (j, k), v in entries.items()})
 
 
 def kernel(f):
@@ -387,23 +453,50 @@ def kernel(f):
 
 
 def cokernel(f):
-    """(Q, Pi) with Pi: cod(f) -> Q surjective, Pi o f = 0, dim Q maximal."""
-    Qd, iota_d = kernel(dualize(f))
-    Pi = dualize(iota_d)
-    return Pi.cod, Pi
+    """(Q, Pi) with Pi: cod(f) -> Q surjective, Pi o f = 0, dim Q maximal,
+    read off the RREF of f's transposed rows."""
+    pivot_rows = linalg.rref_rows(
+        f.field, _difference_rows(f, transposed=True).values())
+    return _cokernel_projection(f.cod, pivot_rows)
 
 
 def equaliser(f, g):
-    """Equaliser of a parallel pair, computed as ker(f - g)."""
+    """Equaliser of a parallel pair: ker(f - g), eliminated from the rows
+    of f - g (`_difference_rows`)."""
     if f.dom != g.dom or f.cod != g.cod:
         raise TypeError("equaliser of a non-parallel pair")
-    return kernel(f - g)
+    pivot_rows = linalg.rref_rows(f.field, _difference_rows(f, g).values())
+    return _kernel_inclusion(f.dom, pivot_rows)
 
 
 def coequaliser(f, g):
+    """Coequaliser of a parallel pair: coker(f - g), eliminated from the
+    rows of its transpose."""
     if f.dom != g.dom or f.cod != g.cod:
         raise TypeError("coequaliser of a non-parallel pair")
-    return cokernel(f - g)
+    pivot_rows = linalg.rref_rows(
+        f.field, _difference_rows(f, g, transposed=True).values())
+    return _cokernel_projection(f.cod, pivot_rows)
+
+
+def equaliser_tensor_id(f, g, W):
+    """equaliser(tensor(f, id_W), tensor(g, id_W)), from one elimination
+    of f - g.
+
+    With R the canonical RREF of f - g and m = dim W, the canonical RREF
+    of (f - g) (x) id_W is R (x) I: pivot row c*m + x is {j*m + x: v} for
+    each pivot row c = {j: v} of R and each x < m.  These rows are reduced,
+    span the same row space and come in ascending pivot order, and the
+    RREF is unique.  The kernel is read off them over dom(f) (x) W, grouped
+    by degree, just as `equaliser` reads it, so the basis is the same.
+    """
+    if f.dom != g.dom or f.cod != g.cod:
+        raise TypeError("equaliser of a non-parallel pair")
+    R = linalg.rref_rows(f.field, _difference_rows(f, g).values())
+    m = W.dim
+    pivot_rows = {c * m + x: {j * m + x: v for j, v in row.items()}
+                  for c, row in R.items() for x in range(m)}
+    return _kernel_inclusion(f.dom.tensor(W), pivot_rows)
 
 
 def tensor_over(act_right, act_left):
@@ -424,14 +517,33 @@ def cotensor(coact_right, coact_left):
     return equaliser(f, g)
 
 
-def factor_through_equaliser(c, iota):
-    """The unique x with iota o x = c (iota assumed injective).
+def _unit_lines(f, rows):
+    """{line: k}: for each k, one line of f whose only nonzero is a 1 at k,
+    or None when some k has none.
 
-    One elimination of [iota | c]: free unknowns are zero, and a pivot in
-    the c block names a degree where c leaves iota's image.
+    With `rows` the lines are f's rows and k runs over its columns;
+    otherwise the lines are its columns and k runs over its rows.  A full
+    set of unit rows is an identity block, so f is injective; a full set
+    of unit columns makes f surjective.
     """
-    if c.cod != iota.cod:
-        raise TypeError("factor_through_equaliser: codomains differ")
+    a, b = (0, 1) if rows else (1, 0)
+    entries = f.entries
+    count = Counter([key[a] for key in entries])
+    line_of = {}
+    for key, v in entries.items():
+        if v == 1 and count[key[a]] == 1:
+            line_of.setdefault(key[b], key[a])
+    if len(line_of) < (f.dom.dim if rows else f.cod.dim):
+        return None
+    return {line: k for k, line in line_of.items()}
+
+
+def _eliminate_factor(c, iota):
+    """The x with iota o x = c from one elimination of [iota | c].
+
+    Free unknowns are zero, and a pivot in the c block names a degree
+    where c leaves iota's image.
+    """
     field = c.field
     n = iota.dom.dim
     pivot_rows = linalg.rref_rows(
@@ -446,19 +558,49 @@ def factor_through_equaliser(c, iota):
         for col, v in row.items():
             if col >= n:
                 entries[(r, col - n)] = v
-    x = Morphism(c.dom, iota.dom, entries)
-    if compose(iota, x) != c:
-        raise FactorizationError("factorisation through equaliser failed")
+    return Morphism(c.dom, iota.dom, entries)
+
+
+def factor_through_equaliser(c, iota):
+    """The unique x with iota o x = c (iota assumed injective).
+
+    When iota has a unit row for every column, x is c's rows at those
+    rows.  Otherwise, or when that x fails the check iota o x == c, one
+    elimination of [iota | c] (`_eliminate_factor`) solves it, or raises
+    where c leaves iota's image.  Either way x passes that check.
+    """
+    if c.cod != iota.cod:
+        raise TypeError("factor_through_equaliser: codomains differ")
+    x = None
+    unit = _unit_lines(iota, True)
+    if unit is not None:
+        x = Morphism(c.dom, iota.dom, {(unit[i], j): v for (i, j), v
+                                       in c.entries.items() if i in unit})
+    if x is None or compose(iota, x) != c:
+        x = _eliminate_factor(c, iota)
+        if compose(iota, x) != c:
+            raise FactorizationError("factorisation through equaliser failed")
     return x
 
 
 def factor_through_coequaliser(c, Pi):
-    """The unique x with x o Pi = c (Pi assumed surjective)."""
+    """The unique x with x o Pi = c (Pi assumed surjective).
+
+    The mirror of `factor_through_equaliser`: x is c's columns at Pi's
+    unit columns, or else the transpose of the elimination of
+    [Pi^T | c^T].
+    """
     if c.dom != Pi.dom:
         raise TypeError("factor_through_coequaliser: domains differ")
-    x = dualize(factor_through_equaliser(dualize(c), dualize(Pi)))
-    if compose(x, Pi) != c:
-        raise FactorizationError("factorisation through coequaliser failed")
+    x = None
+    unit = _unit_lines(Pi, False)
+    if unit is not None:
+        x = Morphism(Pi.cod, c.cod, {(i, unit[j]): v for (i, j), v
+                                     in c.entries.items() if j in unit})
+    if x is None or compose(x, Pi) != c:
+        x = dualize(_eliminate_factor(dualize(c), dualize(Pi)))
+        if compose(x, Pi) != c:
+            raise FactorizationError("factorisation through coequaliser failed")
     return x
 
 

@@ -143,3 +143,46 @@ def test_check_over_a_61_bit_prime_field(tmp_path):
     path.write_text(w.text())
     code, out, err = run(["check", str(path), "--what", "hopf"])
     assert code == 0 and err == "" and out.endswith("result=pass\n")
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5", "1_0", ""])
+def test_non_integer_seed_is_input_error(monkeypatch, seed):
+    # exit 1 means a check ran and failed, so a bad seed must not reach it
+    monkeypatch.setenv("HGL_SEED", seed)
+    for argv in (["descent", inst("trivial_z2")],
+                 ["principal", inst("trivial_z2"), "--sweep-dim", "1"]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err == "error: line 0: HGL_SEED must be an integer, not %r\n" \
+            % seed
+
+
+def test_seed_is_read_only_by_a_sweep(monkeypatch):
+    monkeypatch.setenv("HGL_SEED", "abc")
+    code, out, _ = run(["descent", inst("trivial_z2"), "--module", "M"])
+    assert code == 0 and out.endswith("result=pass\n")
+    code, out, _ = run(["principal", inst("free_z2")])
+    assert code == 0 and out.endswith("result=pass\n")
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["descent", "--sweep-dim", "0"], "0"),
+    (["descent", "--sweep-dim", "-1"], "-1"),
+    (["descent", "--module", "M", "--sweep-dim", "0"], "0"),
+    (["principal", "--sweep-dim", "-2"], "-2 (0 means no sweep)"),
+])
+def test_vacuous_sweep_is_input_error(argv, value):
+    code, out, err = run(argv[:1] + [inst("trivial_z2")] + argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: line 0: nothing to sweep for --sweep-dim %s\n" % value
+
+
+def test_principal_sweep_dim_zero_means_no_sweep():
+    code, plain, _ = run(["principal", inst("trivial_z2")])
+    code0, swept0, _ = run(["principal", inst("trivial_z2"), "--sweep-dim", "0"])
+    code1, swept1, _ = run(["principal", inst("trivial_z2"), "--sweep-dim", "1"])
+    assert code == code0 == code1 == 0
+    assert swept0 == plain and "sweep." not in plain
+    assert "check=sweep.module_00_phi verdict=pass" in swept1
+    code, out, _ = run(["descent", inst("trivial_z2"), "--sweep-dim", "1"])
+    assert code == 0 and "check=sweep.module_00_psi verdict=pass" in out

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from hopfgal import linalg
 from hopfgal.fields import QQ, PrimeField
-from hopfgal.morphism import (FactorizationError, Morphism, braiding, compose,
-                              compose_tensor, coequaliser, dualize, equaliser,
+from hopfgal import morphism
+from hopfgal.morphism import (FactorizationError, Morphism, braiding, cokernel,
+                              compose, compose_tensor, coequaliser, dualize,
+                              equaliser, equaliser_tensor_id,
                               factor_through_coequaliser,
                               factor_through_equaliser, is_isomorphism,
                               kernel, tensor, tensor_compose, tensor_many)
@@ -743,3 +745,201 @@ def test_int_and_fraction_entries_give_the_same_results(data):
             assert a.entries == b.entries
             a, b = matrix_triples(a), matrix_triples(b)
         assert a == b
+
+
+# -- differential tests: (co)equalisers and factorisations -------------------
+#
+# `equaliser` and `coequaliser` write the rows of f - g straight from the
+# entry dicts, and a factorisation is read off the unit lines of the map it
+# goes through when it has a full set of them.  The references below build
+# f - g as a morphism, take its kernel or the transpose of the kernel of its
+# transpose, and solve every factorisation by eliminating [iota | c].
+
+F2, F101 = PrimeField(2), PrimeField(101)
+# QQ, F_2 and F_101, each trivially and Z_n graded
+ELIMINATION_GROUPS = [
+    TRIV, Z2, GradingGroup.trivial(F2), GradingGroup.cyclic(2, F2, 1),
+    GradingGroup.trivial(F101), GradingGroup.cyclic(4, F101, 10)]
+
+
+def reference_cokernel(h):
+    """(Q, Pi) as the transpose of the kernel inclusion of h's transpose."""
+    _, iota = kernel(dualize(h))
+    Pi = dualize(iota)
+    return Pi.cod, Pi
+
+
+@st.composite
+def parallel_pair(draw, group, max_dim=4):
+    """(f, g) with g equal to f, zero, random, or f with some entries kept
+    (so f - g cancels there), some changed and some dropped."""
+    V, W = draw(graded_space(group, max_dim)), draw(graded_space(group, max_dim))
+    f = draw(graded_morphism(V, W))
+    kind = draw(st.sampled_from(["equal", "zero", "random", "cancel"]))
+    if kind == "equal":
+        return f, Morphism(V, W, dict(f.entries))
+    if kind == "zero":
+        return f, Morphism.zero(V, W)
+    other = draw(graded_morphism(V, W))
+    if kind == "random":
+        return f, other
+    entries = {}
+    for key, v in f.entries.items():
+        how = draw(st.sampled_from(["keep", "change", "drop"]))
+        if how == "keep":
+            entries[key] = v
+        elif how == "change" and key in other.entries:
+            entries[key] = other.entries[key]
+    for key, v in other.entries.items():
+        if key not in f.entries and draw(st.booleans()):
+            entries[key] = v
+    return f, Morphism(V, W, entries)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_equaliser_and_coequaliser_match_the_difference(data):
+    group = data.draw(st.sampled_from(ELIMINATION_GROUPS))
+    f, g = data.draw(parallel_pair(group))
+    if data.draw(st.booleans()):
+        f, g = g, f
+    E, iota = equaliser(f, g)
+    E_ref, iota_ref = kernel(f - g)
+    assert (E, E.degrees, iota) == (E_ref, E_ref.degrees, iota_ref)
+    assert compose(f, iota) == compose(g, iota)
+    Q, Pi = coequaliser(f, g)
+    Q_ref, Pi_ref = reference_cokernel(f - g)
+    assert (Q, Q.degrees, Pi) == (Q_ref, Q_ref.degrees, Pi_ref)
+    assert Pi.dom.degrees == f.cod.degrees
+    assert compose(Pi, f) == compose(Pi, g)
+    Qc, Pic = cokernel(f)
+    Qc_ref, Pic_ref = reference_cokernel(f)
+    assert (Qc.degrees, Pic) == (Qc_ref.degrees, Pic_ref)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_equaliser_tensor_id_matches_the_materialised_pair(data):
+    group = data.draw(st.sampled_from(ELIMINATION_GROUPS))
+    f, g = data.draw(parallel_pair(group, 3))
+    W = data.draw(st.one_of(graded_space(group, 3), st.just(zero_space(group))))
+    idW = Morphism.identity(W)
+    E, iota = equaliser_tensor_id(f, g, W)
+    E_ref, iota_ref = equaliser(tensor(f, idW), tensor(g, idW))
+    assert (E, E.degrees, iota) == (E_ref, E_ref.degrees, iota_ref)
+
+
+def eliminated_factor(c, iota):
+    """The x with iota o x = c from one elimination of [iota | c], free
+    unknowns zero, or the FactorizationError text naming the first degree
+    of c's domain where c leaves iota's image."""
+    n = iota.dom.dim
+    rows = {}
+    for (i, j), v in iota.entries.items():
+        rows.setdefault(i, {})[j] = v
+    for (i, j), v in c.entries.items():
+        rows.setdefault(i, {})[n + j] = v
+    pivot_rows = linalg.rref_rows(c.field, rows.values())
+    bad = {c.dom.degrees[col - n] for col in pivot_rows if col >= n}
+    if bad:
+        d = next(d for d in c.dom.degrees if d in bad)
+        return "image does not lie in the subobject (degree %r)" % (d,)
+    return Morphism(c.dom, iota.dom, {
+        (r, col - n): v for r, row in pivot_rows.items()
+        for col, v in row.items() if col >= n})
+
+
+def eliminated_cofactor(c, Pi):
+    """The x with x o Pi = c from the elimination of the transposes."""
+    x = eliminated_factor(dualize(c), dualize(Pi))
+    return x if isinstance(x, str) else dualize(x)
+
+
+@st.composite
+def inclusion(draw, group):
+    """A map into V: a kernel inclusion (a full set of unit rows), that
+    inclusion times an invertible change of basis (injective, mostly
+    without one), or a random map (often not injective)."""
+    V = draw(graded_space(group, 5))
+    _, iota = kernel(draw(graded_morphism(V, draw(graded_space(group)))))
+    kind = draw(st.sampled_from(["kernel", "rebased", "random"]))
+    if kind == "kernel" or iota.dom.dim == 0:
+        return iota
+    if kind == "rebased":
+        return compose(iota, draw(invertible_morphism(iota.dom)))
+    return draw(graded_morphism(draw(graded_space(group)), V))
+
+
+def outcome(factorise, *args):
+    try:
+        return factorise(*args)
+    except FactorizationError as exc:
+        return str(exc)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_factor_through_equaliser_matches_elimination(data):
+    group = data.draw(st.sampled_from(ELIMINATION_GROUPS))
+    iota = data.draw(inclusion(group))
+    U = data.draw(graded_space(group))
+    if data.draw(st.booleans()):  # c = iota o x lies in the image
+        c = compose(iota, data.draw(graded_morphism(U, iota.dom)))
+    else:
+        c = data.draw(graded_morphism(U, iota.cod))
+    expected = eliminated_factor(c, iota)
+    assert outcome(factor_through_equaliser, c, iota) == expected
+    if not isinstance(expected, str):
+        assert compose(iota, expected) == c
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_factor_through_coequaliser_matches_elimination(data):
+    group = data.draw(st.sampled_from(ELIMINATION_GROUPS))
+    Pi = dualize(data.draw(inclusion(group)))
+    U = data.draw(graded_space(group))
+    if data.draw(st.booleans()):  # c = x o Pi factors through Pi
+        c = compose(data.draw(graded_morphism(Pi.cod, U)), Pi)
+    else:
+        c = data.draw(graded_morphism(Pi.dom, U))
+    expected = eliminated_cofactor(c, Pi)
+    assert outcome(factor_through_coequaliser, c, Pi) == expected
+    if not isinstance(expected, str):
+        assert compose(expected, Pi) == c
+
+
+def test_factorisation_reads_unit_lines_and_eliminates_without_them(
+        monkeypatch):
+    """A full set of unit lines is read off with no elimination; a column
+    whose only 1 sits in a row with other nonzeros, or a c outside the
+    image, goes through the elimination, with the same results."""
+    calls = []
+    eliminate = morphism._eliminate_factor
+
+    def counted(c, iota):
+        calls.append(iota)
+        return eliminate(c, iota)
+
+    monkeypatch.setattr(morphism, "_eliminate_factor", counted)
+    V, E = space(3), space(2)
+    unit = morph(E, V, [[1, 0], [2, 3], [0, 1]])  # rows 0 and 2 are unit rows
+    mixed = morph(E, V, [[1, 1], [0, 2], [0, 0]])  # column 0's 1 shares row 0
+    x = morph(E, E, [[1, 2], [0, 5]])
+    for iota, eliminations in ((unit, 0), (mixed, 1)):
+        calls.clear()
+        c = compose(iota, x)
+        assert factor_through_equaliser(c, iota) == x
+        assert eliminated_factor(c, iota) == x
+        Pi = dualize(iota)
+        assert factor_through_coequaliser(dualize(c), Pi) == dualize(x)
+        assert len(calls) == 2 * eliminations
+    calls.clear()
+    outside = morph(E, V, [[0, 0], [1, 0], [0, 0]])
+    text = "image does not lie in the subobject (degree 0)"
+    with pytest.raises(FactorizationError, match=r"^%s$" % re.escape(text)):
+        factor_through_equaliser(outside, unit)
+    assert eliminated_factor(outside, unit) == text
+    with pytest.raises(FactorizationError, match=r"^%s$" % re.escape(text)):
+        factor_through_coequaliser(dualize(outside), dualize(unit))
+    assert len(calls) == 2

@@ -2,14 +2,14 @@ from hopfgal import linalg
 from hopfgal.fields import QQ, PrimeField
 import pytest
 
-from hopfgal.morphism import (Morphism, compose, equaliser,
-                              factor_through_equaliser, tensor_many)
+from hopfgal.morphism import (Morphism, compose, factor_through_equaliser,
+                              kernel, tensor_many)
 from hopfgal.quantum import (build_quantum_category, cotensor_monoid,
                              diagonal_action, multi_cotensor)
 from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              nonfree_z2_bundle, pair_groupoid_bundle,
-                             sweedler_hopf, trivial_coalgebra_bundle,
-                             z2_set_action_bundle)
+                             superline, sweedler_hopf,
+                             trivial_coalgebra_bundle, z2_set_action_bundle)
 
 
 def coinvariant_dim_oracle(b):
@@ -102,7 +102,8 @@ def test_non_invertible_can_refuses():
 
 def successive_equaliser_multi_cotensor(rho_right, lambda_left, n):
     """The n-fold cotensor power with every equaliser pair built as a
-    Kronecker product composed with the current inclusion."""
+    Kronecker product composed with the current inclusion, and equalised
+    as the kernel of the difference of the two sides, without `equaliser`."""
     X = rho_right.dom
     idX = Morphism.identity(X)
     ambient = tensor_many(*[idX] * n).dom
@@ -110,7 +111,7 @@ def successive_equaliser_multi_cotensor(rho_right, lambda_left, n):
     for k in range(n - 1):
         f = tensor_many(*([idX] * k + [rho_right] + [idX] * (n - k - 1)))
         g = tensor_many(*([idX] * (k + 1) + [lambda_left] + [idX] * (n - k - 2)))
-        E2, j = equaliser(compose(f, iota), compose(g, iota))
+        E2, j = kernel(compose(f, iota) - compose(g, iota))
         E, iota = E2, compose(iota, j)
     return E, iota
 
@@ -133,9 +134,16 @@ def _braided_line_coactions():
     return h.comult, h.comult
 
 
+def _superline_coactions():
+    # the Z_2-graded superline coacting on itself on both sides
+    h = superline(QQ)
+    return h.comult, h.comult
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("coactions", [
-    _pair_groupoid_coactions, _free_z2_coactions, _braided_line_coactions])
+    _pair_groupoid_coactions, _free_z2_coactions, _braided_line_coactions,
+    _superline_coactions])
 def test_multi_cotensor_matches_successive_equalisers(coactions, n):
     rho, lam = coactions()
     E, iota = multi_cotensor(rho, lam, n)
