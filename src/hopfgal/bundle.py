@@ -22,13 +22,19 @@ id_X (x) s and s (x) id_X.  `_assemble_system` builds the column of each
 degree-matched unknown E_ij from vec(f o E_ij o g) = (g^T (x) f) vec(E_ij),
 i.e. from column i of f and row j of g, as sparse rows of the field's
 own scalars (over QQ an int, or a Fraction with denominator > 1; over F_p
-an int in [0, p)) that `linalg.rref_rows` eliminates directly.  A
-colinear section solves the non-colinear system too, so
-`faithful_flatness` reuses it.
+an int in [0, p)) that `linalg.rref_rows` eliminates directly.  It
+assembles one equation at a time and presolves: an unknown that a
+homogeneous one-unknown row forces to zero keeps that row as {k: 1},
+leaves every other row and is not assembled again.  Nearly all section
+unknowns are forced this way, and the canonical RREF, hence the
+least-pivot section, the nullspace basis and every report byte, is that
+of the full system.  A colinear section solves the non-colinear system
+too, so `faithful_flatness` reuses it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from . import linalg
@@ -173,79 +179,142 @@ def _unknown_positions(dom, cod):
             if cod.degrees[i] == dom.degrees[j]]
 
 
+def _unknown_count(dom, cod):
+    """len(_unknown_positions(dom, cod)), from the degree multiplicities."""
+    per_degree = Counter(dom.degrees)
+    return sum(per_degree[d] for d in cod.degrees)
+
+
 def _legs(X, side, dom, cod):
-    """(T's domain, T's codomain, mi, mj, offsets): E_ij: dom -> cod under T
-    lands in the entries (i * mi + oi, j * mj + oj) of T(E_ij), one per
-    (oi, oj) in offsets (left factor major)."""
+    """T's domain and codomain for T(s) = s, id_X (x) s or s (x) id_X."""
     if X is None:
-        return dom, cod, 1, 1, [(0, 0)]
+        return dom, cod
     if side == LEFT:
-        return (X.tensor(dom), X.tensor(cod), 1, 1,
-                [(x * cod.dim, x * dom.dim) for x in range(X.dim)])
-    return (dom.tensor(X), cod.tensor(X), X.dim, X.dim,
-            [(x, x) for x in range(X.dim)])
+        return X.tensor(dom), X.tensor(cod)
+    return dom.tensor(X), cod.tensor(X)
 
 
 def _assemble_system(dom, cod, equations):
-    """The stacked linear system of `equations` on s: dom -> cod, as sparse rows.
+    """The stacked linear system of `equations` on s: dom -> cod, presolved,
+    as sparse rows.
 
     Returns (positions, rows): positions lists the degree-matched unknowns
     (i, j), the entries of s; rows maps a row index to a dict from column
-    to nonzero scalar, ascending in the index.
-    Column k < len(positions) is unknown k and column len(positions) is the
-    right-hand side.  Each equation gives one row block, indexed by the
-    entries (r, c) of its output as r * width + c.  A term's column for the
-    unknown E_ij comes from vec(f o E_ij o g) = (g^T (x) f) vec(E_ij): the
-    products of column i of f with row j of g, summed over x on the id_X
-    legs.
+    to nonzero scalar, both ascending.  Column k < len(positions) is
+    unknown k and column len(positions) is the right-hand side.  Each
+    equation gives one row block, indexed by the entries (r, c) of its
+    output as r * width + c.  A term's column for the unknown E_ij is
+    vec(f o E_ij o g) = (g^T (x) f) vec(E_ij): the products of column
+    (i, x) of f with row (j, x) of g, summed over x on the id_X leg.  The
+    nonzero columns of f and rows of g are split into (i, x) and (j, x)
+    once per term, so for each unknown only the legs x where both are
+    nonzero are visited, and its products go straight into the row dicts.
+
+    The blocks are assembled in order, each only over the unknowns still
+    live.  A homogeneous row with one unknown k forces s_k = 0: it becomes
+    the unit row {k: 1}, k leaves the live set, and k is dropped from every
+    other row so far, so it occurs in its unit row only.  This is exact:
+    e_k lies in the row space, so dropping multiples of it, from earlier
+    rows and from the later blocks, leaves the row space as it is, and
+    `linalg.rref_rows` returns the pivot rows of the full system, in which
+    {k: 1} is a pivot row and no other pivot row has an entry in column k.
     """
     p = dom.field.characteristic
+    one = dom.field.one()
     positions = _unknown_positions(dom, cod)
     n = len(positions)
-    targets = {}  # row -> right-hand side
-    prepared = []  # (f by column, g by row, mi, mj, offsets) per term
+    live = range(n)
+    rows = {}
     offset = 0
     for terms, rhs in equations:
         width = rhs.dom.dim
+        prepared = []  # (f's columns by i, g's rows by j) per term
+        integral = not p  # over QQ, no Fraction in the block's f and g
         for c, f, X, side, g in terms:
-            t_dom, t_cod, *legs = _legs(X, side, dom, cod)
+            t_dom, t_cod = _legs(X, side, dom, cod)
             if (f.dom, f.cod, g.dom, g.cod) != (t_cod, rhs.cod, rhs.dom, t_dom):
                 raise TypeError("a term's f o T(s) o g does not have the "
                                 "endpoints of its equation's right-hand side")
-            # f's entry (r, k) lands in output row offset + r * width
+            # an index of T(s)'s (co)domain is (u, x) as u * m + x, with
+            # m = dim X (1 when T(s) = s), or as x * m + u on a left leg,
+            # with m the dim of s's (co)domain
+            left = side == LEFT
+            m_f = cod.dim if left else 1 if X is None else X.dim
+            m_g = dom.dim if left else m_f
+            # f's entry (r, (i, x)) lands in output row offset + r * width
             f_cols = {}
             for (r, k), v in f.entries.items():
-                f_cols.setdefault(k, []).append(
+                i, x = divmod(k, m_f)
+                if left:
+                    i, x = x, i
+                f_cols.setdefault(i, {}).setdefault(x, []).append(
                     (offset + r * width, c * v))
             g_rows = {}
             for (k, col), v in g.entries.items():
-                g_rows.setdefault(k, []).append((col, v))
-            prepared.append((f_cols, g_rows, *legs))
-        for (r, col), v in rhs.entries.items():
-            targets[offset + r * width + col] = v
-        offset += rhs.cod.dim * width
-    rows = {}
-    for k, (i, j) in enumerate(positions):
-        column = {}
-        for f_cols, g_rows, mi, mj, offsets in prepared:
-            for oi, oj in offsets:
-                f_col = f_cols.get(i * mi + oi)
-                g_row = g_rows.get(j * mj + oj)
-                if f_col is None or g_row is None:
+                j, x = divmod(k, m_g)
+                if left:
+                    j, x = x, j
+                g_rows.setdefault(j, {}).setdefault(x, []).append((col, v))
+            prepared.append((f_cols, g_rows))
+            if integral:
+                integral = not any(type(v) is Fraction for h in (f, g)
+                                   for v in h.entries.values())
+        block = {}
+        for k in live:
+            i, j = positions[k]
+            for f_cols, g_rows in prepared:
+                f_i = f_cols.get(i)
+                if f_i is None:
                     continue
-                for a, fv in f_col:
-                    for b, gv in g_row:
-                        column[a + b] = column.get(a + b, 0) + fv * gv
-        for row, v in column.items():
+                g_j = g_rows.get(j)
+                if g_j is None:
+                    continue
+                for x, f_col in f_i.items():
+                    g_row = g_j.get(x)
+                    if g_row is None:
+                        continue
+                    for a, fv in f_col:
+                        for b, gv in g_row:
+                            row = block.get(a + b)
+                            if row is None:
+                                block[a + b] = {k: fv * gv}
+                            else:
+                                row[k] = row.get(k, 0) + fv * gv
+        for (r, col), v in rhs.entries.items():
+            block.setdefault(offset + r * width + col, {})[n] = v
+        offset += rhs.cod.dim * width
+        new = {}  # unknown this block forces -> the index of its unit row
+        for r in sorted(block):
+            row = block.pop(r)
             if p:
-                v %= p
-            elif type(v) is Fraction and v.denominator == 1:
-                v = v.numerator
-            if v:
-                rows.setdefault(row, {})[k] = v
-    for row, v in targets.items():
-        rows.setdefault(row, {})[n] = v
-    return positions, {row: rows[row] for row in sorted(rows)}
+                row = {k: v % p for k, v in row.items() if v % p}
+            elif integral:
+                if 0 in row.values():
+                    row = {k: v for k, v in row.items() if v}
+            else:
+                row = {k: (v.numerator if type(v) is Fraction
+                           and v.denominator == 1 else v)
+                       for k, v in row.items() if v}
+            if len(row) == 1 and n not in row:
+                k = next(iter(row))
+                if k in new:  # a multiple of k's unit row
+                    continue
+                new[k] = r
+                row[k] = one
+            elif not row:
+                continue
+            rows[r] = row
+        if new:
+            empty = []
+            for r, row in rows.items():
+                for k in [k for k in row if k in new and new[k] != r]:
+                    del row[k]
+                if not row:
+                    empty.append(r)
+            for r in empty:
+                del rows[r]
+            live = [k for k in live if k not in new]
+    return positions, rows
 
 
 def solve_morphism_system(dom, cod, equations):
@@ -496,12 +565,12 @@ class AlgebraBundle(Bundle):
     def equivariant_projectivity(self):
         def build():
             P, B = self.como.space, self.base.space
+            BP = B.tensor(P)
             s = solve_morphism_system(
-                P, B.tensor(P), self._projectivity_equations(colinear=True))
+                P, BP, self._projectivity_equations(colinear=True))
             rep = Report()
             rep.add("C.equivariant_projective", s is not None,
-                    details={"dim_unknowns":
-                             len(_unknown_positions(P, B.tensor(P)))},
+                    details={"dim_unknowns": _unknown_count(P, BP)},
                     witness=s)
             if s is not None:
                 self._cache["section"] = s

@@ -38,12 +38,20 @@ def _seed():
         raise InstanceError(0, "HGL_SEED must be an integer, not %r" % text)
 
 
-def _load(path):
+def _read(path):
+    """The text of a UTF-8 file; one that cannot be read or decoded is an
+    input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_instance(fh.read())
+            return fh.read()
     except OSError as exc:
         raise InstanceError(0, "%s: %s" % (path, exc.strerror or exc))
+    except UnicodeDecodeError as exc:
+        raise InstanceError(0, "%s: %s" % (path, exc))
+
+
+def _load(path):
+    return parse_instance(_read(path))
 
 
 def _bundle(inst, side=None, name=None):
@@ -169,11 +177,7 @@ def cmd_qcat(args):
 
 def cmd_eval(args):
     inst = _load(args.file)
-    try:
-        with open(args.exprfile, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InstanceError(0, "%s: %s" % (args.exprfile, exc.strerror or exc))
+    text = _read(args.exprfile)
     try:
         rep = run_assertions(text, inst.environment())
     except (ParseError, TypeError) as exc:

@@ -20,7 +20,8 @@ from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              set_action_bundle, superline, sweedler_hopf,
                              trivial_algebra_bundle, trivial_coalgebra_bundle,
                              unit_algebra)
-from test_morphism import GROUPS, graded_morphism, graded_space
+from test_morphism import (ELIMINATION_GROUPS, GROUPS, graded_morphism,
+                           graded_space, nonzero_scalar)
 
 F7 = PrimeField(7)
 
@@ -242,20 +243,16 @@ def assemble_by_evaluation(dom, cod, equations):
     return positions, A, b
 
 
-def assembled_dense(dom, cod, equations):
-    """`_assemble_system`'s sparse rows as the reference's (positions, A, b),
-    after checking they hold only nonzero scalars in ascending rows."""
-    field = dom.field
-    p = field.characteristic
+def assembled_rows(dom, cod, equations):
+    """`_assemble_system`'s (positions, rows), after checking the rows hold
+    only nonzero canonical scalars, ascending in row and in column."""
+    p = dom.field.characteristic
     positions, rows = _assemble_system(dom, cod, equations)
     n = len(positions)
     m = sum(rhs.cod.dim * rhs.dom.dim for _, rhs in equations)
     assert list(rows) == sorted(rows) and all(0 <= r < m for r in rows)
-    zero = field.zero()
-    A = [[zero] * n for _ in range(m)]
-    b = [[zero] for _ in range(m)]
-    for r, row in rows.items():
-        assert row
+    for row in rows.values():
+        assert row and list(row) == sorted(row)
         for k, v in row.items():
             assert 0 <= k <= n and v
             if p:
@@ -263,20 +260,28 @@ def assembled_dense(dom, cod, equations):
             else:
                 assert type(v) is int or (
                     type(v) is Fraction and v.denominator > 1)
-            if k == n:
-                b[r][0] = v
-            else:
-                A[r][k] = v
-    return positions, A, b
+    return positions, rows
+
+
+def dense_pivot_rows(field, A, b):
+    """The pivot rows of the dense oracle's RREF of [A | b], as
+    {pivot column: {column: nonzero scalar}}."""
+    R, pivots = linalg.rref(field, [a + c for a, c in zip(A, b)])
+    return {c: {j: v for j, v in enumerate(row) if v}
+            for c, row in zip(pivots, R)}
 
 
 def check_against_evaluation(dom, cod, equations):
-    """The term-built system, its solution and its nullspace equal the
-    reference's; returns the positions."""
+    """The term-built system has the reference's unknowns and, presolved,
+    the canonical RREF of the reference's [A | b]; its solution and its
+    nullspace equal the reference's.  Returns (positions, rows, A, b)."""
     reference = [(term_callable(terms), rhs) for terms, rhs in equations]
     positions, A, b = assemble_by_evaluation(dom, cod, reference)
-    assert assembled_dense(dom, cod, equations) == (positions, A, b)
+    assembled, rows = assembled_rows(dom, cod, equations)
+    assert assembled == positions
     field = dom.field
+    assert linalg.rref_rows(field, [dict(row) for row in rows.values()]) \
+        == dense_pivot_rows(field, A, b)
     n = len(positions)
     X = linalg.solve(field, A, b)
     expected = None if X is None else Morphism(
@@ -285,7 +290,7 @@ def check_against_evaluation(dom, cod, equations):
     basis = [Morphism(dom, cod, {positions[k]: v[k] for k in range(n)})
              for v in linalg.kernel_basis(field, A, ncols=n)]
     assert morphism_nullspace(dom, cod, equations) == basis
-    return positions
+    return positions, rows, A, b
 
 
 def _shift_action(n, k):
@@ -319,43 +324,130 @@ def test_condition_C_systems_match_per_unknown_evaluation():
         P, B = b.como.space, b.base.space
         BP = B.tensor(P)
         for colinear in (True, False):
-            positions = check_against_evaluation(
+            positions, rows, A, rhs = check_against_evaluation(
                 P, BP, b._projectivity_equations(colinear))
+            forced = assert_forced_are_units(rows, A, rhs)
+            if name.startswith("set_action"):
+                assert forced
         check_against_evaluation(P, B, b._trace_ideal_equations())
         if name.startswith("superline"):
             # the odd basis vector of P meets no even one of B (x) P
             assert len(positions) < P.dim * BP.dim
 
 
+def leg_spaces(X, side, dom, cod):
+    """T's domain and codomain for T(s) = s, id_X (x) s or s (x) id_X."""
+    if side == LEFT:
+        return X.tensor(dom), X.tensor(cod)
+    if side == RIGHT:
+        return dom.tensor(X), cod.tensor(X)
+    return dom, cod
+
+
+@st.composite
+def random_block(draw, group, dom, cod):
+    """One equation of 1-3 random terms, each a plain, left or right leg
+    between random graded spaces."""
+    out_dom, out_cod = draw(graded_space(group)), draw(graded_space(group))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        side = draw(st.sampled_from([None, LEFT, RIGHT]))
+        X = None if side is None else draw(graded_space(group, 2))
+        t_dom, t_cod = leg_spaces(X, side, dom, cod)
+        c = draw(st.sampled_from([1, -1, 2, -3]))
+        terms.append((c, draw(graded_morphism(t_cod, out_cod)), X, side,
+                      draw(graded_morphism(out_dom, t_dom))))
+    return terms, draw(graded_morphism(out_dom, out_cod))
+
+
 @st.composite
 def term_system(draw):
-    """An unknown's endpoints and one or two equations of 1-3 random terms,
-    each a plain, left or right leg between random graded spaces."""
+    """An unknown's endpoints and one or two random equations."""
     group = draw(st.sampled_from(GROUPS))
     dom, cod = draw(graded_space(group)), draw(graded_space(group))
-    equations = []
-    for _ in range(draw(st.integers(1, 2))):
-        out_dom, out_cod = draw(graded_space(group)), draw(graded_space(group))
-        terms = []
-        for _ in range(draw(st.integers(1, 3))):
-            side = draw(st.sampled_from([None, LEFT, RIGHT]))
-            X = None if side is None else draw(graded_space(group, 2))
-            t_dom, t_cod = dom, cod
-            if side == LEFT:
-                t_dom, t_cod = X.tensor(dom), X.tensor(cod)
-            elif side == RIGHT:
-                t_dom, t_cod = dom.tensor(X), cod.tensor(X)
-            c = draw(st.sampled_from([1, -1, 2, -3]))
-            terms.append((c, draw(graded_morphism(t_cod, out_cod)), X, side,
-                          draw(graded_morphism(out_dom, t_dom))))
-        equations.append((terms, draw(graded_morphism(out_dom, out_cod))))
-    return dom, cod, equations
+    return dom, cod, [draw(random_block(group, dom, cod))
+                      for _ in range(draw(st.integers(1, 2)))]
 
 
 @settings(max_examples=60, deadline=None)
 @given(term_system())
 def test_random_term_systems_match_per_unknown_evaluation(system):
     check_against_evaluation(*system)
+
+
+# -- presolve: systems with planted one-unknown rows --------------------------
+#
+# Random term systems almost never hold a row with one unknown, so the
+# blocks below plant them: f has one nonzero in each row and g one in each
+# column, and each entry of f o T(s) o g is then one unknown times a scalar.
+
+def forced_unknowns(A, b):
+    """The unknowns a homogeneous one-unknown row of the full [A | b]
+    forces to zero."""
+    return {next(k for k, v in enumerate(a) if v) for a, c in zip(A, b)
+            if not c[0] and sum(1 for v in a if v) == 1}
+
+
+def assert_forced_are_units(rows, A, b):
+    """Each forced unknown k is the unit row {k: 1} and occurs in no other
+    row; returns how many there are."""
+    forced = forced_unknowns(A, b)
+    for k in forced:
+        assert [row for row in rows.values() if k in row] == [{k: 1}]
+    return len(forced)
+
+
+@st.composite
+def selector(draw, dom, cod, by_row):
+    """A degree-preserving dom -> cod with at most one nonzero in each row
+    (by_row) or in each column; two of them may pick the same place."""
+    value = nonzero_scalar(dom.field)
+    outer, inner = (cod, dom) if by_row else (dom, cod)
+    entries = {}
+    for a, d in enumerate(outer.degrees):
+        choices = [b for b, e in enumerate(inner.degrees) if e == d]
+        if choices and draw(st.integers(0, 3)):
+            b = draw(st.sampled_from(choices))
+            entries[(a, b) if by_row else (b, a)] = draw(value)
+    return Morphism(dom, cod, entries)
+
+
+@st.composite
+def planted_block(draw, group, dom, cod):
+    """One equation c * f o T(s) o g = rhs whose rows hold one unknown at
+    most: entry (r, col) is f[r, (x, i)] * g[(x, j), col] * s_ij for the
+    one (x, i) and (x, j) that f and g pick.  rhs is zero but at a few
+    entries, so most of those rows force their unknown and some do not."""
+    side = draw(st.sampled_from([None, LEFT, RIGHT]))
+    X = None if side is None else draw(graded_space(group, 2))
+    t_dom, t_cod = leg_spaces(X, side, dom, cod)
+    out_dom, out_cod = draw(graded_space(group)), draw(graded_space(group))
+    f = draw(selector(t_cod, out_cod, True))
+    g = draw(selector(out_dom, t_dom, False))
+    rhs = draw(graded_morphism(out_dom, out_cod))
+    rhs = Morphism(out_dom, out_cod, {
+        key: v for key, v in rhs.entries.items() if not draw(st.integers(0, 3))})
+    c = draw(st.sampled_from([1, -1, 2, -3]))
+    return [(c, f, X, side, g)], rhs
+
+
+@st.composite
+def planted_system(draw):
+    """2-3 blocks over QQ, F_2 or F_101, trivially or Z_n graded, at least
+    one of them planted, in any place."""
+    group = draw(st.sampled_from(ELIMINATION_GROUPS))
+    dom, cod = draw(graded_space(group)), draw(graded_space(group))
+    kinds = draw(st.lists(st.booleans(), min_size=2, max_size=3).filter(any))
+    return dom, cod, [draw(planted_block(group, dom, cod)) if planted
+                      else draw(random_block(group, dom, cod))
+                      for planted in kinds]
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_system())
+def test_presolved_systems_match_per_unknown_evaluation(system):
+    _, rows, A, b = check_against_evaluation(*system)
+    assert_forced_are_units(rows, A, b)
 
 
 def test_assembly_rejects_a_term_with_wrong_endpoints():

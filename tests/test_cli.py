@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 from contextlib import redirect_stdout, redirect_stderr
@@ -5,10 +6,11 @@ from contextlib import redirect_stdout, redirect_stderr
 import pytest
 
 from hopfgal.cli import main
-from hopfgal.corpus import corpus_commands, default_root, run_commands
-from hopfgal.fields import PrimeField
+from hopfgal.corpus import (_algebra_side_text, corpus_commands, default_root,
+                            run_commands)
+from hopfgal.fields import QQ, PrimeField
 from hopfgal.instances import InstanceWriter, serialize_hopf
-from hopfgal.samples import cyclic_group_algebra
+from hopfgal.samples import cyclic_group_algebra, set_action_bundle
 from test_instances import DIVISION_BY_ZERO
 
 CORPUS = default_root()
@@ -86,6 +88,20 @@ def test_division_by_zero_exit_2(tmp_path, text, message):
     path.write_text(text)
     code, out, err = run(["check", str(path)])
     assert code == 2 and out == "" and err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv", [
+    ["principal", "{bad}"], ["check", "{bad}"],
+    ["eval", "{bad}", "{good}"], ["eval", "{good}", "{bad}"],
+])
+def test_non_utf8_file_is_input_error(tmp_path, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"field rational\n\xff\n")
+    paths = {"bad": str(bad), "good": inst("trivial_z2")}
+    code, out, err = run([arg.format(**paths) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 0: %s: 'utf-8' codec can't decode "
+                          "byte 0xff" % bad)
 
 
 def test_malformed_file_exit_2(tmp_path):
@@ -186,3 +202,30 @@ def test_principal_sweep_dim_zero_means_no_sweep():
     assert "check=sweep.module_00_phi verdict=pass" in swept1
     code, out, _ = run(["descent", inst("trivial_z2"), "--sweep-dim", "1"])
     assert code == 0 and "check=sweep.module_00_psi verdict=pass" in out
+
+
+def _set_action_text(npoints, ngroup, act):
+    """instance.txt of Z_ngroup acting on X = Z_npoints over QQ."""
+    b = set_action_bundle(QQ, list(range(npoints)), list(range(ngroup)),
+                          lambda a, c: (a + c) % ngroup,
+                          lambda a: (-a) % ngroup, act)
+    return _algebra_side_text(b)[0]
+
+
+@pytest.mark.parametrize("name, text, expected", [
+    ("free_z4_x32", lambda: _set_action_text(32, 4, lambda x, g: (x + 8 * g) % 32),
+     (0, "4fd6926507baa6539a11a39ffe281b23be2f661079c63c77993230489c3cc335")),
+    # x -> -x fixes 0 and 16: not free, so condition B fails
+    ("nonfree_z2_x32", lambda: _set_action_text(32, 2,
+                                                lambda x, g: -x % 32 if g else x),
+     (1, "69ca8af60c97e900f4065de3957be7b612c90739006ce054b0a646de2ebf406e")),
+])
+def test_principal_bytes_where_condition_C_presolve_bites(tmp_path, name, text,
+                                                         expected):
+    # most of the ~10^4 section unknowns are forced to zero; the report's
+    # sha256 was recorded before the Condition-C system was presolved
+    path = tmp_path / (name + ".txt")
+    path.write_text(text(), encoding="utf-8")
+    code, out, err = run(["principal", str(path)])
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == expected

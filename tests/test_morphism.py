@@ -236,15 +236,19 @@ def graded_space(draw, group, max_dim=3):
         draw(st.integers(0, group.n - 1)) for _ in range(n)))
 
 
+def nonzero_scalar(field):
+    """A nonzero scalar of the field (over QQ, in [-3, 3] with denominator
+    at most 2)."""
+    if field.characteristic:
+        return st.integers(1, field.characteristic - 1).map(field.from_int)
+    return st.fractions(min_value=-3, max_value=3, max_denominator=2) \
+        .filter(bool)
+
+
 @st.composite
 def graded_morphism(draw, dom, cod):
     """A degree-preserving morphism with each allowed entry nonzero w.p. 1/2."""
-    field = dom.field
-    if field.characteristic:
-        value = st.integers(1, field.characteristic - 1).map(field.from_int)
-    else:
-        value = st.fractions(min_value=-3, max_value=3, max_denominator=2) \
-            .filter(bool)
+    value = nonzero_scalar(dom.field)
     entries = {}
     for i, di in enumerate(cod.degrees):
         for j, dj in enumerate(dom.degrees):
