@@ -19,17 +19,17 @@ Condition C solves linear systems for an unknown morphism s (a section
 P -> B (x) P of the left action, or a left-B-linear map P -> B).  Each
 equation is a list of terms c * f o T(s) o g with T(s) one of s,
 id_X (x) s and s (x) id_X.  `_assemble_system` builds the column of each
-degree-matched unknown E_ij from vec(f o E_ij o g) = (g^T (x) f) vec(E_ij),
-i.e. from column i of f and row j of g, as sparse rows of the field's
-own scalars (over QQ an int, or a Fraction with denominator > 1; over F_p
-an int in [0, p)) that `linalg.rref_rows` eliminates directly.  It
-assembles one equation at a time and presolves: an unknown that a
-homogeneous one-unknown row forces to zero keeps that row as {k: 1},
-leaves every other row and is not assembled again.  Nearly all section
-unknowns are forced this way, and the canonical RREF, hence the
-least-pivot section, the nullspace basis and every report byte, is that
-of the full system.  A colinear section solves the non-colinear system
-too, so `faithful_flatness` reuses it.
+degree-matched unknown E_ij, the entry i * dim P + j, from vec(f o E_ij
+o g) = (g^T (x) f) vec(E_ij), as sparse rows of the field's own scalars
+(over QQ an int, or a Fraction with denominator > 1; over F_p an int in
+[0, p)) that `linalg.rref_rows` eliminates directly.  It assembles one
+equation at a time and presolves: an unknown that a homogeneous
+one-unknown row forces to zero joins a forced set, leaves every row and
+is not assembled again, and that row is dropped.  Nearly all section
+unknowns are forced this way; the canonical RREF, hence the least-pivot
+section, the nullspace basis and every report byte, is that of the full
+system.  A colinear section solves the non-colinear system too, so
+`faithful_flatness` reuses it.
 """
 
 from __future__ import annotations
@@ -174,13 +174,15 @@ def invariants_base(x):
 LEFT, RIGHT = "left", "right"
 
 
-def _unknown_positions(dom, cod):
-    return [(i, j) for i in range(cod.dim) for j in range(dom.dim)
+def _unknowns(dom, cod):
+    """The degree-matched entries (i, j) of s: dom -> cod, as i * dom.dim + j."""
+    d = dom.dim
+    return [i * d + j for i in range(cod.dim) for j in range(d)
             if cod.degrees[i] == dom.degrees[j]]
 
 
 def _unknown_count(dom, cod):
-    """len(_unknown_positions(dom, cod)), from the degree multiplicities."""
+    """len(_unknowns(dom, cod)), from the degree multiplicities."""
     per_degree = Counter(dom.degrees)
     return sum(per_degree[d] for d in cod.degrees)
 
@@ -198,33 +200,34 @@ def _assemble_system(dom, cod, equations):
     """The stacked linear system of `equations` on s: dom -> cod, presolved,
     as sparse rows.
 
-    Returns (positions, rows): positions lists the degree-matched unknowns
-    (i, j), the entries of s; rows maps a row index to a dict from column
-    to nonzero scalar, both ascending.  Column k < len(positions) is
-    unknown k and column len(positions) is the right-hand side.  Each
-    equation gives one row block, indexed by the entries (r, c) of its
-    output as r * width + c.  A term's column for the unknown E_ij is
-    vec(f o E_ij o g) = (g^T (x) f) vec(E_ij): the products of column
-    (i, x) of f with row (j, x) of g, summed over x on the id_X leg.  The
-    nonzero columns of f and rows of g are split into (i, x) and (j, x)
-    once per term, so for each unknown only the legs x where both are
-    nonzero are visited, and its products go straight into the row dicts.
+    Returns (n, rows, forced).  Column i * dom.dim + j is the unknown
+    s_ij, for each degree-matched entry (i, j) of s, and column n =
+    cod.dim * dom.dim is the right-hand side; rows maps a row index to a
+    dict from column to nonzero scalar, both ascending; forced is the set
+    of unknowns fixed at zero.  Each equation gives one row block, indexed
+    by the entries (r, c) of its output as r * width + c.  A term's column
+    for the unknown E_ij is vec(f o E_ij o g) = (g^T (x) f) vec(E_ij): the
+    products of column (i, x) of f with row (j, x) of g, summed over x on
+    the id_X leg.  The nonzero columns of f and rows of g are split into
+    (i, x) and (j, x) once per term, so for each unknown only the legs x
+    where both are nonzero are visited, and its products go straight into
+    the row dicts.
 
     The blocks are assembled in order, each only over the unknowns still
-    live.  A homogeneous row with one unknown k forces s_k = 0: it becomes
-    the unit row {k: 1}, k leaves the live set, and k is dropped from every
-    other row so far, so it occurs in its unit row only.  This is exact:
-    e_k lies in the row space, so dropping multiples of it, from earlier
-    rows and from the later blocks, leaves the row space as it is, and
-    `linalg.rref_rows` returns the pivot rows of the full system, in which
-    {k: 1} is a pivot row and no other pivot row has an entry in column k.
+    live.  A homogeneous row with one unknown k forces s_k = 0: k joins
+    forced, leaves the live set and every row so far, and the row is not
+    kept.  This is exact: e_k lies in the row space, so dropping multiples
+    of it, from earlier rows and from the later blocks, leaves the row
+    space as it is.  The canonical RREF of the full system is the pivot
+    rows `linalg.rref_rows` returns on the rows, with {k: 1} added for
+    each forced k; no other pivot row has an entry in column k.
     """
     p = dom.field.characteristic
-    one = dom.field.one()
-    positions = _unknown_positions(dom, cod)
-    n = len(positions)
-    live = range(n)
+    d = dom.dim
+    n = cod.dim * d
+    live = _unknowns(dom, cod)
     rows = {}
+    forced = set()
     offset = 0
     for terms, rhs in equations:
         width = rhs.dom.dim
@@ -240,7 +243,7 @@ def _assemble_system(dom, cod, equations):
             # with m the dim of s's (co)domain
             left = side == LEFT
             m_f = cod.dim if left else 1 if X is None else X.dim
-            m_g = dom.dim if left else m_f
+            m_g = d if left else m_f
             # f's entry (r, (i, x)) lands in output row offset + r * width
             f_cols = {}
             for (r, k), v in f.entries.items():
@@ -261,7 +264,7 @@ def _assemble_system(dom, cod, equations):
                                    for v in h.entries.values())
         block = {}
         for k in live:
-            i, j = positions[k]
+            i, j = divmod(k, d)
             for f_cols, g_rows in prepared:
                 f_i = f_cols.get(i)
                 if f_i is None:
@@ -283,7 +286,7 @@ def _assemble_system(dom, cod, equations):
         for (r, col), v in rhs.entries.items():
             block.setdefault(offset + r * width + col, {})[n] = v
         offset += rhs.cod.dim * width
-        new = {}  # unknown this block forces -> the index of its unit row
+        settled = len(forced)
         for r in sorted(block):
             row = block.pop(r)
             if p:
@@ -296,63 +299,58 @@ def _assemble_system(dom, cod, equations):
                            and v.denominator == 1 else v)
                        for k, v in row.items() if v}
             if len(row) == 1 and n not in row:
-                k = next(iter(row))
-                if k in new:  # a multiple of k's unit row
-                    continue
-                new[k] = r
-                row[k] = one
-            elif not row:
-                continue
-            rows[r] = row
-        if new:
+                forced.update(row)  # its one unknown
+            elif row:
+                rows[r] = row
+        if len(forced) > settled:
             empty = []
             for r, row in rows.items():
-                for k in [k for k in row if k in new and new[k] != r]:
+                for k in [k for k in row if k in forced]:
                     del row[k]
                 if not row:
                     empty.append(r)
             for r in empty:
                 del rows[r]
-            live = [k for k in live if k not in new]
-    return positions, rows
+            live = [k for k in live if k not in forced]
+    return n, rows, forced
 
 
 def solve_morphism_system(dom, cod, equations):
     """Deterministic particular solution s: dom -> cod, or None.
 
-    The least-pivot solution of the canonical RREF: free unknowns are zero.
+    The least-pivot solution of the canonical RREF: free and forced
+    unknowns are zero.
     """
-    field = dom.field
-    positions, rows = _assemble_system(dom, cod, equations)
-    n = len(positions)
-    pivot_rows = linalg.rref_rows(field, rows.values())
+    n, rows, _ = _assemble_system(dom, cod, equations)
+    pivot_rows = linalg.rref_rows(dom.field, rows.values())
     if n in pivot_rows:  # a pivot in the right-hand side: inconsistent
         return None
-    return Morphism(dom, cod, {positions[c]: row[n]
+    return Morphism(dom, cod, {divmod(c, dom.dim): row[n]
                                for c, row in pivot_rows.items() if n in row})
 
 
 def morphism_nullspace(dom, cod, equations):
     """Basis of the space of s: dom -> cod solving the homogeneous system.
 
-    One basis morphism per free unknown, ascending: 1 there and minus the
-    free column of each pivot row at that row's pivot.
+    One basis morphism per free unknown (neither pivot nor forced),
+    ascending: 1 there and minus the free column of each pivot row at that
+    row's pivot.
     """
-    field = dom.field
-    positions, rows = _assemble_system(dom, cod, equations)
-    n = len(positions)
+    d = dom.dim
+    n, rows, forced = _assemble_system(dom, cod, equations)
     for row in rows.values():
         row.pop(n, None)
-    pivot_rows = linalg.rref_rows(field, rows.values())
-    basis = {k: {} for k in range(n) if k not in pivot_rows}
+    pivot_rows = linalg.rref_rows(dom.field, rows.values())
+    basis = {k: {} for k in _unknowns(dom, cod)
+             if k not in pivot_rows and k not in forced}
     for c, row in pivot_rows.items():
         for k, v in row.items():
             if k != c:
-                basis[k][positions[c]] = -v
-    one = field.one()
+                basis[k][divmod(c, d)] = -v
+    one = dom.field.one()
     out = []
     for k, entries in basis.items():
-        entries[positions[k]] = one
+        entries[divmod(k, d)] = one
         out.append(Morphism(dom, cod, entries))
     return out
 

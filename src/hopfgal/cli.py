@@ -143,6 +143,9 @@ def cmd_descent(args):
         if args.module not in inst.bmodules:
             raise InstanceError(0, "no bmodule named %r" % args.module)
         v = inst.bmodules[args.module]
+        if v.action.dom != v.carrier.tensor(b.base.space):
+            raise InstanceError(0, "bmodule %r does not act by V (x) B -> V "
+                                "for the bundle's base B" % args.module)
         rep.extend(check_bmodule(v, b.base), prefix="module.")
         d = comparison_K(v, b)
         rep.extend(verify_descent_datum(d), prefix="datum.")

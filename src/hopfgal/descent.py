@@ -518,8 +518,15 @@ def _quotient_module(field, closed, act, F, B):
 
 
 def sweep_phi_psi(bundle, max_dim=3, seed=0):
-    """Check Phi and Psi on all enumerated base modules; one item each."""
+    """Check Phi and Psi on all enumerated base modules; one item each.
+
+    A base whose unit is zero is one failing item: the enumeration reads
+    modules off a nonzero coordinate of the unit.
+    """
     rep = Report()
+    if not bundle.base.unit.entries:
+        return rep.add("sweep.base_unit", False,
+                       details={"reason": "the base's unit is zero"})
     mods = enumerate_bmodules(bundle.base, max_dim, seed=seed)
     for n, v in enumerate(mods):
         d = comparison_K(v, bundle)

@@ -155,9 +155,6 @@ class Morphism:
     def scale(self, c):
         return Morphism(self.dom, self.cod, {k: c * v for k, v in self.entries.items()})
 
-    def __matmul__(self, other):
-        return compose(self, other)
-
 
 def compose(f, g):
     """f o g (apply g first)."""

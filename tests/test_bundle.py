@@ -243,24 +243,29 @@ def assemble_by_evaluation(dom, cod, equations):
     return positions, A, b
 
 
-def assembled_rows(dom, cod, equations):
-    """`_assemble_system`'s (positions, rows), after checking the rows hold
-    only nonzero canonical scalars, ascending in row and in column."""
+def assembled_rows(dom, cod, equations, entries):
+    """`_assemble_system`'s (n, rows, forced), after checking that n is the
+    right-hand side's column cod.dim * dom.dim, that forced holds only
+    unknowns (the degree-matched entries listed in `entries`), and that
+    the rows hold only nonzero canonical scalars, ascending in row and in
+    column, in the right-hand side's column or a live unknown's."""
     p = dom.field.characteristic
-    positions, rows = _assemble_system(dom, cod, equations)
-    n = len(positions)
+    n, rows, forced = _assemble_system(dom, cod, equations)
+    assert n == cod.dim * dom.dim
+    unknowns = set(entries)
+    assert forced <= unknowns
     m = sum(rhs.cod.dim * rhs.dom.dim for _, rhs in equations)
     assert list(rows) == sorted(rows) and all(0 <= r < m for r in rows)
     for row in rows.values():
         assert row and list(row) == sorted(row)
         for k, v in row.items():
-            assert 0 <= k <= n and v
+            assert (k == n or k in unknowns and k not in forced) and v
             if p:
                 assert type(v) is int and 0 < v < p
             else:
                 assert type(v) is int or (
                     type(v) is Fraction and v.denominator > 1)
-    return positions, rows
+    return n, rows, forced
 
 
 def dense_pivot_rows(field, A, b):
@@ -273,24 +278,31 @@ def dense_pivot_rows(field, A, b):
 
 def check_against_evaluation(dom, cod, equations):
     """The term-built system has the reference's unknowns and, presolved,
-    the canonical RREF of the reference's [A | b]; its solution and its
-    nullspace equal the reference's.  Returns (positions, rows, A, b)."""
+    with the unit row {k: 1} of each forced unknown k added back, the
+    canonical RREF of the reference's [A | b], once the reference's column
+    of unknown (i, j) is renamed i * dom.dim + j and b's is renamed n; its
+    solution and its nullspace equal the reference's.  Returns (entries,
+    rows, forced, A, b), with entries[k] the column of reference unknown k."""
     reference = [(term_callable(terms), rhs) for terms, rhs in equations]
     positions, A, b = assemble_by_evaluation(dom, cod, reference)
-    assembled, rows = assembled_rows(dom, cod, equations)
-    assert assembled == positions
+    entries = [i * dom.dim + j for i, j in positions]
+    n, rows, forced = assembled_rows(dom, cod, equations, entries)
     field = dom.field
-    assert linalg.rref_rows(field, [dict(row) for row in rows.values()]) \
-        == dense_pivot_rows(field, A, b)
-    n = len(positions)
+    pivot_rows = linalg.rref_rows(field, [dict(row) for row in rows.values()])
+    assert pivot_rows.keys().isdisjoint(forced)
+    pivot_rows.update({k: {k: 1} for k in forced})
+    column = entries + [n]
+    assert pivot_rows == {
+        column[c]: {column[j]: v for j, v in row.items()}
+        for c, row in dense_pivot_rows(field, A, b).items()}
     X = linalg.solve(field, A, b)
     expected = None if X is None else Morphism(
-        dom, cod, {positions[k]: X[k][0] for k in range(n)})
+        dom, cod, {ij: x[0] for ij, x in zip(positions, X)})
     assert solve_morphism_system(dom, cod, equations) == expected
-    basis = [Morphism(dom, cod, {positions[k]: v[k] for k in range(n)})
-             for v in linalg.kernel_basis(field, A, ncols=n)]
+    basis = [Morphism(dom, cod, dict(zip(positions, v)))
+             for v in linalg.kernel_basis(field, A, ncols=len(positions))]
     assert morphism_nullspace(dom, cod, equations) == basis
-    return positions, rows, A, b
+    return entries, rows, forced, A, b
 
 
 def _shift_action(n, k):
@@ -324,15 +336,15 @@ def test_condition_C_systems_match_per_unknown_evaluation():
         P, B = b.como.space, b.base.space
         BP = B.tensor(P)
         for colinear in (True, False):
-            positions, rows, A, rhs = check_against_evaluation(
+            system = check_against_evaluation(
                 P, BP, b._projectivity_equations(colinear))
-            forced = assert_forced_are_units(rows, A, rhs)
+            forced = assert_forced_are_dropped(*system)
             if name.startswith("set_action"):
                 assert forced
         check_against_evaluation(P, B, b._trace_ideal_equations())
         if name.startswith("superline"):
             # the odd basis vector of P meets no even one of B (x) P
-            assert len(positions) < P.dim * BP.dim
+            assert len(system[0]) < P.dim * BP.dim
 
 
 def leg_spaces(X, side, dom, cod):
@@ -388,13 +400,14 @@ def forced_unknowns(A, b):
             if not c[0] and sum(1 for v in a if v) == 1}
 
 
-def assert_forced_are_units(rows, A, b):
-    """Each forced unknown k is the unit row {k: 1} and occurs in no other
-    row; returns how many there are."""
-    forced = forced_unknowns(A, b)
-    for k in forced:
-        assert [row for row in rows.values() if k in row] == [{k: 1}]
-    return len(forced)
+def assert_forced_are_dropped(entries, rows, forced, A, b):
+    """Each unknown a one-unknown row of the full system forces is in
+    forced, and no assembled row holds a forced column; returns how many
+    the full system forces."""
+    expected = {entries[k] for k in forced_unknowns(A, b)}
+    assert expected <= forced
+    assert not any(k in forced for row in rows.values() for k in row)
+    return len(expected)
 
 
 @st.composite
@@ -446,8 +459,7 @@ def planted_system(draw):
 @settings(max_examples=100, deadline=None)
 @given(planted_system())
 def test_presolved_systems_match_per_unknown_evaluation(system):
-    _, rows, A, b = check_against_evaluation(*system)
-    assert_forced_are_units(rows, A, b)
+    assert_forced_are_dropped(*check_against_evaluation(*system))
 
 
 def test_assembly_rejects_a_term_with_wrong_endpoints():

@@ -59,6 +59,44 @@ def test_descent_module_and_sweep():
     assert code == 0
 
 
+def edited_corpus_entry(tmp_path, name, old, new):
+    """The path of corpus entry `name`'s instance.txt with old replaced."""
+    with open(inst(name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = tmp_path / (name + ".txt")
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return str(path)
+
+
+def test_descent_module_over_another_base_is_input_error(tmp_path):
+    # P_m: P (x) P -> P, while the base of free_z2 is B, not P
+    path = edited_corpus_entry(tmp_path, "free_z2", "bmodule M act=M_act",
+                               "bmodule M act=P_m")
+    code, out, err = run(["descent", path, "--module", "M"])
+    assert (code, out) == (2, "")
+    assert err == ("error: line 0: bmodule 'M' does not act by V (x) B -> V "
+                   "for the bundle's base B\n")
+
+
+@pytest.mark.parametrize("name, argv", [
+    # a 1-dimensional base, whose one module structure inverts the unit
+    ("free_z2", ["descent", "--sweep-dim", "1"]),
+    ("free_z2", ["principal", "--sweep-dim", "1"]),
+    # a commutative 2-dimensional base, enumerated in the basis (1, w)
+    ("nonflat", ["descent", "--sweep-dim", "2"]),
+])
+def test_sweep_over_a_base_with_zero_unit_fails_cleanly(tmp_path, name, argv):
+    path = edited_corpus_entry(tmp_path, name,
+                               "morphism B_u 1 B\n  0 0 1\nend",
+                               "morphism B_u 1 B\nend")
+    code, out, err = run(argv[:1] + [path] + argv[1:])
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines()
+            if line.startswith("check=sweep.")] == [
+        "check=sweep.base_unit verdict=fail reason=the base's unit is zero"]
+
+
 def test_qcat():
     code, out, _ = run(["qcat", inst("mc_trivial_z2")])
     assert code == 0 and "check=qcat.dim_G verdict=pass dim=2" in out
@@ -219,11 +257,15 @@ def _set_action_text(npoints, ngroup, act):
     ("nonfree_z2_x32", lambda: _set_action_text(32, 2,
                                                 lambda x, g: -x % 32 if g else x),
      (1, "69ca8af60c97e900f4065de3957be7b612c90739006ce054b0a646de2ebf406e")),
+    ("free_z4_x64", lambda: _set_action_text(64, 4, lambda x, g: (x + 16 * g) % 64),
+     (0, "aff168a51b4b96311245833e2d194e7fbeacdce3f75c5b93534930481f1769f9")),
 ])
 def test_principal_bytes_where_condition_C_presolve_bites(tmp_path, name, text,
                                                          expected):
-    # most of the ~10^4 section unknowns are forced to zero; the report's
-    # sha256 was recorded before the Condition-C system was presolved
+    # most of the ~10^4 (x32) and ~10^5 (x64) section unknowns are forced
+    # to zero; the x32 reports' sha256 was recorded before the Condition-C
+    # system was presolved, the x64 one while forced unknowns still went
+    # through the elimination as unit rows
     path = tmp_path / (name + ".txt")
     path.write_text(text(), encoding="utf-8")
     code, out, err = run(["principal", str(path)])
