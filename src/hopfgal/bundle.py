@@ -596,7 +596,7 @@ class AlgebraBundle(Bundle):
             # spanned by their columns, the rows of their transposes
             maps = morphism_nullspace(P, B, self._trace_ideal_equations())
             columns = [row for f in maps
-                       for row in sparse_rows(dualize(f)).values()]
+                       for row in sparse_rows(f, transposed=True).values()]
             trace_rank = len(linalg.rref_rows(P.field, columns))
             rep.add("C.trace_ideal_full", trace_rank == B.dim,
                     details={"trace_rank": trace_rank, "dim_base": B.dim})

@@ -19,7 +19,7 @@ from .bundle import (AlgebraBundle, canonical_map_linearity,
                      check_comodule_algebra, check_module_coalgebra)
 from .descent import (check_bmodule, comparison_K, counit_of_K, descend,
                       sweep_phi_psi, unit_Phi, verify_descent_datum)
-from .dsl import ParseError, run_assertions
+from .dsl import AssertionFileError, run_assertions
 from .fields import FieldError, parse_int
 from .hopf import check_hopf
 from .instances import InstanceError, parse_instance
@@ -183,7 +183,7 @@ def cmd_eval(args):
     text = _read(args.exprfile)
     try:
         rep = run_assertions(text, inst.environment())
-    except (ParseError, TypeError) as exc:
+    except AssertionFileError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return _emit(rep, args.machine)

@@ -27,6 +27,13 @@ class ParseError(Exception):
                          % (position, "|".join(sorted(expected)), found))
 
 
+class AssertionFileError(Exception):
+    """A line of an assertion file that does not parse or typecheck."""
+
+    def __init__(self, lineno, message):
+        super().__init__("line %d: %s" % (lineno, message))
+
+
 class Node:
     """An expression node, compared by value: equal when of one class with
     equal fields, in `__slots__` order."""
@@ -338,67 +345,24 @@ def assert_equal(lhs, rhs, env, name="expect"):
     return Report([item])
 
 
-def atom_pool(env):
-    """All atomic expressions of an environment with their endpoints."""
-    pool = [(Name(n), f.dom, f.cod) for n, f in env.morphisms.items()]
-    for n in env.spaces:
-        V = env.spaces[n]
-        pool.append((Call("id", (n,)), V, V))
-        for n2 in env.spaces:
-            W = env.spaces[n2]
-            pool.append((Call("br", (n, n2)), V.tensor(W), W.tensor(V)))
-    for n, h in env.hopfs.items():
-        H = h.space
-        pool.extend([(Call("m", (n,)), H.tensor(H), H),
-                     (Call("u", (n,)), h.unit.dom, H),
-                     (Call("cm", (n,)), H, H.tensor(H)),
-                     (Call("cu", (n,)), H, h.counit.cod),
-                     (Call("S", (n,)), H, H)])
-    for n, x in env.comodules.items():
-        pool.extend([(Call("m", (n,)), x.space.tensor(x.space), x.space),
-                     (Call("u", (n,)), x.algebra.unit.dom, x.space),
-                     (Call("coact", (n,)), x.coaction.dom, x.coaction.cod)])
-    for n, x in env.modules.items():
-        pool.extend([(Call("cm", (n,)), x.space, x.space.tensor(x.space)),
-                     (Call("cu", (n,)), x.space, x.coalgebra.counit.cod),
-                     (Call("act", (n,)), x.action.dom, x.action.cod)])
-    return pool
-
-
-def random_well_typed(env, rng, steps=5):
-    """One random well-typed expression; used for round-trip fuzzing."""
-    pool = atom_pool(env)
-    expr, dom, cod = pool[rng.randrange(len(pool))]
-    for _ in range(steps):
-        roll = rng.random()
-        if roll < 0.4:
-            other = pool[rng.randrange(len(pool))]
-            if rng.random() < 0.5:
-                expr, dom, cod = (Tensor(expr, other[0]),
-                                  dom.tensor(other[1]), cod.tensor(other[2]))
-            else:
-                expr, dom, cod = (Tensor(other[0], expr),
-                                  other[1].tensor(dom), other[2].tensor(cod))
-        else:
-            nxt = [a for a in pool if a[1] == cod]
-            if nxt:
-                follow = nxt[rng.randrange(len(nxt))]
-                expr, cod = Seq(expr, follow[0]), follow[2]
-    return expr
-
-
 def run_assertions(text, env):
-    """Run `EXPECT <expr> == <expr>` lines; blank lines and # comments skip."""
+    """Run `EXPECT <expr> == <expr>` lines; blank lines and # comments skip.
+
+    A line that does not parse or typecheck raises `AssertionFileError`
+    with its line number.
+    """
     rep = Report()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if not line.startswith("EXPECT ") or " == " not in line:
-            raise ParseError(1, {"EXPECT <expr> == <expr>"},
-                             "line %d: %s" % (lineno, line))
-        body = line[len("EXPECT "):]
-        lhs_src, rhs_src = body.split(" == ", 1)
-        rep.extend(assert_equal(parse(lhs_src), parse(rhs_src), env,
-                                name="line_%03d" % lineno))
+            raise AssertionFileError(
+                lineno, "expected EXPECT <expr> == <expr>, found %r" % line)
+        lhs_src, rhs_src = line[len("EXPECT "):].split(" == ", 1)
+        try:
+            rep.extend(assert_equal(parse(lhs_src), parse(rhs_src), env,
+                                    name="line_%03d" % lineno))
+        except (ParseError, TypeError) as exc:
+            raise AssertionFileError(lineno, str(exc)) from exc
     return rep

@@ -23,17 +23,19 @@ Kernels, (co)equalisers and ranks come from one sparse elimination,
 every basis reproducible, and kernel bases are grouped by degree, so they
 are homogeneous.  An equaliser eliminates the rows of f - g, and a
 coequaliser or cokernel those of the transpose, written straight from the
-entry dicts: neither -g, nor f - g, nor a transpose is built as a
-morphism.  `equaliser_tensor_id` takes the equaliser of f (x) id_W and
-g (x) id_W from the RREF R of f - g alone, as R (x) I.  A factorisation
-is read off unit lines, a row (or column) whose only nonzero is a 1: x
-with iota o x = c is c's rows at a unit row of iota for each of its
-columns, and x with x o Pi = c is c's columns at a unit column of Pi for
-each of its rows.  Without a full set of them, or when that x fails the
-`compose` check every factorisation ends in, one elimination of
-[iota | c] solves it or names the degree where c leaves the image.  The
-tensor product over a base (`tensor_over`) and the cotensor product
-(`cotensor`) are the (co)equalisers of the two middle (co)actions.
+entry dicts by the one row writer `sparse_rows`: neither -g, nor f - g,
+nor a transpose is built as a morphism.  `kernel_tensor_id` reads the
+kernel of D (x) id_W as ker(D) (x) id_W, with no second elimination: the
+Kronecker product of D's kernel inclusion with id_W, its columns put in
+the order `kernel` uses.  A factorisation is read off unit lines, a row
+(or column) whose only nonzero is a 1: x with iota o x = c is c's rows at
+a unit row of iota for each of its columns, and x with x o Pi = c is c's
+columns at a unit column of Pi for each of its rows.  Without a full set
+of them, or when that x fails the `compose` check every factorisation
+ends in, one elimination of [iota | c] solves it or names the degree
+where c leaves the image.  The tensor product over a base (`tensor_over`)
+and the cotensor product (`cotensor`) are the (co)equalisers of the two
+middle (co)actions.
 """
 
 from __future__ import annotations
@@ -351,19 +353,10 @@ def dualize(f):
 
 # -- sparse elimination ------------------------------------------------------
 
-def sparse_rows(f, rows=None, shift=0):
-    """f's nonzeros as the sparse rows `linalg.rref_rows` takes, row ->
-    {column: value}, added into `rows` with every column moved right by
-    `shift`."""
-    rows = {} if rows is None else rows
-    for (i, j), v in f.entries.items():
-        rows.setdefault(i, {})[j + shift] = v
-    return rows
-
-
-def _difference_rows(f, g=None, transposed=False):
-    """The sparse rows of f - g (of f alone when g is None), or of its
-    transpose if `transposed`, written straight from the entry dicts.
+def sparse_rows(f, g=None, transposed=False):
+    """The sparse rows `linalg.rref_rows` takes, row -> {column: value}, of
+    f - g (of f alone when g is None), or of its transpose if `transposed`,
+    written straight from the entry dicts.
 
     An entry of f alone is taken as it is and one of g alone negated; a
     shared one is put through `field.reduce` and dropped when it cancels.
@@ -390,24 +383,29 @@ def _difference_rows(f, g=None, transposed=False):
     return rows
 
 
+def _by_degree(space, columns):
+    """The ascending list `columns` of `space` in the order kernel bases use:
+    grouped by degree, degrees in order of first occurrence in `space`,
+    ascending within a degree."""
+    if space.group.n == 1:  # Z_1 has the one degree 0: one group
+        return columns
+    degrees = space.degrees
+    groups = {d: [] for d in dict.fromkeys(degrees)}
+    for j in columns:
+        groups[degrees[j]].append(j)
+    return list(chain.from_iterable(groups.values()))
+
+
 def _free_basis(space, pivot_rows):
     """(degrees, entries) of the kernel basis read off a canonical RREF
     whose columns index `space`.
 
-    One basis vector per free column: a 1 there and minus the pivot row's
-    entry at each pivot, keyed (column, vector).  Free columns are grouped
-    by degree, degrees in order of first occurrence, ascending within a
-    degree.
+    One basis vector per free column, in `_by_degree` order: a 1 there and
+    minus the pivot row's entry at each pivot, keyed (column, vector).
     """
     degrees = space.degrees
-    if space.group.n == 1:  # Z_1 has the one degree 0: one group
-        columns = range(len(degrees))
-    else:
-        groups = {}
-        for j, d in enumerate(degrees):
-            groups.setdefault(d, []).append(j)
-        columns = chain.from_iterable(groups.values())
-    free = [j for j in columns if j not in pivot_rows]
+    free = _by_degree(space, [j for j in range(len(degrees))
+                              if j not in pivot_rows])
     position = {j: k for k, j in enumerate(free)}
     one = space.field.one()
     entries = {(j, k): one for k, j in enumerate(free)}
@@ -453,16 +451,16 @@ def cokernel(f):
     """(Q, Pi) with Pi: cod(f) -> Q surjective, Pi o f = 0, dim Q maximal,
     read off the RREF of f's transposed rows."""
     pivot_rows = linalg.rref_rows(
-        f.field, _difference_rows(f, transposed=True).values())
+        f.field, sparse_rows(f, transposed=True).values())
     return _cokernel_projection(f.cod, pivot_rows)
 
 
 def equaliser(f, g):
     """Equaliser of a parallel pair: ker(f - g), eliminated from the rows
-    of f - g (`_difference_rows`)."""
+    of f - g (`sparse_rows`)."""
     if f.dom != g.dom or f.cod != g.cod:
         raise TypeError("equaliser of a non-parallel pair")
-    pivot_rows = linalg.rref_rows(f.field, _difference_rows(f, g).values())
+    pivot_rows = linalg.rref_rows(f.field, sparse_rows(f, g).values())
     return _kernel_inclusion(f.dom, pivot_rows)
 
 
@@ -472,28 +470,35 @@ def coequaliser(f, g):
     if f.dom != g.dom or f.cod != g.cod:
         raise TypeError("coequaliser of a non-parallel pair")
     pivot_rows = linalg.rref_rows(
-        f.field, _difference_rows(f, g, transposed=True).values())
+        f.field, sparse_rows(f, g, transposed=True).values())
     return _cokernel_projection(f.cod, pivot_rows)
 
 
-def equaliser_tensor_id(f, g, W):
-    """equaliser(tensor(f, id_W), tensor(g, id_W)), from one elimination
-    of f - g.
+def kernel_tensor_id(iota, W):
+    """(E (x) W, iota (x) id_W) for a kernel inclusion iota: E -> V read
+    off a canonical RREF, as `kernel` and `equaliser` give it.
 
-    With R the canonical RREF of f - g and m = dim W, the canonical RREF
-    of (f - g) (x) id_W is R (x) I: pivot row c*m + x is {j*m + x: v} for
-    each pivot row c = {j: v} of R and each x < m.  These rows are reduced,
-    span the same row space and come in ascending pivot order, and the
-    RREF is unique.  The kernel is read off them over dom(f) (x) W, grouped
-    by degree, just as `equaliser` reads it, so the basis is the same.
+    If iota is the kernel of D, then iota (x) id_W spans the kernel of
+    D (x) id_W, and the canonical RREF of D (x) id_W has the free column
+    j*m + x (m = dim W) for each free column j of D's and each x < m.  A
+    basis vector's free column is the last row it holds, so the columns of
+    iota (x) id_W are put in `_by_degree` order of those free columns,
+    which makes the pair the one `kernel` reads off D (x) id_W.  Under the
+    trivial grading the Kronecker order is already that order.
     """
-    if f.dom != g.dom or f.cod != g.cod:
-        raise TypeError("equaliser of a non-parallel pair")
-    R = linalg.rref_rows(f.field, _difference_rows(f, g).values())
+    F = tensor(iota, Morphism.identity(W))
+    if F.dom.group.n == 1:
+        return F.dom, F
     m = W.dim
-    pivot_rows = {c * m + x: {j * m + x: v for j, v in row.items()}
-                  for c, row in R.items() for x in range(m)}
-    return _kernel_inclusion(f.dom.tensor(W), pivot_rows)
+    last = {k: i for i, k in sorted(iota.entries)}
+    column = {last[k] * m + x: k * m + x
+              for k in range(iota.dom.dim) for x in range(m)}
+    free = _by_degree(F.cod, sorted(column))
+    position = {column[j]: p for p, j in enumerate(free)}
+    degrees = F.cod.degrees
+    E = GradedSpace(F.dom.group, tuple([degrees[j] for j in free]))
+    return E, Morphism(E, F.cod, {(i, position[c]): v
+                                  for (i, c), v in F.entries.items()})
 
 
 def tensor_over(act_right, act_left):
@@ -541,10 +546,11 @@ def _eliminate_factor(c, iota):
     Free unknowns are zero, and a pivot in the c block names a degree
     where c leaves iota's image.
     """
-    field = c.field
     n = iota.dom.dim
-    pivot_rows = linalg.rref_rows(
-        field, sparse_rows(c, sparse_rows(iota), n).values())
+    rows = sparse_rows(iota)
+    for (i, j), v in c.entries.items():
+        rows.setdefault(i, {})[j + n] = v
+    pivot_rows = linalg.rref_rows(c.field, rows.values())
     bad = {c.dom.degrees[col - n] for col in pivot_rows if col >= n}
     if bad:
         d = next(d for d in c.dom.degrees if d in bad)

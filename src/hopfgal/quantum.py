@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from .hopf import braided_tensor_coalgebra, opposite_coalgebra
 from .morphism import (FactorizationError, Morphism, braiding, coequaliser,
-                       compose, compose_tensor, equaliser, equaliser_tensor_id,
+                       compose, compose_tensor, cotensor, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
-                       tensor, tensor_many)
+                       kernel_tensor_id, tensor, tensor_many)
 from .report import Report, equality_check
 from .spaces import unit_space
 
@@ -25,13 +25,12 @@ def multi_cotensor(rho_right, lambda_left, n):
 
     rho_right: X -> X (x) B and lambda_left: X -> B (x) X; adjacent legs
     are matched pairwise by successive equalisers, so the resulting basis
-    is deterministic.  The first pair acts on the first two legs only: it
-    is D (x) id_{X^(n-2)} with D = rho (x) id_X - id_X (x) lambda on X (x) X,
-    so only D is eliminated and the canonical RREF R (x) I is written from
-    its RREF R (`equaliser_tensor_id`).  Each later pair is one
-    `compose_tensor` of the current inclusion per side, a single pass over
-    its entries: the identity legs cost nothing and no Kronecker product
-    is built.
+    is deterministic.  The first pair acts on the first two legs only: its
+    equaliser is X box_B X (x) X^(n-2), the `cotensor` of rho and lambda
+    tensored with the identity of the other legs (`kernel_tensor_id`), so
+    only X (x) X is eliminated.  Each later pair is one `compose_tensor`
+    of the current inclusion per side, a single pass over its entries: the
+    identity legs cost nothing and no Kronecker product is built.
     """
     X = rho_right.dom
     idX = Morphism.identity(X)
@@ -40,8 +39,7 @@ def multi_cotensor(rho_right, lambda_left, n):
     rest = unit_space(X.group)
     for _ in range(n - 2):
         rest = rest.tensor(X)
-    E, iota = equaliser_tensor_id(
-        tensor(rho_right, idX), tensor(idX, lambda_left), rest)
+    E, iota = kernel_tensor_id(cotensor(rho_right, lambda_left)[1], rest)
     for k in range(1, n - 1):
         f = compose_tensor([idX] * k + [rho_right] + [idX] * (n - k - 1), iota)
         g = compose_tensor(

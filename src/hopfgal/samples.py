@@ -185,10 +185,6 @@ def superline(field=QQ):
     return braided_line(field, 2, -field.one())
 
 
-def unit_algebra(group):
-    return _unit_algebra(group)
-
-
 # -- bundle fixtures ---------------------------------------------------------
 
 def trivial_algebra_bundle(h):

@@ -13,7 +13,7 @@ from hopfgal.descent import (BModule, comparison_K, counit_Psi, descend,
                              hopf_module_to_descent, invariants_functor,
                              monad_presentation_report, sweep_phi_psi,
                              verify_descent_datum)
-from hopfgal.dsl import parse, print_expr, random_well_typed, run_assertions
+from hopfgal.dsl import parse, print_expr, run_assertions
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.instances import parse_instance
 from hopfgal.morphism import (Morphism, compose, dualize,
@@ -24,6 +24,7 @@ from hopfgal.samples import (braided_line, cyclic_group_algebra, fun_z2,
                              s3_group_algebra, sweedler_hopf,
                              trivial_algebra_bundle, trivial_coalgebra_bundle,
                              z2_set_action_bundle)
+from test_dsl import random_well_typed
 
 CORPUS = default_root()
 

@@ -18,8 +18,7 @@ from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              free_z2_bundle, fun_z2, nonflat_bundle,
                              nonfree_z2_bundle, s3_group_algebra,
                              set_action_bundle, superline, sweedler_hopf,
-                             trivial_algebra_bundle, trivial_coalgebra_bundle,
-                             unit_algebra)
+                             trivial_algebra_bundle, trivial_coalgebra_bundle)
 from test_morphism import (ELIMINATION_GROUPS, GROUPS, graded_morphism,
                            graded_space, nonzero_scalar)
 

@@ -115,6 +115,21 @@ def test_eval():
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("EXPECT foo == id(H)\n", "line 1: unknown morphism name 'foo'"),
+    ("# a comment\n\nEXPECT id(H) ; == id(H)\n",
+     "line 3: parse error at position 8: expected (|name, found "
+     "'end of input'"),
+    ("EXPECT id(H) == id(H)\nfoo\n",
+     "line 2: expected EXPECT <expr> == <expr>, found 'foo'"),
+])
+def test_eval_error_names_its_line(tmp_path, text, message):
+    path = tmp_path / "assertions.txt"
+    path.write_text(text)
+    code, out, err = run(["eval", inst("free_z2"), str(path)])
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_machine_mode_tabs():
     code, out, _ = run(["check", inst("trivial_z2"), "--machine"])
     assert code == 0 and "\t" in out

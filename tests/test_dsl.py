@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hopfgal import morphism
 from hopfgal.dsl import (Call, Environment, Name, ParseError, Seq, Tensor,
-                         assert_equal, atom_pool, evaluate, parse, print_expr,
-                         random_well_typed, run_assertions, typecheck)
+                         assert_equal, evaluate, parse, print_expr,
+                         run_assertions, typecheck)
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.morphism import compose, tensor
 from hopfgal.samples import (braided_line, cyclic_group_algebra, superline,
@@ -120,6 +120,57 @@ EXPECT br(V,V) ; br(V,V) == id(V) * id(V)
     assert rep.ok and len(rep.items) == 2
     bad = run_assertions("EXPECT cu(H) ; u(H) == id(V)", env)
     assert not bad.ok
+
+
+# -- random well-typed expressions, for round-trip fuzzing --------------------
+
+def atom_pool(env):
+    """All atomic expressions of an environment with their endpoints."""
+    pool = [(Name(n), f.dom, f.cod) for n, f in env.morphisms.items()]
+    for n in env.spaces:
+        V = env.spaces[n]
+        pool.append((Call("id", (n,)), V, V))
+        for n2 in env.spaces:
+            W = env.spaces[n2]
+            pool.append((Call("br", (n, n2)), V.tensor(W), W.tensor(V)))
+    for n, h in env.hopfs.items():
+        H = h.space
+        pool.extend([(Call("m", (n,)), H.tensor(H), H),
+                     (Call("u", (n,)), h.unit.dom, H),
+                     (Call("cm", (n,)), H, H.tensor(H)),
+                     (Call("cu", (n,)), H, h.counit.cod),
+                     (Call("S", (n,)), H, H)])
+    for n, x in env.comodules.items():
+        pool.extend([(Call("m", (n,)), x.space.tensor(x.space), x.space),
+                     (Call("u", (n,)), x.algebra.unit.dom, x.space),
+                     (Call("coact", (n,)), x.coaction.dom, x.coaction.cod)])
+    for n, x in env.modules.items():
+        pool.extend([(Call("cm", (n,)), x.space, x.space.tensor(x.space)),
+                     (Call("cu", (n,)), x.space, x.coalgebra.counit.cod),
+                     (Call("act", (n,)), x.action.dom, x.action.cod)])
+    return pool
+
+
+def random_well_typed(env, rng, steps=5):
+    """One random well-typed expression; used for round-trip fuzzing."""
+    pool = atom_pool(env)
+    expr, dom, cod = pool[rng.randrange(len(pool))]
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.4:
+            other = pool[rng.randrange(len(pool))]
+            if rng.random() < 0.5:
+                expr, dom, cod = (Tensor(expr, other[0]),
+                                  dom.tensor(other[1]), cod.tensor(other[2]))
+            else:
+                expr, dom, cod = (Tensor(other[0], expr),
+                                  other[1].tensor(dom), other[2].tensor(cod))
+        else:
+            nxt = [a for a in pool if a[1] == cod]
+            if nxt:
+                follow = nxt[rng.randrange(len(nxt))]
+                expr, cod = Seq(expr, follow[0]), follow[2]
+    return expr
 
 
 def test_roundtrip_random():

@@ -10,10 +10,10 @@ from hopfgal.fields import QQ, PrimeField
 from hopfgal import morphism
 from hopfgal.morphism import (FactorizationError, Morphism, braiding, cokernel,
                               compose, compose_tensor, coequaliser, dualize,
-                              equaliser, equaliser_tensor_id,
-                              factor_through_coequaliser,
+                              equaliser, factor_through_coequaliser,
                               factor_through_equaliser, is_isomorphism,
-                              kernel, tensor, tensor_compose, tensor_many)
+                              kernel, kernel_tensor_id, tensor,
+                              tensor_compose, tensor_many)
 from hopfgal.report import CheckItem, equality_check, matrix_triples
 from hopfgal.spaces import GradedSpace, GradingGroup, unit_space, zero_space
 
@@ -823,13 +823,30 @@ def test_equaliser_and_coequaliser_match_the_difference(data):
 
 @DIFFERENTIAL
 @given(st.data())
-def test_equaliser_tensor_id_matches_the_materialised_pair(data):
+def test_kernel_tensor_id_matches_the_materialised_pair(data):
     group = data.draw(st.sampled_from(ELIMINATION_GROUPS))
     f, g = data.draw(parallel_pair(group, 3))
     W = data.draw(st.one_of(graded_space(group, 3), st.just(zero_space(group))))
     idW = Morphism.identity(W)
-    E, iota = equaliser_tensor_id(f, g, W)
+    E, iota = kernel_tensor_id(equaliser(f, g)[1], W)
     E_ref, iota_ref = equaliser(tensor(f, idW), tensor(g, idW))
+    assert (E, E.degrees, iota) == (E_ref, E_ref.degrees, iota_ref)
+
+
+@pytest.mark.parametrize("group", [G for G in ELIMINATION_GROUPS if G.n > 1])
+def test_kernel_tensor_id_regroups_the_kronecker_order_by_degree(group):
+    # ker D is spanned by e1 - e0, e2 - e0 and e3, whose free columns are
+    # their last rows 1, 2 and 3.  Over V (x) W their free columns 2..7
+    # have degrees (0, n-1, 0, n-1, 1, 0) in Kronecker order, which
+    # `kernel` groups as (0, 0, 0, n-1, n-1, 1).
+    n = group.n
+    V = GradedSpace(group, (0, 0, 0, 1))
+    D = Morphism(V, GradedSpace(group, (0,)),
+                 {(0, 0): 1, (0, 1): 1, (0, 2): 1})
+    W = GradedSpace(group, (0, n - 1))
+    E, iota = kernel_tensor_id(kernel(D)[1], W)
+    E_ref, iota_ref = kernel(tensor(D, Morphism.identity(W)))
+    assert E.degrees == (0, 0, 0, n - 1, n - 1, 1)
     assert (E, E.degrees, iota) == (E_ref, E_ref.degrees, iota_ref)
 
 
