@@ -38,13 +38,13 @@ from collections import Counter
 from fractions import Fraction
 
 from . import linalg
-from .hopf import (Algebra, Coalgebra, braided_tensor_coalgebra,
-                   braided_tensor_mult, check_algebra, check_coalgebra)
-from .morphism import (FactorizationError, Morphism, coequaliser, compose,
-                       compose_tensor, cotensor, dualize, equaliser,
-                       factor_through_coequaliser, factor_through_equaliser,
-                       is_isomorphism, sparse_rows, tensor, tensor_compose,
-                       tensor_over)
+from .hopf import (Algebra, Coalgebra, braided_tensor_mult, check_algebra,
+                   check_coalgebra)
+from .morphism import (FactorizationError, Morphism, braided_compose,
+                       coequaliser, compose, compose_tensor, cotensor, dualize,
+                       equaliser, factor_through_coequaliser,
+                       factor_through_equaliser, is_isomorphism, sparse_rows,
+                       tensor, tensor_compose, tensor_over)
 from .report import Report, equality_check
 
 
@@ -109,7 +109,7 @@ def check_comodule_algebra(x):
     rep.items.append(equality_check(
         "coaction_mult",
         compose(rho, x.algebra.mult),
-        braided_tensor_mult(x.algebra, x.hopf.algebra, tensor(rho, rho))))
+        braided_tensor_mult(x.algebra, x.hopf.algebra, rho, rho)))
     rep.items.append(equality_check(
         "coaction_unit", compose(rho, x.algebra.unit),
         tensor(x.algebra.unit, x.hopf.unit)))
@@ -128,11 +128,12 @@ def check_module_coalgebra(x):
         tensor_compose(act, [idP, x.hopf.mult])))
     rep.items.append(equality_check(
         "action_unit", tensor_compose(act, [idP, x.hopf.unit]), idP))
-    ph = braided_tensor_coalgebra(x.coalgebra, x.hopf.coalgebra)
+    # act is a coalgebra map out of the braided tensor coalgebra P (x) H
     rep.items.append(equality_check(
         "action_comult",
         compose(x.coalgebra.comult, act),
-        compose_tensor([act, act], ph.comult)))
+        braided_compose(act, act, x.coalgebra.comult, x.hopf.comult,
+                        (P, P), (H, H))))
     rep.items.append(equality_check(
         "action_counit",
         compose(x.coalgebra.counit, act),

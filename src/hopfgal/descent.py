@@ -15,8 +15,8 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .morphism import (FactorizationError, Morphism, braiding, cokernel,
-                       compose, compose_tensor, equaliser,
+from .morphism import (FactorizationError, Morphism, braided_compose,
+                       braiding, cokernel, compose, compose_tensor, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
                        is_isomorphism, tensor, tensor_compose, tensor_over)
 from .report import Report, equality_check
@@ -233,9 +233,8 @@ def hopf_module_check(m, bundle):
     rep.items.append(equality_check(
         "hopf_compatibility",
         compose(m.coaction, m.action),
-        compose_tensor([m.action, b.H.mult],
-                       compose_tensor([idE, braiding(H, P), idH],
-                                      tensor(m.coaction, b.rho)))))
+        braided_compose(m.action, b.H.mult, m.coaction, b.rho,
+                        (E, H), (P, H))))
     return rep
 
 
@@ -299,9 +298,7 @@ def monad_presentation_report(d):
     rep.items.append(equality_check(
         "monad_unit_right", tensor_compose(mu, [idEH, b.H.unit]), idEH))
     # the transported P-action nu on E (x) H
-    nu = compose_tensor([d.action, b.H.mult],
-                        compose_tensor([idE, braiding(H, P), idH],
-                                       tensor(idEH, b.rho)))
+    nu = braided_compose(d.action, b.H.mult, idEH, b.rho, (E, H), (P, H))
     rep.items.append(equality_check(
         "nu_assoc",
         tensor_compose(nu, [nu, idP]),

@@ -22,6 +22,11 @@ from .morphism import Morphism
 from .spaces import GradedSpace, GradingGroup, unit_space
 
 
+# a declared space's degree tuple takes 8 bytes a basis vector, and no check
+# reaches a space of this dimension
+MAX_DIM = 1 << 24
+
+
 class InstanceError(Exception):
     def __init__(self, lineno, message):
         self.lineno = lineno
@@ -96,18 +101,19 @@ def parse_instance(text):
         head = words[0]
         try:
             if head == "field":
-                if words[1] == "rational":
+                if words[1:2] == ["rational"]:
                     inst.field = QQ
-                elif words[1] == "prime":
+                elif words[1:2] == ["prime"] and len(words) > 2:
                     inst.field = PrimeField(parse_int(words[2]))
                 else:
-                    raise InstanceError(lineno, "field must be rational or prime p")
+                    raise InstanceError(
+                        lineno, "expected: field rational | field prime p")
             elif head == "grading":
                 if inst.field is None:
                     raise InstanceError(lineno, "grading before field")
-                if words[1] == "trivial":
+                if words[1:2] == ["trivial"]:
                     inst.group = GradingGroup.trivial(inst.field)
-                elif words[1] == "cyclic":
+                elif words[1:2] == ["cyclic"]:
                     if len(words) != 5 or words[3] != "gen":
                         raise InstanceError(
                             lineno, "expected: grading cyclic n gen g")
@@ -115,16 +121,20 @@ def parse_instance(text):
                         parse_int(words[2]), inst.field,
                         inst.field.parse(words[4]))
                 else:
-                    raise InstanceError(lineno, "grading must be trivial or cyclic")
+                    raise InstanceError(lineno, "expected: grading trivial |"
+                                        " grading cyclic n gen g")
             elif head == "space":
                 if inst.group is None:
                     raise InstanceError(lineno, "space before grading")
-                name = words[1]
-                if words[2] != "dim":
+                if len(words) < 4 or words[2] != "dim":
                     raise InstanceError(lineno, "expected: space name dim d [degrees ...]")
+                name = words[1]
                 dim = parse_int(words[3])
                 if dim < 0:
                     raise InstanceError(lineno, "negative dimension %d" % dim)
+                if dim > MAX_DIM:
+                    raise InstanceError(lineno, "dimension %d above the limit"
+                                        " %d" % (dim, MAX_DIM))
                 if len(words) > 4:
                     if words[4] != "degrees" or len(words) != 5 + dim:
                         raise InstanceError(lineno, "expected %d degrees" % dim)

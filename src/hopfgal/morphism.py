@@ -17,7 +17,9 @@ which is skipped only for the trivial grading, where it cannot fail.
 building it, or its inner space: they apply the legs one at a time, right
 to left, each non-identity leg one pass over the entries and each
 identity leg skipped, and under the trivial grading they check the inner
-space by the product of the dims.
+space by the product of the dims.  `braided_compose`, the sandwich
+(m1 (x) m2) o (id (x) tau (x) id) o (f (x) g) of every braided law and
+structure map, is one pass over pairs of columns of f and g.
 Kernels, (co)equalisers and ranks come from one sparse elimination,
 `linalg.rref_rows`, over all degrees at once; its canonical RREF makes
 every basis reproducible, and kernel bases are grouped by degree, so they
@@ -158,13 +160,19 @@ class Morphism:
         return Morphism(self.dom, self.cod, {k: c * v for k, v in self.entries.items()})
 
 
+def _by_column(f):
+    """f's nonzeros by column: {column: [(row, value)]}."""
+    by_col = {}
+    for (i, k), v in f.entries.items():
+        by_col.setdefault(k, []).append((i, v))
+    return by_col
+
+
 def compose(f, g):
     """f o g (apply g first)."""
     if f.dom != g.cod:
         raise TypeError("compose: inner spaces differ (%r vs %r)" % (f.dom, g.cod))
-    by_col = {}
-    for (i, k), v in f.entries.items():
-        by_col.setdefault(k, []).append((i, v))
+    by_col = _by_column(f)
     entries = {}
     for (k, j), gv in g.entries.items():
         for i, fv in by_col.get(k, ()):
@@ -285,10 +293,7 @@ def compose_tensor(fs, g):
         if _is_identity(f):
             legs.append((None, f.dom.dim, f.dom.dim))
             continue
-        by_col = {}
-        for (i, k), v in f.entries.items():
-            by_col.setdefault(k, []).append((i, v))
-        legs.append((by_col, f.dom.dim, f.cod.dim))
+        legs.append((_by_column(f), f.dom.dim, f.cod.dim))
     if all(f.dom == f.cod for f in fs):
         cod = g.cod
     else:
@@ -323,6 +328,67 @@ def tensor_compose(f, gs):
     else:
         dom = _tensor_spaces([g.dom for g in gs])
     return Morphism(dom, f.cod, _fold_legs(f.entries, legs, True))
+
+
+def _split_columns(f, d):
+    """{column: [(r // d, r % d, value)]} over f's nonzeros (r, column)."""
+    cols = {}
+    for (r, c), v in f.entries.items():
+        r1, r2 = divmod(r, d)
+        cols.setdefault(c, []).append((r1, r2, v))
+    return cols
+
+
+def braided_compose(m1, m2, f, g, U, V):
+    """(m1 (x) m2) o (id_U1 (x) tau_{U2,V1} (x) id_V2) o (f (x) g) in one
+    pass, U and V the factors of f.cod and g.cod: each pair of nonzeros
+    (u1 (x) u2, c) of f and (v1 (x) v2, c') of g sends u1 (x) v1 through
+    m1 and u2 (x) v2 through m2, scaled by chi(|v1|, |u2|), into column
+    c * dim(g.dom) + c'.  The four factorings are checked by `_tensor_is`.
+    """
+    U1, U2 = U
+    V1, V2 = V
+    for spaces, W in ((U, f.cod), (V, g.cod), ((U1, V1), m1.dom),
+                      ((U2, V2), m2.dom)):
+        if not _tensor_is(spaces, W):
+            raise TypeError("braided_compose: inner spaces differ (%r vs %r)"
+                            % (_tensor_spaces(spaces), W))
+    group = U2.group
+    twist = None  # twist[u2][v1] = chi(|v1|, |u2|)
+    if not group.is_trivial:
+        rows = {d: [group.chi(e, d) for e in V1.degrees]
+                for d in set(U2.degrees)}
+        twist = [rows[d] for d in U2.degrees]
+    dv1, dv2, d2, gd = V1.dim, V2.dim, m2.cod.dim, g.dom.dim
+    lines1, lines2 = _by_column(m1), _by_column(m2)
+    f_cols = _split_columns(f, U2.dim)
+    g_cols = _split_columns(g, dv2)
+    entries = {}
+    for cf, f_col in f_cols.items():
+        for cg, g_col in g_cols.items():
+            col = cf * gd + cg
+            for u1, u2, fv in f_col:
+                a0, b0 = u1 * dv1, u2 * dv2
+                tw = None if twist is None else twist[u2]
+                for v1, v2, gv in g_col:
+                    line1 = lines1.get(a0 + v1)
+                    if line1 is None:
+                        continue
+                    line2 = lines2.get(b0 + v2)
+                    if line2 is None:
+                        continue
+                    w = fv * gv
+                    if tw is not None:
+                        w *= tw[v1]
+                    for a, av in line1:
+                        wa = w * av
+                        row = a * d2
+                        for b, bv in line2:
+                            key = (row + b, col)
+                            t = entries.get(key)
+                            p = wa * bv
+                            entries[key] = p if t is None else t + p
+    return Morphism(f.dom.tensor(g.dom), m1.cod.tensor(m2.cod), entries)
 
 
 def braiding_endpoints(V, W):

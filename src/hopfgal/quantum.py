@@ -11,11 +11,11 @@ factorisation; a failed factorisation is reported, not raised.
 
 from __future__ import annotations
 
-from .hopf import braided_tensor_coalgebra, opposite_coalgebra
-from .morphism import (FactorizationError, Morphism, braiding, coequaliser,
-                       compose, compose_tensor, cotensor, equaliser,
-                       factor_through_coequaliser, factor_through_equaliser,
-                       kernel_tensor_id, tensor, tensor_many)
+from .morphism import (FactorizationError, Morphism, braided_compose,
+                       braiding, coequaliser, compose, compose_tensor,
+                       cotensor, equaliser, factor_through_coequaliser,
+                       factor_through_equaliser, kernel_tensor_id, tensor,
+                       tensor_many)
 from .report import Report, equality_check
 from .spaces import unit_space
 
@@ -110,10 +110,8 @@ class QuantumCategory:
 def diagonal_action(b):
     """The diagonal right H-action on P (x) P."""
     P, H = b.modc.space, b.H.space
-    idP, idH = Morphism.identity(P), Morphism.identity(H)
-    return compose_tensor([b.action, b.action],
-                          compose_tensor([idP, braiding(P, H), idH],
-                                         tensor_many(idP, idP, b.H.comult)))
+    return braided_compose(b.action, b.action, Morphism.identity(P.tensor(P)),
+                           b.H.comult, (P, P), (H, H))
 
 
 def invariants_quotient(b, carrier, action):
@@ -166,11 +164,11 @@ def build_quantum_category(b):
         compose_tensor([idB, PiG],
                        compose_tensor([b.pi, idP, idP],
                                       tensor(b.P.comult, idP))))
-    # coalgebra structure from P (x) P^op
-    ppop = braided_tensor_coalgebra(b.P, opposite_coalgebra(b.P))
-    comult_G = induced_through_PiG(
-        "comult", compose_tensor([PiG, PiG], ppop.comult))
-    counit_G = induced_through_PiG("counit", ppop.counit)
+    # coalgebra structure from P (x) P^op, where Delta^op = tau o Delta
+    comult_G = induced_through_PiG("comult", braided_compose(
+        PiG, PiG, b.P.comult, compose(braiding(P, P), b.P.comult),
+        (P, P), (P, P)))
+    counit_G = induced_through_PiG("counit", tensor(b.P.counit, b.P.counit))
     # unit: B -> G induced from Pi_G o Delta_P along the surjection pi
     try:
         unit_G = factor_through_coequaliser(compose(PiG, b.P.comult), b.pi)

@@ -18,8 +18,9 @@ class GradingGroup:
 
     For n = 1 this is the trivial grading of plain vector spaces.  The
     generator value must satisfy gen^n = 1 so that chi is a well-defined
-    bicharacter on Z_n x Z_n.  The n powers of gen, O(n) scalars, are the
-    only chi values, kept so that chi is one lookup.
+    bicharacter on Z_n x Z_n: over QQ only 1 and -1 (n even) do, over F_p
+    one `pow` decides.  The powers of gen up to its order k, which divides
+    n, are the only chi values, kept so that chi is one lookup.
     """
 
     def __init__(self, n, field, gen=None):
@@ -29,18 +30,20 @@ class GradingGroup:
         self.field = field
         one = field.one()
         gen = one if gen is None else field.reduce(gen)
-        # check gen^n = 1 before keeping any powers: over QQ the powers of a
-        # non-root grow, and n of them would take O(n^2) memory
-        power = one
-        for _ in range(n):
-            power = field.reduce(power * gen)
-        if power != one:
+        p = field.characteristic
+        if p:
+            root = pow(gen, n, p) == one
+        else:
+            root = gen == one or (gen == -one and n % 2 == 0)
+        if not root:
             raise FieldError(
                 "bicharacter generator %r is not an %d-th root of unity" % (gen, n))
         self.gen = gen
         powers = [one]
-        for _ in range(n - 1):
-            powers.append(field.reduce(powers[-1] * gen))
+        power = gen
+        while power != one:
+            powers.append(power)
+            power = field.reduce(power * gen)
         self._powers = tuple(powers)
 
     @classmethod
@@ -52,7 +55,8 @@ class GradingGroup:
         return cls(n, field, gen)
 
     def chi(self, a, b):
-        return self._powers[(a * b) % self.n]
+        powers = self._powers
+        return powers[(a * b) % len(powers)]
 
     def add(self, a, b):
         return (a + b) % self.n

@@ -164,6 +164,48 @@ def test_malformed_file_exit_2(tmp_path):
     assert code == 2 and "line 2" in err
 
 
+GRADED = "field rational\ngrading trivial\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("field\n", "line 1: expected: field rational | field prime p"),
+    ("field prime\n", "line 1: expected: field rational | field prime p"),
+    ("field rational\ngrading\n",
+     "line 2: expected: grading trivial | grading cyclic n gen g"),
+    (GRADED + "space H\n", "line 3: expected: space name dim d [degrees ...]"),
+    (GRADED + "space H dim\n",
+     "line 3: expected: space name dim d [degrees ...]"),
+    # neither allocates: the bound is checked before the degree tuple
+    (GRADED + "space H dim 4611686018427387904\n",
+     "line 3: dimension 4611686018427387904 above the limit 16777216"),
+    (GRADED + "space H dim 9223372036854775808\n",
+     "line 3: dimension 9223372036854775808 above the limit 16777216"),
+])
+def test_truncated_or_oversized_directive_is_input_error(tmp_path, text,
+                                                         message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert run(["check", str(path)]) == (2, "", "error: %s\n" % message)
+
+
+TRIVIAL_HOPF = "".join(
+    "morphism %s %s\n  0 0 1\nend\n" % (name, ends) for name, ends in [
+        ("m", "H*H H"), ("u", "1 H"), ("cm", "H H*H"), ("cu", "H 1"),
+        ("S", "H H")]) + "hopf H m=m u=u cm=cm cu=cu S=S\n"
+
+
+@pytest.mark.parametrize("grading", [
+    "cyclic 9223372036854775808 gen 1", "cyclic 9223372036854775808 gen -1"])
+def test_huge_grading_order_is_checked_without_a_loop_over_it(tmp_path,
+                                                              grading):
+    # gen^n = 1 took n multiplications, so this never returned
+    path = tmp_path / "huge_order.txt"
+    path.write_text("field rational\ngrading %s\nspace H dim 1\n%s"
+                    % (grading, TRIVIAL_HOPF))
+    code, out, err = run(["check", str(path), "--what", "hopf"])
+    assert (code, err) == (0, "") and out.endswith("result=pass\n")
+
+
 @pytest.mark.parametrize("name, message", [
     ("bad_degree.txt", "line 6: entry (0,1) violates degree preservation"),
     ("bad_algebra_shape.txt", "line 13: multiplication has wrong shape"),

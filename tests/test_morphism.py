@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from hopfgal import linalg
 from hopfgal.fields import QQ, PrimeField
 from hopfgal import morphism
-from hopfgal.morphism import (FactorizationError, Morphism, braiding, cokernel,
-                              compose, compose_tensor, coequaliser, dualize,
-                              equaliser, factor_through_coequaliser,
+from hopfgal.morphism import (FactorizationError, Morphism, braided_compose,
+                              braiding, cokernel, compose, compose_tensor,
+                              coequaliser, dualize, equaliser,
+                              factor_through_coequaliser,
                               factor_through_equaliser, is_isomorphism,
                               kernel, kernel_tensor_id, tensor,
                               tensor_compose, tensor_many)
@@ -315,6 +316,79 @@ def test_tensor_compose_matches_materialised_product(data):
     inner = tensor_many(*gs).cod
     f = data.draw(graded_morphism(inner, data.draw(graded_space(group))))
     assert tensor_compose(f, gs) == compose(f, tensor_many(*gs))
+
+
+F2, F101 = PrimeField(2), PrimeField(101)
+# QQ, F_2 and F_101; Z_1 and Z_n with chi != 1 (10 has order 4 mod 101)
+BRAIDED_GROUPS = [TRIV, Z2, GradingGroup.trivial(F2),
+                  GradingGroup.cyclic(2, F2, 1), GradingGroup.trivial(F101),
+                  GradingGroup.cyclic(4, F101, 10),
+                  GradingGroup.cyclic(3, F7, F7.from_int(2))]
+
+
+def braided_reference(m1, m2, f, g, U, V):
+    """(m1 (x) m2) o (id_U1 (x) tau_{U2,V1} (x) id_V2) o (f (x) g), every
+    stage built as a morphism."""
+    (U1, U2), (V1, V2) = U, V
+    middle = tensor_many(Morphism.identity(U1), braiding(U2, V1),
+                         Morphism.identity(V2))
+    return compose(tensor(m1, m2), compose(middle, tensor(f, g)))
+
+
+@PROPERTY
+@given(st.data())
+def test_braided_compose_matches_the_composed_reference(data):
+    group = data.draw(st.sampled_from(BRAIDED_GROUPS))
+    U1, U2, V1, V2 = (data.draw(graded_space(group, 2)) for _ in range(4))
+    UU, VV = U1.tensor(U2), V1.tensor(V2)
+    # an identity f is the shape of descent's nu and the diagonal action
+    if data.draw(st.booleans()):
+        f = Morphism.identity(UU)
+    else:
+        f = data.draw(graded_morphism(data.draw(graded_space(group)), UU))
+    g = data.draw(graded_morphism(data.draw(graded_space(group)), VV))
+    m1, m2 = (data.draw(graded_morphism(X.tensor(Y),
+                                        data.draw(graded_space(group))))
+              for X, Y in ((U1, V1), (U2, V2)))
+    U, V = (U1, U2), (V1, V2)
+    assert braided_compose(m1, m2, f, g, U, V) == \
+        braided_reference(m1, m2, f, g, U, V)
+
+
+def test_braided_compose_drops_entries_that_cancel_mod_p():
+    """Two paths into one entry whose values sum to p leave no entry."""
+    group = GradingGroup.trivial(F101)
+    one, two = space(1, group), space(2, group)
+    f = Morphism(one, two, {(0, 0): 1, (1, 0): 1})  # e (x) (u_0 + u_1)
+    g = Morphism.identity(one)
+    m1 = Morphism.identity(one)
+    m2 = Morphism(two, one, {(0, 0): 1, (0, 1): 100})
+    out = braided_compose(m1, m2, f, g, (one, two), (one, one))
+    assert out.is_zero() and out == braided_reference(
+        m1, m2, f, g, (one, two), (one, one))
+    assert (out.dom.dim, out.cod.dim) == (1, 1)
+
+
+def test_braided_compose_rejects_mismatched_factors():
+    group = GradingGroup.cyclic(4, F101, 10)
+    V, W = space(2, group, [0, 1]), space(2, group, [1, 0])
+    idVV = Morphism.identity(V.tensor(V))
+    mult = Morphism.zero(V.tensor(V), V)
+    assert braided_compose(mult, mult, idVV, idVV, (V, V), (V, V)).is_zero()
+    # f.cod, g.cod, m1.dom and m2.dom each against its pair of factors
+    for args in [(mult, mult, idVV, idVV, (V, W), (V, V)),
+                 (mult, mult, idVV, idVV, (V, V), (W, V)),
+                 (Morphism.zero(V.tensor(W), V), mult, idVV, idVV,
+                  (V, V), (V, V)),
+                 (mult, Morphism.identity(V), idVV, idVV, (V, V), (V, V))]:
+        with pytest.raises(TypeError, match="^braided_compose: inner spaces"):
+            braided_compose(*args)
+    # under the trivial grading the dims are compared
+    T = space(2)
+    idTT = Morphism.identity(T.tensor(T))
+    with pytest.raises(TypeError, match="^braided_compose: inner spaces"):
+        braided_compose(Morphism.zero(T.tensor(T), T), Morphism.zero(
+            T.tensor(T), T), idTT, idTT, (T, space(3)), (T, T))
 
 
 @PROPERTY

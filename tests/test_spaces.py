@@ -93,6 +93,21 @@ def test_large_order_non_root_is_rejected_without_keeping_its_powers():
     assert peak < 1 << 16
 
 
+def test_huge_order_is_checked_in_one_step_and_keeps_only_gens_powers():
+    n = 2 ** 63
+    assert GradingGroup.cyclic(n, QQ, 1).chi(n - 1, n - 1) == 1
+    sign = GradingGroup.cyclic(n, QQ, -1)
+    assert [sign.chi(a, 3) for a in (0, 1, n - 1)] == [1, -1, -1]
+    with pytest.raises(FieldError, match="not an %d-th root" % (n + 1)):
+        GradingGroup.cyclic(n + 1, QQ, -1)
+    F101 = PrimeField(101)
+    g = GradingGroup.cyclic(100 * n, F101, 2)  # 2 has order 100 mod 101
+    assert g.chi(n + 3, 7) == pow(2, (n + 3) * 7, 101)
+    assert g.chi(50, 2) == 1 and not g.is_trivial
+    with pytest.raises(FieldError, match="not an %d-th root" % n):
+        GradingGroup.cyclic(n, F101, 2)  # 100 does not divide 2^63
+
+
 def test_chi_and_is_trivial_match_the_table_formula():
     F7 = PrimeField(7)
     for gen in range(1, 7):  # every unit of F_7 is a 6-th root of unity
