@@ -614,7 +614,7 @@ class AlgebraBundle(Bundle):
         """The (lhs, rhs) pairs of `canonical_map_linearity`'s two laws."""
         P, H = self.como.space, self.H.space
         idP, idH = Morphism.identity(P), Morphism.identity(H)
-        Q, Pi = self.p_tensor_p()
+        _, Pi = self.p_tensor_p()
         can = self.canonical_map()
         # left P-action on P (x)_B P, factored through id (x) Pi
         lact = factor_through_coequaliser(
@@ -720,7 +720,7 @@ class CoalgebraBundle(Bundle):
         """The (lhs, rhs) pairs of `canonical_map_linearity`'s two laws."""
         P, H = self.modc.space, self.H.space
         idP, idH = Morphism.identity(P), Morphism.identity(H)
-        E, iota = self.p_cotensor_p()
+        _, iota = self.p_cotensor_p()
         can = self.canonical_map()
         # left P-coaction on P box_B P, factored through id (x) iota
         lcoact = factor_through_equaliser(

@@ -149,7 +149,7 @@ def cmd_descent(args):
         rep.extend(check_bmodule(v, b.base), prefix="module.")
         d = comparison_K(v, b)
         rep.extend(verify_descent_datum(d), prefix="datum.")
-        w, incl = descend(d)
+        w, _ = descend(d)
         rep.add("descended_dim", True, details={"dim": w.carrier.dim})
         for label, builder in (("phi_iso", lambda: unit_Phi(d)),
                                ("psi_iso", lambda: counit_of_K(d))):
@@ -171,9 +171,9 @@ def cmd_qcat(args):
         b = b.dualize()
     rep = Report()
     rep.add("dim_base", True, details={"dim": b.base.space.dim})
-    mon, mon_rep = cotensor_monoid(b)
+    _, mon_rep = cotensor_monoid(b)
     rep.extend(mon_rep)
-    qc, qc_rep = build_quantum_category(b)
+    _, qc_rep = build_quantum_category(b)
     rep.extend(qc_rep)
     return _emit(rep, args.machine)
 

@@ -100,10 +100,11 @@ class DescentDatum:
 
 
 def _q1_structure(d):
-    """Helper maps on Q1 = E (x)_B P: the unit insertion and the collapse."""
-    Q1, Pi1 = d.tensor_b_p()
+    """Helper maps on Q1 = E (x)_B P: its projection, the unit insertion
+    and the collapse."""
+    _, Pi1 = d.tensor_b_p()
     collapse = factor_through_coequaliser(d.action, Pi1)
-    return Q1, Pi1, d.unit_insertion(), collapse
+    return Pi1, d.unit_insertion(), collapse
 
 
 def verify_descent_datum(d):
@@ -117,12 +118,12 @@ def verify_descent_datum(d):
         tensor_compose(d.action, [idE, b.P.mult])))
     rep.items.append(equality_check(
         "p_module_unit", tensor_compose(d.action, [idE, b.P.unit]), idE))
-    Q1, Pi1, ins1, collapse = _q1_structure(d)
+    Pi1, ins1, collapse = _q1_structure(d)
     # Q2 = (E (x)_B P) (x)_B P with its projection from Q1 (x) P
     idB = Morphism.identity(b.base.space)
     q1_baction = factor_through_coequaliser(
         tensor_compose(Pi1, [idE, b.right_action()]), tensor(Pi1, idB))
-    Q2, Pi2 = tensor_over(q1_baction, b.left_action())
+    _, Pi2 = tensor_over(q1_baction, b.left_action())
     try:
         xi_tensor_id = factor_through_coequaliser(
             tensor_compose(Pi2, [d.xi, idP]), Pi1)
@@ -458,9 +459,9 @@ def _random_bmodules(base, max_dim, seed, samples):
                      base.mult)
         # random submodule generated by a few random vectors
         gens = []
-        for _g in range(rng.randint(1, 2)):
+        for _ in range(rng.randint(1, 2)):
             gens.append([field.from_int(rng.randint(-2, 2))
-                         for _i in range(F.dim)])
+                         for _ in range(F.dim)])
         closed = _module_closure(field, gens, act, B)
         quot_dim = F.dim - len(closed)
         if not 1 <= quot_dim <= max_dim:

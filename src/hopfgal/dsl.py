@@ -132,7 +132,7 @@ class _Parser:
     def expr(self):
         node = self.ten()
         while True:
-            k, t, p = self.peek()
+            k, t, _ = self.peek()
             if (k, t) == ("symbol", ";"):
                 self.pos += 1
                 node = Seq(node, self.ten())

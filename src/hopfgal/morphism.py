@@ -29,15 +29,16 @@ entry dicts by the one row writer `sparse_rows`: neither -g, nor f - g,
 nor a transpose is built as a morphism.  `kernel_tensor_id` reads the
 kernel of D (x) id_W as ker(D) (x) id_W, with no second elimination: the
 Kronecker product of D's kernel inclusion with id_W, its columns put in
-the order `kernel` uses.  A factorisation is read off unit lines, a row
-(or column) whose only nonzero is a 1: x with iota o x = c is c's rows at
-a unit row of iota for each of its columns, and x with x o Pi = c is c's
-columns at a unit column of Pi for each of its rows.  Without a full set
-of them, or when that x fails the `compose` check every factorisation
-ends in, one elimination of [iota | c] solves it or names the degree
-where c leaves the image.  The tensor product over a base (`tensor_over`)
-and the cotensor product (`cotensor`) are the (co)equalisers of the two
-middle (co)actions.
+the order `kernel` uses, and that order, which carries a map into the
+pair back to the Kronecker basis.  A factorisation is read off unit
+lines, a row (or column) whose only nonzero is a 1: x with iota o x = c
+is c's rows at a unit row of iota for each of its columns, and x with
+x o Pi = c is c's columns at a unit column of Pi for each of its rows.
+Without a full set of them, or when that x fails the `compose` check
+every factorisation ends in, one elimination of [iota | c] solves it or
+names the degree where c leaves the image.  The tensor product over a
+base (`tensor_over`) and the cotensor product (`cotensor`) are the
+(co)equalisers of the two middle (co)actions.
 """
 
 from __future__ import annotations
@@ -541,30 +542,34 @@ def coequaliser(f, g):
 
 
 def kernel_tensor_id(iota, W):
-    """(E (x) W, iota (x) id_W) for a kernel inclusion iota: E -> V read
-    off a canonical RREF, as `kernel` and `equaliser` give it.
+    """(E (x) W, iota (x) id_W, order) for a kernel inclusion iota: E -> V
+    read off a canonical RREF, as `kernel` and `equaliser` give it.
 
     If iota is the kernel of D, then iota (x) id_W spans the kernel of
     D (x) id_W, and the canonical RREF of D (x) id_W has the free column
     j*m + x (m = dim W) for each free column j of D's and each x < m.  A
     basis vector's free column is the last row it holds, so the columns of
     iota (x) id_W are put in `_by_degree` order of those free columns,
-    which makes the pair the one `kernel` reads off D (x) id_W.  Under the
-    trivial grading the Kronecker order is already that order.
+    which makes the pair the one `kernel` reads off D (x) id_W.  order[p]
+    is the Kronecker column k*m + x that is column p of the pair, so a map
+    into the returned space is carried to the Kronecker basis of E (x) W
+    by renaming its rows through order.  Under the trivial grading the
+    Kronecker order is already that order.
     """
     F = tensor(iota, Morphism.identity(W))
     if F.dom.group.n == 1:
-        return F.dom, F
+        return F.dom, F, range(F.dom.dim)
     m = W.dim
     last = {k: i for i, k in sorted(iota.entries)}
     column = {last[k] * m + x: k * m + x
               for k in range(iota.dom.dim) for x in range(m)}
     free = _by_degree(F.cod, sorted(column))
-    position = {column[j]: p for p, j in enumerate(free)}
+    order = [column[j] for j in free]
+    position = {c: p for p, c in enumerate(order)}
     degrees = F.cod.degrees
     E = GradedSpace(F.dom.group, tuple([degrees[j] for j in free]))
     return E, Morphism(E, F.cod, {(i, position[c]): v
-                                  for (i, c), v in F.entries.items()})
+                                  for (i, c), v in F.entries.items()}), order
 
 
 def tensor_over(act_right, act_left):

@@ -17,36 +17,39 @@ from .morphism import (FactorizationError, Morphism, braided_compose,
                        factor_through_equaliser, kernel_tensor_id, tensor,
                        tensor_many)
 from .report import Report, equality_check
-from .spaces import unit_space
 
 
-def multi_cotensor(rho_right, lambda_left, n):
-    """(E, iota) for the n-fold cotensor power of one bicomodule carrier.
+def multi_cotensor(rho_right, lambda_left, n, square=None):
+    """The cotensor powers of one bicomodule carrier X from the square up
+    to the n-th, one leg at a time: [(E_k, iota_k, j_k) for k = 2..n].
 
-    rho_right: X -> X (x) B and lambda_left: X -> B (x) X; adjacent legs
-    are matched pairwise by successive equalisers, so the resulting basis
-    is deterministic.  The first pair acts on the first two legs only: its
-    equaliser is X box_B X (x) X^(n-2), the `cotensor` of rho and lambda
-    tensored with the identity of the other legs (`kernel_tensor_id`), so
-    only X (x) X is eliminated.  Each later pair is one `compose_tensor`
-    of the current inclusion per side, a single pass over its entries: the
-    identity legs cost nothing and no Kronecker product is built.
+    rho_right: X -> X (x) B and lambda_left: X -> B (x) X.  The square is
+    `cotensor(rho, lambda)`, or `square` when that (E, iota) is already
+    built, with j_2 = iota_2.  Each later power extends the one before it:
+    E_k (x) X with iota_k (x) id_X (`kernel_tensor_id`, no elimination),
+    then the equaliser j of the last pair of legs, rho on leg k and lambda
+    on leg k + 1, one `compose_tensor` of that inclusion per side.  So
+    iota_{k+1} = (iota_k (x) id_X) o j, and j_{k+1}: E_{k+1} -> E_k (x) X
+    is j with its rows renamed through `kernel_tensor_id`'s order, which
+    puts it in the Kronecker basis of E_k (x) X under every grading.  Only
+    X (x) X and each E_k (x) X are eliminated, and each basis is the one
+    successive equalisers of adjacent pairs give.
     """
     X = rho_right.dom
     idX = Morphism.identity(X)
-    if n < 2:
-        return X, idX
-    rest = unit_space(X.group)
-    for _ in range(n - 2):
-        rest = rest.tensor(X)
-    E, iota = kernel_tensor_id(cotensor(rho_right, lambda_left)[1], rest)
-    for k in range(1, n - 1):
-        f = compose_tensor([idX] * k + [rho_right] + [idX] * (n - k - 1), iota)
-        g = compose_tensor(
-            [idX] * (k + 1) + [lambda_left] + [idX] * (n - k - 2), iota)
-        E2, j = equaliser(f, g)
-        E, iota = E2, compose(iota, j)
-    return E, iota
+    E, iota = cotensor(rho_right, lambda_left) if square is None else square
+    powers = [(E, iota, iota)]
+    for k in range(2, n):
+        _, F, order = kernel_tensor_id(iota, X)
+        f = compose_tensor([idX] * (k - 1) + [rho_right, idX], F)
+        g = compose_tensor([idX] * k + [lambda_left], F)
+        E_next, j = equaliser(f, g)
+        iota = compose(F, j)
+        j = Morphism(E_next, E.tensor(X),
+                     {(order[p], e): v for (p, e), v in j.entries.items()})
+        E = E_next
+        powers.append((E, iota, j))
+    return powers
 
 
 class CotensorMonoid:
@@ -67,8 +70,8 @@ def cotensor_monoid(b):
     idP = Morphism.identity(P)
     rho_r = b.right_coaction()
     lam_l = b.left_coaction()
-    E2, i2 = b.p_cotensor_p()
-    E3, i3 = multi_cotensor(rho_r, lam_l, 3)
+    (E2, i2, _), (_, i3, _), (_, i4, _) = multi_cotensor(
+        rho_r, lam_l, 4, b.p_cotensor_p())
     rep = Report()
     try:
         collapse_mid = compose_tensor([idP, b.P.counit, idP], i3)
@@ -85,7 +88,6 @@ def cotensor_monoid(b):
         return None, rep
     # associativity on the 4-fold cotensor: collapsing leg 2 then the
     # middle equals collapsing leg 3 then the middle
-    E4, i4 = multi_cotensor(rho_r, lam_l, 4)
     a = factor_through_equaliser(
         compose_tensor([idP, b.P.counit, idP, idP], i4), i3)
     c = factor_through_equaliser(
@@ -136,10 +138,8 @@ def build_quantum_category(b):
         return None, rep
     rep.add("qcat.can_invertible", True)
 
-    PP = P.tensor(P)
-    idPP = Morphism.identity(PP)
     zeta = diagonal_action(b)
-    G, PiG = invariants_quotient(b, PP, zeta)
+    G, PiG = invariants_quotient(b, P.tensor(P), zeta)
     rep.add("qcat.dim_G", True, details={"dim": G.dim})
 
     def induced_through_PiG(name, composite):
@@ -180,9 +180,11 @@ def build_quantum_category(b):
     if any(x is None for x in pieces):
         return None, rep
 
-    # composition m_G on G box_B G, solved from the ambient composite
-    GG, iota_GG = multi_cotensor(rho_G, lam_G, 2)
-    E2, i2 = b.p_cotensor_p()
+    # G box_B G and the triple cotensor, with its inclusion j12 into
+    # (G box_B G) (x) G that associativity uses; the composition m_G on
+    # G box_B G is solved from the ambient composite
+    (GG, iota_GG, _), (_, iota_G3, j12) = multi_cotensor(rho_G, lam_G, 3)
+    _, i2 = b.p_cotensor_p()
     M_mid = compose_tensor([b.action, idP],
                            compose_tensor([idP, b.P.counit, idH, idP],
                                           tensor_many(idP, can_inv, idP)))
@@ -246,8 +248,6 @@ def build_quantum_category(b):
                 details={"reason": "unit insertion misses the cotensor"})
     # associativity of the composition on the triple cotensor
     try:
-        G3, iota_G3 = multi_cotensor(rho_G, lam_G, 3)
-        j12 = factor_through_equaliser(iota_G3, tensor(iota_GG, idG))
         j23 = factor_through_equaliser(iota_G3, tensor(idG, iota_GG))
         left = factor_through_equaliser(
             compose_tensor([mult_G, idG], j12), iota_GG)

@@ -12,6 +12,9 @@ from itertools import chain
 
 from .fields import FieldError
 
+# The most chi values (powers of gen) a grading group keeps.
+MAX_CHI_ORDER = 1 << 16
+
 
 class GradingGroup:
     """Z_n together with a bicharacter chi(a, b) = gen^(a*b).
@@ -20,7 +23,9 @@ class GradingGroup:
     generator value must satisfy gen^n = 1 so that chi is a well-defined
     bicharacter on Z_n x Z_n: over QQ only 1 and -1 (n even) do, over F_p
     one `pow` decides.  The powers of gen up to its order k, which divides
-    n, are the only chi values, kept so that chi is one lookup.
+    n, are the only chi values, kept so that chi is one lookup.  The walk
+    over them stops at MAX_CHI_ORDER: a generator of larger order (over
+    F_p, k can be close to p) is rejected with no more powers kept.
     """
 
     def __init__(self, n, field, gen=None):
@@ -42,6 +47,10 @@ class GradingGroup:
         powers = [one]
         power = gen
         while power != one:
+            if len(powers) == MAX_CHI_ORDER:
+                raise FieldError(
+                    "bicharacter generator %r has order above the limit %d"
+                    % (gen, MAX_CHI_ORDER))
             powers.append(power)
             power = field.reduce(power * gen)
         self._powers = tuple(powers)

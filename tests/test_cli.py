@@ -212,6 +212,8 @@ def test_huge_grading_order_is_checked_without_a_loop_over_it(tmp_path,
     ("unit_before_grading.txt", "line 3: unit space before grading"),
     ("negative_dim.txt", "line 4: negative dimension -1"),
     ("huge_prime.txt", "is not prime"),
+    ("huge_generator_order.txt", "line 3: bicharacter generator 37 has order"
+     " above the limit 65536"),
     ("unprovable_prime.txt", "line 2: cannot prove 618970019642690137449562111"
      " prime"),
     ("underscore_dim.txt", "line 4: invalid integer '1_0'"),

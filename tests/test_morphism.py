@@ -902,9 +902,15 @@ def test_kernel_tensor_id_matches_the_materialised_pair(data):
     f, g = data.draw(parallel_pair(group, 3))
     W = data.draw(st.one_of(graded_space(group, 3), st.just(zero_space(group))))
     idW = Morphism.identity(W)
-    E, iota = kernel_tensor_id(equaliser(f, g)[1], W)
+    inc = equaliser(f, g)[1]
+    E, iota, order = kernel_tensor_id(inc, W)
     E_ref, iota_ref = equaliser(tensor(f, idW), tensor(g, idW))
     assert (E, E.degrees, iota) == (E_ref, E_ref.degrees, iota_ref)
+    # column p of the pair is Kronecker column order[p] of inc (x) id_W
+    kron = tensor(inc, idW)
+    assert sorted(order) == list(range(E.dim))
+    assert {(i, order[p]): v for (i, p), v in iota.entries.items()} \
+        == kron.entries
 
 
 @pytest.mark.parametrize("group", [G for G in ELIMINATION_GROUPS if G.n > 1])
@@ -918,9 +924,10 @@ def test_kernel_tensor_id_regroups_the_kronecker_order_by_degree(group):
     D = Morphism(V, GradedSpace(group, (0,)),
                  {(0, 0): 1, (0, 1): 1, (0, 2): 1})
     W = GradedSpace(group, (0, n - 1))
-    E, iota = kernel_tensor_id(kernel(D)[1], W)
+    E, iota, order = kernel_tensor_id(kernel(D)[1], W)
     E_ref, iota_ref = kernel(tensor(D, Morphism.identity(W)))
     assert E.degrees == (0, 0, 0, n - 1, n - 1, 1)
+    assert order == [0, 2, 5, 1, 3, 4]
     assert (E, E.degrees, iota) == (E_ref, E_ref.degrees, iota_ref)
 
 

@@ -1,9 +1,15 @@
-from hopfgal import linalg
+import io
+import os
+import sys
+from contextlib import redirect_stdout
+
+from hopfgal import cli, linalg, morphism
 from hopfgal.fields import QQ, PrimeField
 import pytest
 
+from hopfgal.corpus import default_root
 from hopfgal.morphism import (Morphism, compose, factor_through_equaliser,
-                              kernel, tensor_many)
+                              kernel, tensor, tensor_many)
 from hopfgal.quantum import (build_quantum_category, cotensor_monoid,
                              diagonal_action, multi_cotensor)
 from hopfgal.samples import (braided_line, cyclic_group_algebra,
@@ -146,9 +152,56 @@ def _superline_coactions():
     _superline_coactions])
 def test_multi_cotensor_matches_successive_equalisers(coactions, n):
     rho, lam = coactions()
-    E, iota = multi_cotensor(rho, lam, n)
-    E_ref, iota_ref = successive_equaliser_multi_cotensor(rho, lam, n)
-    assert E.group == E_ref.group and E.degrees == E_ref.degrees
-    assert iota.cod == iota_ref.cod and iota.cod.degrees == iota_ref.cod.degrees
-    assert sorted(iota.entries.items()) == sorted(iota_ref.entries.items())
-    assert 0 < E.dim < iota.cod.dim
+    X = rho.dom
+    powers = multi_cotensor(rho, lam, n)
+    assert len(powers) == n - 1
+    previous = Morphism.identity(X)
+    for k, (E, iota, j) in enumerate(powers, 2):
+        E_ref, iota_ref = successive_equaliser_multi_cotensor(rho, lam, k)
+        assert E.group == E_ref.group and E.degrees == E_ref.degrees
+        assert iota.cod == iota_ref.cod
+        assert iota.cod.degrees == iota_ref.cod.degrees
+        assert sorted(iota.entries.items()) == sorted(iota_ref.entries.items())
+        assert 0 < E.dim < iota.cod.dim
+        # the step inclusion lands in the Kronecker basis of E_{k-1} (x) X
+        step = tensor(previous, Morphism.identity(X))
+        assert j.dom == E and j.cod == step.dom
+        assert compose(step, j) == iota
+        previous = iota
+
+
+@pytest.mark.parametrize("coactions", [
+    _pair_groupoid_coactions, _superline_coactions, _braided_line_coactions])
+def test_step_inclusion_is_the_factorisation_through_the_kronecker_product(
+        coactions):
+    # Z_1, the Z_2 superline and the Z_3 braided line over F_7: under a
+    # Z_n grading the step's equaliser is taken in `kernel_tensor_id`'s
+    # degree order, and j must be carried back to the Kronecker basis
+    rho, lam = coactions()
+    idX = Morphism.identity(rho.dom)
+    powers = multi_cotensor(rho, lam, 4)
+    for (_, inner, _), (_, iota, j) in zip(powers, powers[1:]):
+        assert j == factor_through_equaliser(iota, tensor(inner, idX))
+
+
+def test_qcat_eliminates_each_cotensor_square_once(monkeypatch):
+    # P box P is shared by the canonical map, the cotensor monoid and the
+    # quantum category, and every higher power extends the one before it,
+    # so only P box P and G box G are cotensors of their own
+    calls = []
+    original = morphism.cotensor
+
+    def counting(*args):
+        calls.append(args[0].dom.dim)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hopfgal") and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    path = os.path.join(default_root(), "pair_groupoid", "instance.txt")
+    with redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["qcat", path])
+    assert code == 0 and out.getvalue().endswith("result=pass\n")
+    assert len(calls) == 2

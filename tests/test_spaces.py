@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from hopfgal.fields import QQ, FieldError, PrimeField
-from hopfgal.spaces import GradedSpace, GradingGroup, unit_space, zero_space
+from hopfgal.spaces import (MAX_CHI_ORDER, GradedSpace, GradingGroup,
+                            unit_space, zero_space)
 
 
 def test_trivial_group():
@@ -106,6 +107,25 @@ def test_huge_order_is_checked_in_one_step_and_keeps_only_gens_powers():
     assert g.chi(50, 2) == 1 and not g.is_trivial
     with pytest.raises(FieldError, match="not an %d-th root" % n):
         GradingGroup.cyclic(n, F101, 2)  # 100 does not divide 2^63
+
+
+def test_generator_of_order_above_the_limit_is_rejected_at_the_limit():
+    # 37 has order close to p in F_p^x: walking its powers never ended
+    p = 2 ** 61 - 1
+    F = PrimeField(p)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldError, match="^bicharacter generator 37 has"
+                           " order above the limit %d$" % MAX_CHI_ORDER):
+            GradingGroup.cyclic(p - 1, F, 37)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * MAX_CHI_ORDER
+    # a generator whose order is the limit keeps every power
+    q = 786433  # 3 * 2^18 + 1, where 5^12 has order 2^16
+    g = GradingGroup.cyclic(MAX_CHI_ORDER, PrimeField(q), pow(5, 12, q))
+    assert g.chi(1, MAX_CHI_ORDER - 1) == pow(5, 12 * (MAX_CHI_ORDER - 1), q)
 
 
 def test_chi_and_is_trivial_match_the_table_formula():
