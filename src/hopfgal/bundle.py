@@ -5,7 +5,7 @@ subalgebra B and inclusion pi; the comonoid side packages a module
 coalgebra with a base quotient coalgebra.  `Bundle` runs the stages both
 sides share, each memoised: condition A (the side's laws on pi, then the
 comparison map from the (co)invariants and its isomorphism report),
-condition B (can bijective, caching its inverse) and `check_principal`.
+condition B (can bijective, caching its verdict) and `check_principal`.
 `AlgebraBundle` and `CoalgebraBundle` supply only their side's math: the
 three A-laws, the factorisation of pi through the (co)invariants, the
 canonical map, the condition-C checks (the comonoid side answers them
@@ -38,11 +38,12 @@ from collections import Counter
 from fractions import Fraction
 
 from . import linalg
-from .hopf import (Algebra, Coalgebra, braided_tensor_mult, check_algebra,
-                   check_coalgebra)
-from .morphism import (FactorizationError, Morphism, braided_compose,
-                       coequaliser, compose, compose_tensor, cotensor, dualize,
-                       equaliser, factor_through_coequaliser,
+from .hopf import (Algebra, Coalgebra, action_laws, algebra_hom_laws,
+                   algebra_map_laws, check_algebra, check_coalgebra,
+                   coaction_laws, coalgebra_hom_laws, coalgebra_map_laws,
+                   coinvariants_of, invariants_of)
+from .morphism import (FactorizationError, Morphism, compose, compose_tensor,
+                       cotensor, dualize, factor_through_coequaliser,
                        factor_through_equaliser, is_isomorphism, sparse_rows,
                        tensor, tensor_compose, tensor_over)
 from .report import Report, equality_check
@@ -95,49 +96,25 @@ class ModuleCoalgebra:
 
 
 def check_comodule_algebra(x):
-    P, H = x.space, x.hopf.space
-    idP, idH = Morphism.identity(P), Morphism.identity(H)
-    rho = x.coaction
     rep = Report()
     rep.extend(check_algebra(x.algebra), prefix="carrier.")
-    rep.items.append(equality_check(
-        "coaction_coassoc",
-        compose_tensor([rho, idH], rho),
-        compose_tensor([idP, x.hopf.comult], rho)))
-    rep.items.append(equality_check(
-        "coaction_counit", compose_tensor([idP, x.hopf.counit], rho), idP))
-    rep.items.append(equality_check(
-        "coaction_mult",
-        compose(rho, x.algebra.mult),
-        braided_tensor_mult(x.algebra, x.hopf.algebra, rho, rho)))
-    rep.items.append(equality_check(
-        "coaction_unit", compose(rho, x.algebra.unit),
-        tensor(x.algebra.unit, x.hopf.unit)))
+    rep.items.extend(coaction_laws(x.coaction, x.hopf, "coaction_coassoc",
+                                   "coaction_counit"))
+    rep.items.extend(algebra_map_laws(x.coaction, x.algebra, x.algebra,
+                                      x.hopf, "coaction_mult",
+                                      "coaction_unit"))
     return rep
 
 
 def check_module_coalgebra(x):
-    P, H = x.space, x.hopf.space
-    idP, idH = Morphism.identity(P), Morphism.identity(H)
-    act = x.action
     rep = Report()
     rep.extend(check_coalgebra(x.coalgebra), prefix="carrier.")
-    rep.items.append(equality_check(
-        "action_assoc",
-        tensor_compose(act, [act, idH]),
-        tensor_compose(act, [idP, x.hopf.mult])))
-    rep.items.append(equality_check(
-        "action_unit", tensor_compose(act, [idP, x.hopf.unit]), idP))
+    rep.items.extend(action_laws(x.action, x.hopf, "action_assoc",
+                                 "action_unit"))
     # act is a coalgebra map out of the braided tensor coalgebra P (x) H
-    rep.items.append(equality_check(
-        "action_comult",
-        compose(x.coalgebra.comult, act),
-        braided_compose(act, act, x.coalgebra.comult, x.hopf.comult,
-                        (P, P), (H, H))))
-    rep.items.append(equality_check(
-        "action_counit",
-        compose(x.coalgebra.counit, act),
-        tensor(x.coalgebra.counit, x.hopf.counit)))
+    rep.items.extend(coalgebra_map_laws(x.action, x.coalgebra, x.coalgebra,
+                                        x.hopf, "action_comult",
+                                        "action_counit"))
     return rep
 
 
@@ -145,9 +122,7 @@ def check_module_coalgebra(x):
 
 def coinvariants(x):
     """(B, iota): the subalgebra {p : rho(p) = p (x) 1} of a comodule algebra."""
-    P = x.space
-    idP = Morphism.identity(P)
-    Bsp, iota = equaliser(x.coaction, tensor(idP, x.hopf.unit))
+    Bsp, iota = coinvariants_of(x.coaction, x.hopf)
     mult = factor_through_equaliser(
         tensor_compose(x.algebra.mult, [iota, iota]), iota)
     unit = factor_through_equaliser(x.algebra.unit, iota)
@@ -156,9 +131,7 @@ def coinvariants(x):
 
 def invariants_base(x):
     """(B, Pi): the coequaliser quotient P/(p.h - p eps(h)) of a module coalgebra."""
-    P = x.space
-    idP = Morphism.identity(P)
-    Bsp, Pi = coequaliser(tensor(idP, x.hopf.counit), x.action)
+    Bsp, Pi = invariants_of(x.action, x.hopf)
     comult = factor_through_coequaliser(
         compose_tensor([Pi, Pi], x.coalgebra.comult), Pi)
     counit = factor_through_coequaliser(x.coalgebra.counit, Pi)
@@ -388,16 +361,11 @@ class Bundle:
                         details={"reason": self.comparison_failure})
                 return rep
             inv = is_isomorphism(phi)
-            self._cache["comparison"] = (phi, inv.inverse)
             rep.add("A.comparison_iso", inv.is_iso,
                     details={"rank": inv.rank, "kernel_dim": inv.kernel_dim,
                              "cokernel_dim": inv.cokernel_dim})
             return rep
         return self._memo("condA", build)
-
-    def comparison_iso(self):
-        self.condition_A()
-        return self._cache.get("comparison")
 
     def condition_B(self):
         def build():
@@ -407,20 +375,24 @@ class Bundle:
             except FactorizationError as err:
                 rep.add("B.can_bijective", False, details={"reason": str(err)})
                 return rep
-            inv = is_isomorphism(can)
+            inv = self._cache["can_verdict"] = is_isomorphism(can)
             detail = {"rank": inv.rank, "kernel_dim": inv.kernel_dim,
                       "corank": inv.corank, "dim_dom": can.dom.dim,
                       "dim_cod": can.cod.dim}
             rep.add("B.can_bijective", inv.is_iso, details=detail,
                     witness=inv.kernel_inclusion)
-            if inv.is_iso:
-                self._cache["can_inverse"] = inv.inverse
             return rep
         return self._memo("condB", build)
 
-    def can_inverse(self):
+    def can_verdict(self):
+        """Condition B's `is_isomorphism` report on can, or None when can
+        does not exist."""
         self.condition_B()
-        return self._cache.get("can_inverse")
+        return self._cache.get("can_verdict")
+
+    def can_inverse(self):
+        inv = self.can_verdict()
+        return None if inv is None else inv.inverse
 
     def check_principal(self):
         def build():
@@ -508,14 +480,10 @@ class AlgebraBundle(Bundle):
 
     def _base_laws(self):
         idP = Morphism.identity(self.como.space)
-        return [
-            equality_check("A.pi_mult", compose(self.pi, self.base.mult),
-                           tensor_compose(self.P.mult, [self.pi, self.pi])),
-            equality_check("A.pi_unit", compose(self.pi, self.base.unit),
-                           self.P.unit),
+        return algebra_hom_laws(self.pi, self.base, self.P, "A.pi_mult",
+                                "A.pi_unit") + [
             equality_check("A.pi_equalises", compose(self.rho, self.pi),
-                           compose_tensor([idP, self.H.unit], self.pi)),
-        ]
+                           compose_tensor([idP, self.H.unit], self.pi))]
 
     def _comparison_map(self):
         _, iota = self.coinvariants()
@@ -664,13 +632,13 @@ class CoalgebraBundle(Bundle):
 
     def right_coaction(self):
         """P -> P (x) B through pi."""
-        idP = Morphism.identity(self.modc.space)
-        return compose_tensor([idP, self.pi], self.P.comult)
+        return self._memo("right_coaction", lambda: compose_tensor(
+            [Morphism.identity(self.modc.space), self.pi], self.P.comult))
 
     def left_coaction(self):
         """P -> B (x) P through pi."""
-        idP = Morphism.identity(self.modc.space)
-        return compose_tensor([self.pi, idP], self.P.comult)
+        return self._memo("left_coaction", lambda: compose_tensor(
+            [self.pi, Morphism.identity(self.modc.space)], self.P.comult))
 
     def p_cotensor_p(self):
         """(P box_B P, iota)."""
@@ -689,14 +657,10 @@ class CoalgebraBundle(Bundle):
 
     def _base_laws(self):
         idP = Morphism.identity(self.modc.space)
-        return [
-            equality_check("A.pi_comult", compose(self.base.comult, self.pi),
-                           compose_tensor([self.pi, self.pi], self.P.comult)),
-            equality_check("A.pi_counit", compose(self.base.counit, self.pi),
-                           self.P.counit),
+        return coalgebra_hom_laws(self.pi, self.P, self.base, "A.pi_comult",
+                                  "A.pi_counit") + [
             equality_check("A.pi_coequalises", compose(self.pi, self.action),
-                           tensor_compose(self.pi, [idP, self.H.counit])),
-        ]
+                           tensor_compose(self.pi, [idP, self.H.counit]))]
 
     def _comparison_map(self):
         _, Pi0 = self.invariants_base()

@@ -23,7 +23,7 @@ from .dsl import AssertionFileError, run_assertions
 from .fields import FieldError, parse_int
 from .hopf import check_hopf
 from .instances import InstanceError, parse_instance
-from .morphism import FactorizationError, cokernel, is_isomorphism
+from .morphism import FactorizationError, cokernel
 from .quantum import build_quantum_category, cotensor_monoid
 from .report import Report, matrix_triples
 
@@ -117,17 +117,15 @@ def cmd_principal(args):
         # no can to print: B.can_bijective already fails with the reason
         return _emit(rep, args.machine)
     extra = ["can=[%s]" % matrix_triples(can)]
-    inv = b.can_inverse()
-    if inv is not None:
-        extra.append("can_inverse=[%s]" % matrix_triples(inv))
-    else:
-        verdict = is_isomorphism(can)
-        if verdict.kernel_dim:
-            extra.append("can_defect_kernel=[%s]"
-                         % matrix_triples(verdict.kernel_inclusion))
-        if verdict.corank:
-            _, proj = cokernel(can)
-            extra.append("can_defect_cokernel=[%s]" % matrix_triples(proj))
+    verdict = b.can_verdict()
+    if verdict.is_iso:
+        extra.append("can_inverse=[%s]" % matrix_triples(verdict.inverse))
+    if verdict.kernel_dim:
+        extra.append("can_defect_kernel=[%s]"
+                     % matrix_triples(verdict.kernel_inclusion))
+    if verdict.corank:
+        _, proj = cokernel(can)
+        extra.append("can_defect_cokernel=[%s]" % matrix_triples(proj))
     return _emit(rep, args.machine, extra)
 
 

@@ -15,6 +15,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
+from .hopf import action_laws, coaction_laws, coinvariants_of
 from .morphism import (FactorizationError, Morphism, braided_compose,
                        braiding, cokernel, compose, compose_tensor, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
@@ -36,16 +37,15 @@ class BModule:
 
 
 def check_bmodule(v, base):
-    V, B = v.carrier, base.space
-    idV, idB = Morphism.identity(V), Morphism.identity(B)
-    rep = Report()
-    rep.items.append(equality_check(
-        "module_assoc",
-        tensor_compose(v.action, [v.action, idB]),
-        tensor_compose(v.action, [idV, base.mult])))
-    rep.items.append(equality_check(
-        "module_unit", tensor_compose(v.action, [idV, base.unit]), idV))
-    return rep
+    return Report(action_laws(v.action, base, "module_assoc", "module_unit"))
+
+
+def _restricted_bmodule(baction, incl, base):
+    """(V, incl) as a B-module: the right B-action baction on the carrier
+    restricted to the subspace incl: V -> carrier."""
+    act = factor_through_equaliser(
+        tensor_compose(baction, [incl, Morphism.identity(base.space)]), incl)
+    return BModule(incl.dom, act), incl
 
 
 class DescentDatum:
@@ -111,13 +111,8 @@ def verify_descent_datum(d):
     b = d.bundle
     E, P = d.carrier, b.como.space
     idE, idP = Morphism.identity(E), Morphism.identity(P)
-    rep = Report()
-    rep.items.append(equality_check(
-        "p_module_assoc",
-        tensor_compose(d.action, [d.action, idP]),
-        tensor_compose(d.action, [idE, b.P.mult])))
-    rep.items.append(equality_check(
-        "p_module_unit", tensor_compose(d.action, [idE, b.P.unit]), idE))
+    rep = Report(action_laws(d.action, b.P, "p_module_assoc",
+                             "p_module_unit"))
     Pi1, ins1, collapse = _q1_structure(d)
     # Q2 = (E (x)_B P) (x)_B P with its projection from Q1 (x) P
     idB = Morphism.identity(b.base.space)
@@ -162,11 +157,8 @@ def comparison_K(v, bundle):
 def descend(d):
     """(V, incl): the equaliser of xi and the unit insertion, as a B-module."""
     def build():
-        Vsp, incl = equaliser(d.xi, d.unit_insertion())
-        idB = Morphism.identity(d.bundle.base.space)
-        act = factor_through_equaliser(
-            tensor_compose(d.base_action(), [incl, idB]), incl)
-        return BModule(Vsp, act), incl
+        _, incl = equaliser(d.xi, d.unit_insertion())
+        return _restricted_bmodule(d.base_action(), incl, d.bundle.base)
     return d._memo("descended", build)
 
 
@@ -216,21 +208,9 @@ class RelativeHopfModule:
 def hopf_module_check(m, bundle):
     b = bundle
     P, H, E = b.como.space, b.H.space, m.carrier
-    idE, idP, idH = (Morphism.identity(s) for s in (E, P, H))
-    rep = Report()
-    rep.items.append(equality_check(
-        "p_module_assoc",
-        tensor_compose(m.action, [m.action, idP]),
-        tensor_compose(m.action, [idE, b.P.mult])))
-    rep.items.append(equality_check(
-        "p_module_unit", tensor_compose(m.action, [idE, b.P.unit]), idE))
-    rep.items.append(equality_check(
-        "h_comodule_coassoc",
-        compose_tensor([m.coaction, idH], m.coaction),
-        compose_tensor([idE, b.H.comult], m.coaction)))
-    rep.items.append(equality_check(
-        "h_comodule_counit",
-        compose_tensor([idE, b.H.counit], m.coaction), idE))
+    rep = Report(action_laws(m.action, b.P, "p_module_assoc", "p_module_unit")
+                 + coaction_laws(m.coaction, b.H, "h_comodule_coassoc",
+                                 "h_comodule_counit"))
     rep.items.append(equality_check(
         "hopf_compatibility",
         compose(m.coaction, m.action),
@@ -269,14 +249,10 @@ def hopf_module_to_descent(m, bundle):
 
 def invariants_functor(m, bundle):
     """(E^coH, incl): coaction invariants with the restricted B-action."""
-    idE = Morphism.identity(m.carrier)
-    Vsp, incl = equaliser(m.coaction,
-                          tensor(idE, bundle.H.unit))
-    idB = Morphism.identity(bundle.base.space)
-    baction = tensor_compose(m.action, [idE, bundle.pi])
-    act = factor_through_equaliser(
-        tensor_compose(baction, [incl, idB]), incl)
-    return BModule(Vsp, act), incl
+    _, incl = coinvariants_of(m.coaction, bundle.H)
+    baction = tensor_compose(
+        m.action, [Morphism.identity(m.carrier), bundle.pi])
+    return _restricted_bmodule(baction, incl, bundle.base)
 
 
 def monad_presentation_report(d):
@@ -284,32 +260,22 @@ def monad_presentation_report(d):
     transported P-action, checked on the carrier of a descent datum."""
     b = d.bundle
     E, P, H = d.carrier, b.como.space, b.H.space
-    idE, idP, idH = (Morphism.identity(s) for s in (E, P, H))
-    EH = E.tensor(H)
-    idEH = Morphism.identity(EH)
+    idE, idH = Morphism.identity(E), Morphism.identity(H)
+    idEH = Morphism.identity(E.tensor(H))
     mu = tensor(idE, b.H.mult)
     eta = tensor(idE, b.H.unit)
-    rep = Report()
-    rep.items.append(equality_check(
-        "monad_assoc",
-        tensor_compose(mu, [mu, idH]),
-        tensor_compose(mu, [idEH, b.H.mult])))
-    rep.items.append(equality_check(
-        "monad_unit_left", tensor_compose(mu, [eta, idH]), idEH))
-    rep.items.append(equality_check(
-        "monad_unit_right", tensor_compose(mu, [idEH, b.H.unit]), idEH))
     # the transported P-action nu on E (x) H
     nu = braided_compose(d.action, b.H.mult, idEH, b.rho, (E, H), (P, H))
-    rep.items.append(equality_check(
-        "nu_assoc",
-        tensor_compose(nu, [nu, idP]),
-        tensor_compose(nu, [idEH, b.P.mult])))
-    rep.items.append(equality_check(
-        "nu_unit", tensor_compose(nu, [idEH, b.P.unit]), idEH))
-    return rep
+    return Report(
+        action_laws(mu, b.H, "monad_assoc", "monad_unit_right")
+        + [equality_check("monad_unit_left", tensor_compose(mu, [eta, idH]),
+                          idEH)]
+        + action_laws(nu, b.P, "nu_assoc", "nu_unit"))
 
 
 # -- enumeration of small base modules ---------------------------------------
+
+RANDOM_SAMPLES = 6  # random quotients drawn for a base of neither kind
 
 def _field_roots(field, beta, alpha):
     """Roots of x^2 - beta x - alpha in the field, sorted canonically."""
@@ -388,12 +354,14 @@ def _w_structure(base):
     return w, alpha, field.reduce(ww[w] - alpha * u[w])
 
 
-def enumerate_bmodules(base, max_dim, seed=0, samples=6):
+def enumerate_bmodules(base, max_dim, seed=0):
     """Right B-modules of dimension 1..max_dim.
 
     Exhaustive up to isomorphism for dim B = 1 and commutative dim B = 2
     (classification by the minimal polynomial of the non-unit generator);
-    seeded random quotients of free modules otherwise.
+    seeded random quotients of free modules otherwise, `RANDOM_SAMPLES`
+    draws of which each gives a module when its quotient has dimension
+    1..max_dim.
     """
     B = base.space
     field = B.field
@@ -435,7 +403,7 @@ def enumerate_bmodules(base, max_dim, seed=0, samples=6):
                         T[2 * t + 1][2 * t + 1] = beta
                     out.append(_module_from_operator(base, T))
         return out
-    return _random_bmodules(base, max_dim, seed, samples)
+    return _random_bmodules(base, max_dim, seed)
 
 
 def _scalar_action(base, V):
@@ -446,13 +414,13 @@ def _scalar_action(base, V):
                     {(i, i): field.inv(u) for i in range(V.dim)})
 
 
-def _random_bmodules(base, max_dim, seed, samples):
+def _random_bmodules(base, max_dim, seed):
     """Seeded random quotients of free modules k^k (x) B."""
     B = base.space
     field = B.field
     rng = random.Random(seed)
     out = [BModule(B, base.mult)] if B.dim <= max_dim else []
-    for _ in range(samples):
+    for _ in range(RANDOM_SAMPLES):
         k = rng.randint(1, max(1, max_dim // max(1, B.dim) + 1))
         F = GradedSpace(B.group, (0,) * (k * B.dim))
         act = tensor(Morphism.identity(GradedSpace(B.group, (0,) * k)),

@@ -1,17 +1,19 @@
 """Algebras, coalgebras, bialgebras and Hopf algebras in the braided category.
 
 Structures are given by structure-constant matrices on a graded space and
-verified, never constructed from presentations.  The braided tensor
-product of algebras uses (m_A (x) m_B) o (id (x) tau (x) id); in the
-trivially graded case it reduces to the classical tensor algebra.  It is
-never built: `braided_tensor_mult` applies it through `braided_compose`.
+verified, never constructed from presentations.  Each structure law is
+written once here and returns its equality items under the caller's
+names: (co)actions, maps into (out of) the braided tensor (co)algebra,
+whose structure (m_A (x) m_B) o (id (x) tau (x) id) (or its dual) is
+applied through `braided_compose` and never built, maps of (co)algebras,
+and the (co)invariants of a (co)action.
 """
 
 from __future__ import annotations
 
-from .morphism import (Morphism, braided_compose, braiding, compose,
-                       compose_tensor, dualize, is_isomorphism, tensor,
-                       tensor_compose)
+from .morphism import (Morphism, braided_compose, braiding, coequaliser,
+                       compose, compose_tensor, dualize, equaliser,
+                       is_isomorphism, tensor, tensor_compose)
 from .report import Report, equality_check
 from .spaces import unit_space
 
@@ -104,41 +106,84 @@ class HopfAlgebra(_Structure):
                            dualize(self.antipode))
 
 
+def action_laws(act, A, assoc, unit):
+    """A right action act: X (x) A -> X of the algebra A is associative
+    and unital: the items `assoc` and `unit`."""
+    idX, idA = Morphism.identity(act.cod), Morphism.identity(A.space)
+    return [equality_check(assoc, tensor_compose(act, [act, idA]),
+                           tensor_compose(act, [idX, A.mult])),
+            equality_check(unit, tensor_compose(act, [idX, A.unit]), idX)]
+
+
+def coaction_laws(coact, C, coassoc, counit):
+    """A right coaction coact: X -> X (x) C of the coalgebra C is
+    coassociative and counital: the items `coassoc` and `counit`."""
+    idX, idC = Morphism.identity(coact.dom), Morphism.identity(C.space)
+    return [equality_check(coassoc, compose_tensor([coact, idC], coact),
+                           compose_tensor([idX, C.comult], coact)),
+            equality_check(counit, compose_tensor([idX, C.counit], coact),
+                           idX)]
+
+
+def algebra_map_laws(f, A, B, C, mult, unit):
+    """f: A -> B (x) C is an algebra map into the braided tensor algebra,
+    multiplication (m_B (x) m_C) o (id (x) tau (x) id): the items `mult`
+    and `unit`."""
+    BC = (B.space, C.space)
+    return [equality_check(mult, compose(f, A.mult),
+                           braided_compose(B.mult, C.mult, f, f, BC, BC)),
+            equality_check(unit, compose(f, A.unit), tensor(B.unit, C.unit))]
+
+
+def coalgebra_map_laws(g, A, B, C, comult, counit):
+    """g: B (x) C -> A is a coalgebra map out of the braided tensor
+    coalgebra, comultiplication (id (x) tau (x) id) o (Delta_B (x)
+    Delta_C): the items `comult` and `counit`."""
+    return [equality_check(comult, compose(A.comult, g),
+                           braided_compose(g, g, B.comult, C.comult,
+                                           (B.space, B.space),
+                                           (C.space, C.space))),
+            equality_check(counit, compose(A.counit, g),
+                           tensor(B.counit, C.counit))]
+
+
+def algebra_hom_laws(f, A, B, mult, unit):
+    """f: A -> B is a map of algebras: the items `mult` and `unit`."""
+    return [equality_check(mult, compose(f, A.mult),
+                           tensor_compose(B.mult, [f, f])),
+            equality_check(unit, compose(f, A.unit), B.unit)]
+
+
+def coalgebra_hom_laws(g, A, B, comult, counit):
+    """g: A -> B is a map of coalgebras: the items `comult` and `counit`."""
+    return [equality_check(comult, compose(B.comult, g),
+                           compose_tensor([g, g], A.comult)),
+            equality_check(counit, compose(B.counit, g), A.counit)]
+
+
+def coinvariants_of(coact, H):
+    """(X^coH, iota): the equaliser of coact: X -> X (x) H and id (x) 1."""
+    return equaliser(coact, tensor(Morphism.identity(coact.dom), H.unit))
+
+
+def invariants_of(act, H):
+    """(X_H, Pi): the coequaliser of id (x) eps and act: X (x) H -> X."""
+    return coequaliser(tensor(Morphism.identity(act.cod), H.counit), act)
+
+
 def check_algebra(a):
-    A = a.space
-    idA = Morphism.identity(A)
-    rep = Report()
-    rep.items.append(equality_check(
-        "associativity",
-        tensor_compose(a.mult, [a.mult, idA]),
-        tensor_compose(a.mult, [idA, a.mult])))
-    rep.items.append(equality_check(
-        "unit_left", tensor_compose(a.mult, [a.unit, idA]), idA))
-    rep.items.append(equality_check(
-        "unit_right", tensor_compose(a.mult, [idA, a.unit]), idA))
-    return rep
+    idA = Morphism.identity(a.space)
+    return Report(action_laws(a.mult, a, "associativity", "unit_right") + [
+        equality_check("unit_left", tensor_compose(a.mult, [a.unit, idA]),
+                       idA)])
 
 
 def check_coalgebra(c):
-    C = c.space
-    idC = Morphism.identity(C)
-    rep = Report()
-    rep.items.append(equality_check(
-        "coassociativity",
-        compose_tensor([c.comult, idC], c.comult),
-        compose_tensor([idC, c.comult], c.comult)))
-    rep.items.append(equality_check(
-        "counit_left", compose_tensor([c.counit, idC], c.comult), idC))
-    rep.items.append(equality_check(
-        "counit_right", compose_tensor([idC, c.counit], c.comult), idC))
-    return rep
-
-
-def braided_tensor_mult(a, b, f, g):
-    """m o (f (x) g), m = (m_A (x) m_B) o (id (x) tau (x) id) the
-    multiplication of the braided tensor product algebra A (x) B."""
-    AB = (a.space, b.space)
-    return braided_compose(a.mult, b.mult, f, g, AB, AB)
+    idC = Morphism.identity(c.space)
+    return Report(coaction_laws(c.comult, c, "coassociativity",
+                                "counit_right") + [
+        equality_check("counit_left",
+                       compose_tensor([c.counit, idC], c.comult), idC)])
 
 
 def check_hopf(h):
@@ -150,13 +195,9 @@ def check_hopf(h):
 
     # bialgebra law: Delta and eps are algebra maps into/out of the braided
     # tensor algebra on H (x) H
-    rep.items.append(equality_check(
-        "bialgebra_comult_mult",
-        compose(h.comult, h.mult),
-        braided_tensor_mult(h.algebra, h.algebra, h.comult, h.comult)))
-    rep.items.append(equality_check(
-        "bialgebra_comult_unit", compose(h.comult, h.unit),
-        tensor(h.unit, h.unit)))
+    rep.items.extend(algebra_map_laws(h.comult, h, h, h,
+                                      "bialgebra_comult_mult",
+                                      "bialgebra_comult_unit"))
     rep.items.append(equality_check(
         "bialgebra_counit_mult",
         compose(h.counit, h.mult),

@@ -11,11 +11,11 @@ factorisation; a failed factorisation is reported, not raised.
 
 from __future__ import annotations
 
+from .hopf import Coalgebra, coaction_laws, coalgebra_hom_laws, invariants_of
 from .morphism import (FactorizationError, Morphism, braided_compose,
-                       braiding, coequaliser, compose, compose_tensor,
-                       cotensor, equaliser, factor_through_coequaliser,
-                       factor_through_equaliser, kernel_tensor_id, tensor,
-                       tensor_many)
+                       braiding, compose, compose_tensor, cotensor, equaliser,
+                       factor_through_coequaliser, factor_through_equaliser,
+                       kernel_tensor_id, tensor, tensor_many)
 from .report import Report, equality_check
 
 
@@ -116,12 +116,6 @@ def diagonal_action(b):
                            b.H.comult, (P, P), (H, H))
 
 
-def invariants_quotient(b, carrier, action):
-    """(X^H, Pi): coequaliser of an H-action with the counit collapse."""
-    idX = Morphism.identity(carrier)
-    return coequaliser(tensor(idX, b.H.counit), action)
-
-
 def build_quantum_category(b):
     """All structure maps of the quantum category of a comonoid bundle.
 
@@ -139,7 +133,7 @@ def build_quantum_category(b):
     rep.add("qcat.can_invertible", True)
 
     zeta = diagonal_action(b)
-    G, PiG = invariants_quotient(b, P.tensor(P), zeta)
+    G, PiG = invariants_of(zeta, b.H)
     rep.add("qcat.dim_G", True, details={"dim": G.dim})
 
     def induced_through_PiG(name, composite):
@@ -204,35 +198,23 @@ def build_quantum_category(b):
         return None, rep
 
     idG = Morphism.identity(G)
+    coalg_G = Coalgebra(G, comult_G, counit_G)
     # coalgebra axioms of G
-    rep.items.append(equality_check(
-        "qcat.comult_coassoc",
-        compose_tensor([comult_G, idG], comult_G),
-        compose_tensor([idG, comult_G], comult_G)))
+    rep.items.extend(coaction_laws(comult_G, coalg_G, "qcat.comult_coassoc",
+                                   "qcat.counit_right"))
     rep.items.append(equality_check(
         "qcat.counit_left",
         compose_tensor([counit_G, idG], comult_G), idG))
-    rep.items.append(equality_check(
-        "qcat.counit_right",
-        compose_tensor([idG, counit_G], comult_G), idG))
     # source/target laws against the unit
     rep.items.append(equality_check(
         "qcat.source_unit", compose(source, unit_G), idB))
     rep.items.append(equality_check(
         "qcat.target_unit", compose(target, unit_G), idB))
     # source and target are coalgebra maps
-    rep.items.append(equality_check(
-        "qcat.source_coalgebra_map",
-        compose(b.base.comult, source),
-        compose_tensor([source, source], comult_G)))
-    rep.items.append(equality_check(
-        "qcat.target_coalgebra_map",
-        compose(b.base.comult, target),
-        compose_tensor([target, target], comult_G)))
-    rep.items.append(equality_check(
-        "qcat.source_counit", compose(b.base.counit, source), counit_G))
-    rep.items.append(equality_check(
-        "qcat.target_counit", compose(b.base.counit, target), counit_G))
+    for name, f in (("source", source), ("target", target)):
+        rep.items.extend(coalgebra_hom_laws(
+            f, coalg_G, b.base, "qcat.%s_coalgebra_map" % name,
+            "qcat.%s_counit" % name))
     # unit laws of the composition
     try:
         ins_l = factor_through_equaliser(

@@ -177,6 +177,22 @@ def test_duality_verdicts_and_can_transpose():
         assert compose(psi, dualize(can)) == d.canonical_map()
 
 
+def test_comonoid_side_coactions_are_memoised():
+    b = free_z2_bundle(QQ).dualize()
+    assert b.right_coaction() is b.right_coaction()
+    assert b.left_coaction() is b.left_coaction()
+
+
+def test_can_verdict_is_condition_B_s():
+    for b in (free_z2_bundle(QQ), nonfree_z2_bundle(QQ)):
+        verdict = b.can_verdict()
+        item = b.condition_B()["B.can_bijective"]
+        assert verdict.is_iso == item.ok
+        assert verdict.corank == item.details["corank"]
+        assert b.can_inverse() is verdict.inverse
+    assert nonfree_z2_bundle(QQ).can_inverse() is None
+
+
 def test_comonoid_side_native_pipeline():
     for h in sample_hopfs():
         b = trivial_coalgebra_bundle(h)

@@ -1,11 +1,13 @@
 import hashlib
 import io
 import os
+import sys
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
-from hopfgal.cli import main
+from hopfgal import morphism
+from hopfgal.cli import _bundle, _load, main
 from hopfgal.corpus import (_algebra_side_text, corpus_commands, default_root,
                             run_commands)
 from hopfgal.fields import QQ, PrimeField
@@ -46,6 +48,27 @@ def test_principal_exit_codes():
     assert code == 1 and "corank=1" in out and "can_defect_cokernel=[" in out
     code, out, _ = run(["principal", inst("free_z2"), "--dualize"])
     assert code == 0
+
+
+def test_principal_decides_condition_B_once(monkeypatch):
+    # a non-invertible can prints its defect from condition B's verdict
+    path = inst("nonfree_z2")
+    can = _bundle(_load(path)).canonical_map()
+    args = []
+    original = morphism.is_isomorphism
+
+    def recording(f):
+        args.append(f)
+        return original(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hopfgal") and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, recording)
+    code, out, _ = run(["principal", path])
+    assert code == 1 and "can_defect_cokernel=[" in out
+    assert sum(f == can for f in args) == 1
 
 
 def test_descent_module_and_sweep():

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import pytest
+
 from hopfgal.bundle import (ComoduleAlgebra, check_comodule_algebra,
                             check_module_coalgebra)
 from hopfgal.fields import QQ, PrimeField
-from hopfgal.hopf import (Algebra, HopfAlgebra,
-                          antipode_antihomomorphism_check, check_algebra,
-                          check_coalgebra, check_hopf)
+from hopfgal.hopf import (Algebra, Coalgebra, HopfAlgebra,
+                          algebra_map_laws, antipode_antihomomorphism_check,
+                          check_algebra, check_coalgebra, check_hopf,
+                          coalgebra_map_laws)
 from hopfgal.morphism import Morphism, braiding, compose, tensor, tensor_many
 from hopfgal.report import equality_check
 from hopfgal.samples import (braided_line, cyclic_group_algebra, fun_z2,
@@ -17,12 +20,23 @@ from hopfgal.spaces import GradedSpace, GradingGroup, unit_space
 def braided_tensor_algebra(a, b):
     """The algebra on A (x) B with multiplication (m_A (x) m_B)(id tau id),
     with its multiplication built as a morphism: the reference for
-    `hopf.braided_tensor_mult`."""
+    `hopf.algebra_map_laws`."""
     A, B = a.space, b.space
     idA, idB = Morphism.identity(A), Morphism.identity(B)
     mult = compose(tensor(a.mult, b.mult),
                    tensor(tensor(idA, braiding(B, A)), idB))
     return Algebra(A.tensor(B), mult, tensor(a.unit, b.unit))
+
+
+def braided_tensor_coalgebra(b, c):
+    """The coalgebra on B (x) C with comultiplication (id tau id)(Delta_B
+    (x) Delta_C), built as a morphism: the reference for
+    `hopf.coalgebra_map_laws`."""
+    B, C = b.space, c.space
+    idB, idC = Morphism.identity(B), Morphism.identity(C)
+    comult = compose(tensor(tensor(idB, braiding(B, C)), idC),
+                     tensor(b.comult, c.comult))
+    return Coalgebra(B.tensor(C), comult, tensor(b.counit, c.counit))
 
 
 F7 = PrimeField(7)
@@ -85,6 +99,60 @@ def test_superline():
     prod_col = 1 * 4 + 2
     vals = [rows[i][prod_col] for i in range(4)]
     assert vals == [Fraction(0), Fraction(0), Fraction(0), Fraction(-1)]
+
+
+def bump(f):
+    """f with one more at its first degree-preserving entry."""
+    for i in range(f.cod.dim):
+        for j in range(f.dom.dim):
+            if f.cod.degrees[i] == f.dom.degrees[j]:
+                entries = dict(f.entries)
+                entries[(i, j)] = entries.get((i, j), 0) + 1
+                return Morphism(f.dom, f.cod, entries)
+    raise ValueError("no degree-preserving entry")
+
+
+def assert_items_match(items, sides):
+    """Each item's verdict and witness are those of the dense (lhs, rhs)."""
+    assert len(items) == len(sides)
+    for item, (lhs, rhs) in zip(items, sides):
+        assert item.ok == (lhs == rhs)
+        assert item.witness == (None if item.ok else lhs - rhs)
+
+
+@pytest.mark.parametrize("h", [braided_line(F7, 3, F7.from_int(2)),
+                               superline(QQ)],
+                         ids=["braided_line_f7", "superline"])
+def test_map_laws_match_the_dense_braided_tensor_product(h):
+    """Delta and (Delta (x) id) Delta are algebra maps into braided tensor
+    algebras, m and m (m (x) id) coalgebra maps out of braided tensor
+    coalgebras; each with one entry perturbed fails with the dense
+    lhs - rhs as its witness."""
+    idH = Morphism.identity(h.space)
+    hh = braided_tensor_algebra(h, h)
+    cc = braided_tensor_coalgebra(h, h)
+    delta2 = compose(tensor(h.comult, idH), h.comult)
+    mult2 = compose(h.mult, tensor(h.mult, idH))
+    verdicts = []
+    for f, B in ((h.comult, h), (bump(h.comult), h), (delta2, hh),
+                 (bump(delta2), hh)):
+        BC = braided_tensor_algebra(B, h)
+        items = algebra_map_laws(f, h, B, h, "mult", "unit")
+        assert [item.name for item in items] == ["mult", "unit"]
+        assert_items_match(items, [
+            (compose(f, h.mult), compose(BC.mult, tensor(f, f))),
+            (compose(f, h.unit), BC.unit)])
+        verdicts.append([item.ok for item in items])
+    for g, B in ((h.mult, h), (bump(h.mult), h), (mult2, cc),
+                 (bump(mult2), cc)):
+        BC = braided_tensor_coalgebra(B, h)
+        items = coalgebra_map_laws(g, h, B, h, "comult", "counit")
+        assert [item.name for item in items] == ["comult", "counit"]
+        assert_items_match(items, [
+            (compose(h.comult, g), compose(tensor(g, g), BC.comult)),
+            (compose(h.counit, g), BC.counit)])
+        verdicts.append([item.ok for item in items])
+    assert verdicts == [[True, True], [False, False]] * 4
 
 
 def test_forced_failures():
