@@ -99,31 +99,38 @@ class DescentDatum:
             [Morphism.identity(self.carrier), self.bundle.P.unit]))
 
 
-def _q1_structure(d):
-    """Helper maps on Q1 = E (x)_B P: its projection, the unit insertion
-    and the collapse."""
-    _, Pi1 = d.tensor_b_p()
-    collapse = factor_through_coequaliser(d.action, Pi1)
-    return Pi1, d.unit_insertion(), collapse
-
-
 def verify_descent_datum(d):
+    """The P-module laws of d's action and the two descent laws of xi.
+
+    The counit law needs the collapse E (x)_B P -> E of the action; when
+    the action does not factor through E (x)_B P, both descent laws fail
+    with that reason next to the P-module items.  When xi is not
+    B-balanced, the coassociativity law fails with that reason.
+    """
     b = d.bundle
     E, P = d.carrier, b.como.space
     idE, idP = Morphism.identity(E), Morphism.identity(P)
     rep = Report(action_laws(d.action, b.P, "p_module_assoc",
                              "p_module_unit"))
-    Pi1, ins1, collapse = _q1_structure(d)
+    # Q1 = E (x)_B P with its projection and the collapse Q1 -> E
+    _, Pi1 = d.tensor_b_p()
+    try:
+        collapse = factor_through_coequaliser(d.action, Pi1)
+    except FactorizationError:
+        reason = "the P-action does not factor through E (x)_B P"
+        for name in ("descent_coassoc", "descent_counit"):
+            rep.add(name, False, details={"reason": reason})
+        return rep
     # Q2 = (E (x)_B P) (x)_B P with its projection from Q1 (x) P
     idB = Morphism.identity(b.base.space)
-    q1_baction = factor_through_coequaliser(
-        tensor_compose(Pi1, [idE, b.right_action()]), tensor(Pi1, idB))
-    _, Pi2 = tensor_over(q1_baction, b.left_action())
     try:
+        q1_baction = factor_through_coequaliser(
+            tensor_compose(Pi1, [idE, b.right_action()]), tensor(Pi1, idB))
+        _, Pi2 = tensor_over(q1_baction, b.left_action())
         xi_tensor_id = factor_through_coequaliser(
             tensor_compose(Pi2, [d.xi, idP]), Pi1)
         ins_mid = factor_through_coequaliser(
-            tensor_compose(Pi2, [ins1, idP]), Pi1)
+            tensor_compose(Pi2, [d.unit_insertion(), idP]), Pi1)
         rep.items.append(equality_check(
             "descent_coassoc",
             compose(xi_tensor_id, d.xi), compose(ins_mid, d.xi)))

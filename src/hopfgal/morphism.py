@@ -8,10 +8,13 @@ an integral Fraction turned into its numerator), so the operations here
 build entries with the plain operators and leave normalising and
 zero-dropping to it.  Entries outside matching degrees are forbidden, so
 every morphism is automatically a map of graded spaces.  The constructor
-checks every result, in three loops: the bounds of every key, zero-valued
-ones included; one canonicalising pass (a loop mod p over F_p, a dict
-comprehension over QQ); and degree preservation over the kept entries,
-which is skipped only for the trivial grading, where it cannot fail.
+takes over the dict it is given and checks it in place: one pass checks
+the bounds of every key, zero-valued ones included, writes back each
+value that was not canonical and collects the zeros, which are deleted
+after it; a second checks degree preservation over the kept entries and
+is skipped only for the trivial grading, where it cannot fail.  Every
+caller hands it a fresh dict.  A canonical dict is never written to, so
+two morphisms may share one: neither ever mutates it.
 `compose_tensor` ((f_1 (x) ... (x) f_k) o g) and `tensor_compose`
 (f o (g_1 (x) ... (x) g_k)) compose with a Kronecker product without
 building it, or its inner space: they apply the legs one at a time, right
@@ -69,29 +72,40 @@ class Morphism:
         self.dom = dom
         self.cod = cod
         m, n = cod.dim, dom.dim
-        for i, j in entries:  # every key, zero-valued ones included
-            if i < 0 or i >= m or j < 0 or j >= n:
-                raise TypeError("entry (%d,%d) outside %dx%d" % (i, j, m, n))
         p = dom.field.characteristic
+        zeros = []
+        # every key is bounds-checked, zero-valued ones included; a value
+        # is written back only when it was not canonical
         if p:
-            clean = {}
             for k, v in entries.items():
-                v %= p
-                if v:
-                    clean[k] = v
+                i, j = k
+                if i < 0 or i >= m or j < 0 or j >= n:
+                    raise TypeError("entry (%d,%d) outside %dx%d" % (i, j, m, n))
+                w = v % p
+                if not w:
+                    zeros.append(k)
+                elif w != v:
+                    entries[k] = w
         else:
-            clean = {k: (v.numerator if type(v) is Fraction
-                         and v.denominator == 1 else v)
-                     for k, v in entries.items() if v}
+            for k, v in entries.items():
+                i, j = k
+                if i < 0 or i >= m or j < 0 or j >= n:
+                    raise TypeError("entry (%d,%d) outside %dx%d" % (i, j, m, n))
+                if not v:
+                    zeros.append(k)
+                elif type(v) is Fraction and v.denominator == 1:
+                    entries[k] = v.numerator
+        for k in zeros:
+            del entries[k]
         # Z_1 has the one degree 0, so only a Z_n grading can be violated
         if group.n != 1:
             cdeg, ddeg = cod.degrees, dom.degrees
-            for i, j in clean:
+            for i, j in entries:
                 if cdeg[i] != ddeg[j]:
                     raise TypeError(
                         "entry (%d,%d) violates degree preservation (%r vs %r)"
                         % (i, j, cdeg[i], ddeg[j]))
-        self.entries = clean
+        self.entries = entries
 
     # -- constructors ------------------------------------------------------
 
@@ -245,31 +259,38 @@ def _fold_legs(entries, legs, columns):
     identity leg.  Legs are applied right to left.  With S the product of
     the output dims of the legs already applied, an index splits as
     (prefix, x, suffix) with suffix < S and becomes prefix * d_out * S +
-    y * S + suffix; an identity leg leaves every index where it is and
-    costs nothing.
+    y * S + suffix.  Each leg's lines are scaled by S once.  An identity
+    leg leaves every index where it is and costs nothing, so with only
+    identity legs `entries` itself comes back.
     """
     stride = 1
     for lines, d_in, d_out in reversed(legs):
         if lines is not None:
             out = {}
+            get = out.get
             block = d_out * stride
-            for k, v in entries.items():
-                if columns:
-                    o, r = k
-                else:
-                    r, o = k
-                q, s = divmod(r, stride)
-                q, x = divmod(q, d_in)
-                line = lines.get(x)
-                if line is None:
-                    continue
-                base = q * block + s
-                for y, w in line:
-                    n = base + y * stride
-                    key = (o, n) if columns else (n, o)
-                    t = out.get(key)
-                    p = v * w
-                    out[key] = p if t is None else t + p
+            scaled = {x: [(y * stride, w) for y, w in line]
+                      for x, line in lines.items()}
+            if columns:
+                for (o, r), v in entries.items():
+                    q, s = divmod(r, stride)
+                    q, x = divmod(q, d_in)
+                    line = scaled.get(x)
+                    if line is not None:
+                        base = q * block + s
+                        for y, w in line:
+                            key = (o, base + y)
+                            out[key] = get(key, 0) + v * w
+            else:
+                for (r, o), v in entries.items():
+                    q, s = divmod(r, stride)
+                    q, x = divmod(q, d_in)
+                    line = scaled.get(x)
+                    if line is not None:
+                        base = q * block + s
+                        for y, w in line:
+                            key = (base + y, o)
+                            out[key] = get(key, 0) + v * w
             entries = out
         stride *= d_out
     return entries
@@ -283,7 +304,8 @@ def compose_tensor(fs, g):
     suffix) to (prefix, r, suffix) for each nonzero (r, c) of f_i, and an
     identity leg is skipped.  The product is never built.  Its domain is
     checked against g.cod by `_tensor_is`, and its codomain is g.cod
-    itself when every f_i is an endomorphism.
+    itself when every f_i is an endomorphism.  With only identity legs the
+    result shares g's canonical dict, which the constructor never writes.
     """
     doms = [f.dom for f in fs]
     if not _tensor_is(doms, g.cod):
@@ -309,7 +331,8 @@ def tensor_compose(f, gs):
     non-identity g_i sending column (prefix, r, suffix) to (prefix, c,
     suffix) for each nonzero (r, c) of g_i.  The codomain of the product
     is checked against f.dom by `_tensor_is`, and its domain is f.dom
-    itself when every g_i is an endomorphism.
+    itself when every g_i is an endomorphism; with only identity legs the
+    result shares f's dict.
     """
     cods = [g.cod for g in gs]
     if not _tensor_is(cods, f.dom):
@@ -403,11 +426,12 @@ def braiding(V, W):
     """tau_{V,W}: V (x) W -> W (x) V, e_i (x) f_j -> chi(|f_j|, |e_i|) f_j (x) e_i."""
     dom, cod = braiding_endpoints(V, W)
     chi = V.group.chi
+    rows = {d: [chi(e, d) for e in W.degrees] for d in set(V.degrees)}
     m, n = V.dim, W.dim
     entries = {}
     for i, di in enumerate(V.degrees):
-        for j, dj in enumerate(W.degrees):
-            entries[(j * m + i, i * n + j)] = chi(dj, di)
+        for j, c in enumerate(rows[di]):
+            entries[(j * m + i, i * n + j)] = c
     return Morphism(dom, cod, entries)
 
 

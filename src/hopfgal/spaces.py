@@ -98,9 +98,12 @@ class GradingGroup:
 
 
 class GradedSpace:
-    """An ordered basis with one grading-group degree per basis vector."""
+    """An ordered basis with one grading-group degree per basis vector.
 
-    __slots__ = ("group", "degrees")
+    `dim` is the number of degrees, stored when the space is made.
+    """
+
+    __slots__ = ("group", "degrees", "dim")
 
     def __init__(self, group, degrees):
         if degrees and (min(degrees) < 0 or max(degrees) >= group.n):
@@ -108,6 +111,7 @@ class GradedSpace:
                 group.check(d)
         self.group = group
         self.degrees = degrees
+        self.dim = len(degrees)
 
     @classmethod
     def _of_valid(cls, group, degrees):
@@ -115,6 +119,7 @@ class GradedSpace:
         space = cls.__new__(cls)
         space.group = group
         space.degrees = degrees
+        space.dim = len(degrees)
         return space
 
     def __eq__(self, other):
@@ -124,17 +129,13 @@ class GradedSpace:
             return False
         # Z_1 has the one degree 0, so the dims decide without a tuple compare
         if self.group.n == 1:
-            return len(other.degrees) == len(self.degrees)
+            return other.dim == self.dim
         return other.degrees == self.degrees
 
     def __hash__(self):
         # trivially graded spaces of one dim have one degree tuple, so this
         # agrees with __eq__
         return hash((self.group, self.degrees))
-
-    @property
-    def dim(self):
-        return len(self.degrees)
 
     @property
     def field(self):

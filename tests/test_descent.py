@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from hopfgal.descent import (BModule, DescentDatum, RelativeHopfModule,
                              invariants_functor, kappa_transport,
                              monad_presentation_report, sweep_phi_psi,
                              unit_Phi, verify_descent_datum)
+from hopfgal.corpus import default_root
 from hopfgal.fields import QQ, PrimeField
+from hopfgal.instances import parse_instance
 from hopfgal.morphism import Morphism, compose, is_isomorphism, tensor
 from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              dual_numbers_algebra, free_z2_bundle, fun_z2,
@@ -96,6 +99,27 @@ def test_forced_invalid_datum():
     d.xi = Morphism.zero(d.xi.dom, d.xi.cod)
     rep = verify_descent_datum(d)
     assert not rep["descent_counit"].ok
+
+
+def test_action_off_the_balanced_tensor_fails_the_descent_laws():
+    # corpus free_z2: K(M) with its first action entry bumped no longer
+    # factors through E (x)_B P, so no collapse exists
+    with open(os.path.join(default_root(), "free_z2", "instance.txt"),
+              encoding="utf-8") as fh:
+        inst = parse_instance(fh.read())
+    b = inst.bundles["main"]
+    d = comparison_K(inst.bmodules["M"], b)
+    entries = dict(d.action.entries)
+    first = sorted(entries)[0]
+    entries[first] += 1
+    bumped = DescentDatum(b, d.carrier,
+                          Morphism(d.action.dom, d.action.cod, entries))
+    rep = verify_descent_datum(bumped)
+    assert not rep["p_module_assoc"].ok and not rep["p_module_unit"].ok
+    reason = "the P-action does not factor through E (x)_B P"
+    for name in ("descent_coassoc", "descent_counit"):
+        assert not rep[name].ok
+        assert rep[name].details == {"reason": reason}
 
 
 def test_comparison_K_gives_valid_data():

@@ -548,6 +548,143 @@ def test_morphisms_over_different_prime_fields_do_not_mix():
             op()
 
 
+# -- the constructor takes over the dict it is given ---------------------------
+
+def reference_constructor(dom, cod, entries):
+    """The copy-based canonicaliser the in-place constructor replaced, in
+    its three loops: (canonical copy, None), or (None, the TypeError
+    message)."""
+    m, n = cod.dim, dom.dim
+    for i, j in entries:
+        if i < 0 or i >= m or j < 0 or j >= n:
+            return None, "entry (%d,%d) outside %dx%d" % (i, j, m, n)
+    p = dom.field.characteristic
+    if p:
+        clean = {}
+        for k, v in entries.items():
+            v %= p
+            if v:
+                clean[k] = v
+    else:
+        clean = {k: (v.numerator if type(v) is Fraction
+                     and v.denominator == 1 else v)
+                 for k, v in entries.items() if v}
+    if dom.group.n != 1:
+        cdeg, ddeg = cod.degrees, dom.degrees
+        for i, j in clean:
+            if cdeg[i] != ddeg[j]:
+                return None, ("entry (%d,%d) violates degree preservation "
+                              "(%r vs %r)" % (i, j, cdeg[i], ddeg[j]))
+    return clean, None
+
+
+F101 = PrimeField(101)
+MERSENNE = PrimeField(2 ** 61 - 1)
+# QQ, F_2, F_101 and 2^61 - 1, each under Z_1 and under a Z_n
+OWNERSHIP_GROUPS = [
+    TRIV, Z2, GradingGroup.cyclic(4, QQ, Fraction(-1)),
+    GradingGroup.trivial(PrimeField(2)),
+    GradingGroup.cyclic(3, PrimeField(2), 1),
+    GradingGroup.trivial(F101), GradingGroup.cyclic(4, F101, 10),
+    GradingGroup.trivial(MERSENNE), GradingGroup.cyclic(2, MERSENNE, -1)]
+
+
+def raw_scalar(field):
+    """Any value the constructor must put in canonical form: zero, an
+    integral Fraction, a negative int or one >= p."""
+    p = field.characteristic
+    if p:
+        return st.one_of(st.just(0), st.integers(-3 * p, 3 * p),
+                         st.sampled_from([p, -p, 2 * p, p - 1, p + 1, -1]))
+    return st.one_of(st.just(0), st.just(Fraction(0)), st.just(Fraction(4, 2)),
+                     st.integers(-300, 300),
+                     st.fractions(min_value=-5, max_value=5,
+                                  max_denominator=4))
+
+
+@st.composite
+def raw_entries(draw, dom, cod):
+    """Up to 8 keys: mostly in bounds, and then mostly degree-preserving,
+    with about one key in ten outside the bounds."""
+    value = raw_scalar(dom.field)
+    entries = {}
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            key = (draw(st.integers(-1, cod.dim)),
+                   draw(st.sampled_from([-1, dom.dim])))
+            if draw(st.booleans()):
+                key = key[::-1]
+        else:
+            i = draw(st.integers(0, cod.dim - 1))
+            same = [j for j, d in enumerate(dom.degrees)
+                    if d == cod.degrees[i]]
+            if same and draw(st.integers(0, 3)):
+                j = draw(st.sampled_from(same))
+            else:
+                j = draw(st.integers(0, dom.dim - 1))
+            key = (i, j)
+        entries[key] = draw(value)
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_constructor_matches_the_copy_based_reference(data):
+    group = data.draw(st.sampled_from(OWNERSHIP_GROUPS), label="group")
+    V, W = data.draw(graded_space(group)), data.draw(graded_space(group))
+    entries = data.draw(raw_entries(V, W))
+    want, message = reference_constructor(V, W, dict(entries))
+    if message is not None:
+        with pytest.raises(TypeError, match=_message(message)):
+            Morphism(V, W, entries)
+        return
+    f = Morphism(V, W, entries)
+    assert f.entries is entries
+    # the same keys in the same order, with values of the same types
+    assert list(f.entries.items()) == list(want.items())
+    assert [type(v) for v in f.entries.values()] == \
+        [type(v) for v in want.values()]
+    assert all(canonical(group.field, v) for v in f.entries.values())
+
+
+@pytest.mark.parametrize("group", [
+    TRIV, Z2, GradingGroup.trivial(PrimeField(1009)),
+    GradingGroup.cyclic(2, PrimeField(1009), -1)], ids=repr)
+def test_constructor_adopts_a_canonical_dict_without_writing_to_it(group):
+    # values above 256 are not cached ints, so a value written back (even
+    # an equal one) is another object
+    field = group.field
+    V = GradedSpace(group, (0, group.n - 1, 0))
+    values = [field.from_int(int("%d" % v)) for v in (300, 517, 999)]
+    if not field.characteristic:
+        values[1] = Fraction(517, 2)
+    d = {(0, 0): values[0], (1, 1): values[1], (2, 0): values[2]}
+    before = list(d.values())
+    f = Morphism(V, V, d)
+    assert f.entries is d
+    assert list(d) == [(0, 0), (1, 1), (2, 0)]
+    assert all(a is b for a, b in zip(d.values(), before))
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=repr)
+def test_identity_legs_leave_the_shared_dict_alone(group):
+    # with only identity legs the fold hands g's (f's) own canonical dict
+    # to the constructor, which must not write to it
+    k = group.n - 1
+    V = GradedSpace(group, (0, k))
+    U = GradedSpace(group, (0, 2 * k % group.n))  # degrees of rows 0 and 3
+    field = group.field
+    two, three = field.from_int(2), field.from_int(3)
+    g = Morphism(U, V.tensor(V), {(0, 0): two, (3, 1): three})
+    f = Morphism(V.tensor(V), U, {(0, 0): three, (1, 3): two})
+    ids = [Morphism.identity(V)] * 2
+    for h, result in ((g, compose_tensor(ids, g)),
+                      (f, tensor_compose(f, ids))):
+        before = dict(h.entries)
+        assert result == h
+        assert h.entries == before
+        assert all(canonical(field, v) for v in result.entries.values())
+
 # -- equality_check against a reference that always builds lhs - rhs ---------
 
 def reference_equality_check(name, lhs, rhs, details=None):
