@@ -2,18 +2,24 @@
 
 The algebra side packages a comodule algebra P with a chosen base
 subalgebra B and inclusion pi; the comonoid side packages a module
-coalgebra with a base quotient coalgebra.  `Bundle` runs the stages both
-sides share, each memoised: condition A (the side's laws on pi, then the
-comparison map from the (co)invariants and its isomorphism report),
-condition B (can bijective, caching its verdict) and `check_principal`.
-`AlgebraBundle` and `CoalgebraBundle` supply only their side's math: the
-three A-laws, the factorisation of pi through the (co)invariants, the
-canonical map, the condition-C checks (the comonoid side answers them
-through its dual) and the two laws of `canonical_map_linearity`.  Both
-sides compute can by factoring an explicit composite through the
-deterministic (co)equaliser, so failures surface as quantitative
-defects (corank of can, kernel of the comparison map) rather than
-exceptions.
+coalgebra with a base quotient coalgebra.  A principal bundle in Vect^op
+is a faithfully flat Hopf-Galois extension, so the comonoid side is the
+algebra side read in Vect^op, and `Bundle` holds the one pipeline,
+written in Vect against a table of six morphism operations and the
+(co)invariants (`VECT`; `VECT_OP` reverses composition, trades the two
+factorisations and the (co)invariants and takes the cotensor for the
+balanced tensor product).  It builds the actions through pi, P (x)_B P,
+can, the three A-laws, the comparison map from the (co)invariants'
+inclusion and the two laws of `canonical_map_linearity`, and runs the
+memoised stages: condition A (the laws on pi, then the comparison map's
+isomorphism report), condition B (can bijective, caching its verdict)
+and `check_principal`.  `AlgebraBundle` supplies P.mult, P.unit, rho,
+H.unit and H.comult, `CoalgebraBundle` P.comult, P.counit, the action,
+H.counit and H.mult; each names its items and supplies condition C (the
+comonoid side answers it through its dual).  can is computed by
+factoring an explicit composite through the deterministic
+(co)equaliser, so failures surface as quantitative defects (corank of
+can, kernel of the comparison map) rather than exceptions.
 
 Condition C solves linear systems for an unknown morphism s (a section
 P -> B (x) P of the left action, or a left-B-linear map P -> B).  Each
@@ -36,12 +42,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import linalg
-from .hopf import (Algebra, Coalgebra, action_laws, algebra_hom_laws,
-                   algebra_map_laws, check_algebra, check_coalgebra,
-                   coaction_laws, coalgebra_hom_laws, coalgebra_map_laws,
-                   coinvariants_of, invariants_of)
+from .hopf import (Algebra, Coalgebra, action_laws, algebra_map_laws,
+                   check_algebra, check_coalgebra, coaction_laws,
+                   coalgebra_map_laws, coinvariants_of, invariants_of)
 from .morphism import (FactorizationError, Morphism, compose, compose_tensor,
                        cotensor, dualize, factor_through_coequaliser,
                        factor_through_equaliser, is_isomorphism, sparse_rows,
@@ -329,15 +335,54 @@ def morphism_nullspace(dom, cod, equations):
     return out
 
 
-# -- the two bundle pipelines ------------------------------------------------
+# -- the two categories ------------------------------------------------------
+#
+# The bundle pipeline is written once, in Vect, against the operations of
+# these tables.  A map X -> Y of Vect^op is a linear map Y -> X, so there
+# f o g is compose(g, f), (f_1 (x) ... (x) f_k) o g is g o (f_1 (x) ...),
+# equalisers and coequalisers trade places, the tensor product over a
+# base is the cotensor product and coinvariants become invariants; the
+# tensor product of maps and the identities are the same.  Each entry
+# looks its function up in this module's globals when it is called, so a
+# rebinding of `compose` and the rest (bench/tracer.py counts calls that
+# way) reaches the comonoid side's calls too.
+
+VECT = SimpleNamespace(
+    compose=lambda f, g: compose(f, g),
+    compose_tensor=lambda fs, g: compose_tensor(fs, g),
+    tensor_compose=lambda f, gs: tensor_compose(f, gs),
+    factor_through_equaliser=lambda c, i: factor_through_equaliser(c, i),
+    factor_through_coequaliser=lambda c, p: factor_through_coequaliser(c, p),
+    tensor_over=lambda right, left: tensor_over(right, left),
+    invariants=lambda coact, H: coinvariants_of(coact, H))
+
+VECT_OP = SimpleNamespace(
+    compose=lambda f, g: compose(g, f),
+    compose_tensor=lambda fs, g: tensor_compose(g, fs),
+    tensor_compose=lambda f, gs: compose_tensor(gs, f),
+    factor_through_equaliser=lambda c, i: factor_through_coequaliser(c, i),
+    factor_through_coequaliser=lambda c, p: factor_through_equaliser(c, p),
+    tensor_over=lambda right, left: cotensor(right, left),
+    invariants=lambda act, H: invariants_of(act, H))
+
+
+# -- the bundle pipeline -----------------------------------------------------
 
 class Bundle:
-    """The stages both sides share, run on a side's own maps.
+    """The principal-bundle pipeline, written in Vect and run in a side's
+    category.
 
-    A subclass supplies `_base_laws` (the three A-laws), `_comparison_map`
-    (pi factored through the (co)invariants) with `comparison_failure`,
-    `canonical_map`, `equivariant_projectivity`, `faithful_flatness`, and
-    `linearity_sides` with `linearity_names`.
+    The comonoid side is the algebra side read in Vect^op, so every map
+    conditions A and B read is built here once: the left and right
+    actions through pi, (P (x)_B P, Pi), can, the three A-laws, the
+    comparison map from the (co)invariants and the two sides of each
+    `canonical_map_linearity` law.  A side sets `ops` (`VECT` or
+    `VECT_OP`) and, in its own category, the structure maps m_P, u_P,
+    m_B, u_B, coact (P -> P (x) H), u_H and cm_H; it names its items
+    (`law_names`, `comparison_failure`, `linearity_names`) and supplies
+    condition C (`equivariant_projectivity`, `faithful_flatness`).  Each
+    side binds conditions A, B and C and `check_principal` in its own
+    class `__dict__`, because bench/tracer.py patches the stages there.
     """
 
     def __init__(self, base, pi):
@@ -349,6 +394,66 @@ class Bundle:
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
+
+    def left_action(self):
+        """B (x) P -> P through pi."""
+        return self._memo("left_action", lambda: self.ops.tensor_compose(
+            self.m_P, [self.pi, Morphism.identity(self.P.space)]))
+
+    def right_action(self):
+        """P (x) B -> P through pi."""
+        return self._memo("right_action", lambda: self.ops.tensor_compose(
+            self.m_P, [Morphism.identity(self.P.space), self.pi]))
+
+    def p_tensor_p(self):
+        """(P (x)_B P, Pi)."""
+        return self._memo("ptp", lambda: self.ops.tensor_over(
+            self.right_action(), self.left_action()))
+
+    def canonical_map(self):
+        def build():
+            d = self.ops
+            idP = Morphism.identity(self.P.space)
+            idH = Morphism.identity(self.H.space)
+            composite = d.compose_tensor([self.m_P, idH],
+                                         tensor(idP, self.coact))
+            _, Pi = self.p_tensor_p()
+            return d.factor_through_coequaliser(composite, Pi)
+        return self._memo("can", build)
+
+    def _base_laws(self):
+        """pi is an algebra map, and it equalises coact and id (x) u_H."""
+        d, pi = self.ops, self.pi
+        idP = Morphism.identity(self.P.space)
+        mult, unit, equalises = self.law_names
+        return [equality_check(mult, d.compose(pi, self.m_B),
+                               d.tensor_compose(self.m_P, [pi, pi])),
+                equality_check(unit, d.compose(pi, self.u_B), self.u_P),
+                equality_check(equalises, d.compose(self.coact, pi),
+                               d.compose_tensor([idP, self.u_H], pi))]
+
+    def _comparison_map(self):
+        """pi factored through the inclusion of the (co)invariants."""
+        _, iota = self.ops.invariants(self.coact, self.H)
+        return self.ops.factor_through_equaliser(self.pi, iota)
+
+    def linearity_sides(self):
+        """The (lhs, rhs) pairs of `canonical_map_linearity`'s two laws."""
+        d = self.ops
+        idP = Morphism.identity(self.P.space)
+        idH = Morphism.identity(self.H.space)
+        _, Pi = self.p_tensor_p()
+        can = self.canonical_map()
+        # left P-action on P (x)_B P, factored through id (x) Pi
+        lact = d.factor_through_coequaliser(
+            d.tensor_compose(Pi, [self.m_P, idP]), tensor(idP, Pi))
+        # right H-coaction on P (x)_B P from the second leg
+        coact = d.factor_through_coequaliser(
+            d.compose_tensor([Pi, idH], tensor(idP, self.coact)), Pi)
+        return ((d.compose(can, lact),
+                 d.compose_tensor([self.m_P, idH], tensor(idP, can))),
+                (d.compose_tensor([idP, self.cm_H], can),
+                 d.compose_tensor([can, idH], coact)))
 
     def condition_A(self):
         def build():
@@ -430,8 +535,14 @@ class AlgebraBundle(Bundle):
             raise TypeError("pi must map the base into the total space")
         super().__init__(base, pi)
         self.como = como
+        P, H = como.algebra, como.hopf
+        self.m_P, self.u_P, self.coact = P.mult, P.unit, como.coaction
+        self.m_B, self.u_B = base.mult, base.unit
+        self.u_H, self.cm_H = H.unit, H.comult
 
     side = "algebra"
+    ops = VECT
+    law_names = ("A.pi_mult", "A.pi_unit", "A.pi_equalises")
     linearity_names = ("can_left_P_linear", "can_right_H_colinear")
     comparison_failure = "pi does not land in the invariants"
     # bench/tracer.py patches the stages through each class's own __dict__
@@ -450,44 +561,6 @@ class AlgebraBundle(Bundle):
     @property
     def rho(self):
         return self.como.coaction
-
-    def coinvariants(self):
-        return self._memo("coinv", lambda: coinvariants(self.como))
-
-    def left_action(self):
-        """B (x) P -> P through pi."""
-        return self._memo("left_action", lambda: tensor_compose(
-            self.P.mult, [self.pi, Morphism.identity(self.como.space)]))
-
-    def right_action(self):
-        """P (x) B -> P through pi."""
-        return self._memo("right_action", lambda: tensor_compose(
-            self.P.mult, [Morphism.identity(self.como.space), self.pi]))
-
-    def p_tensor_p(self):
-        """(P (x)_B P, Pi)."""
-        return self._memo("ptp", lambda: tensor_over(
-            self.right_action(), self.left_action()))
-
-    def canonical_map(self):
-        def build():
-            P, H = self.como.space, self.H.space
-            idP, idH = Morphism.identity(P), Morphism.identity(H)
-            composite = compose_tensor([self.P.mult, idH], tensor(idP, self.rho))
-            _, Pi = self.p_tensor_p()
-            return factor_through_coequaliser(composite, Pi)
-        return self._memo("can", build)
-
-    def _base_laws(self):
-        idP = Morphism.identity(self.como.space)
-        return algebra_hom_laws(self.pi, self.base, self.P, "A.pi_mult",
-                                "A.pi_unit") + [
-            equality_check("A.pi_equalises", compose(self.rho, self.pi),
-                           compose_tensor([idP, self.H.unit], self.pi))]
-
-    def _comparison_map(self):
-        _, iota = self.coinvariants()
-        return factor_through_equaliser(self.pi, iota)
 
     def translation_map(self):
         """h -> can^{-1}(1 (x) h), defined when condition B holds."""
@@ -578,26 +651,10 @@ class AlgebraBundle(Bundle):
         return CoalgebraBundle(self.como.dualize(), self.base.dualize(),
                                dualize(self.pi))
 
-    def linearity_sides(self):
-        """The (lhs, rhs) pairs of `canonical_map_linearity`'s two laws."""
-        P, H = self.como.space, self.H.space
-        idP, idH = Morphism.identity(P), Morphism.identity(H)
-        _, Pi = self.p_tensor_p()
-        can = self.canonical_map()
-        # left P-action on P (x)_B P, factored through id (x) Pi
-        lact = factor_through_coequaliser(
-            tensor_compose(Pi, [self.P.mult, idP]), tensor(idP, Pi))
-        # right H-coaction on P (x)_B P from the second leg
-        coact = factor_through_coequaliser(
-            compose_tensor([Pi, idH], tensor(idP, self.rho)), Pi)
-        return ((compose(can, lact),
-                 compose_tensor([self.P.mult, idH], tensor(idP, can))),
-                (compose_tensor([idP, self.H.comult], can),
-                 compose_tensor([can, idH], coact)))
-
 
 class CoalgebraBundle(Bundle):
-    """A module coalgebra with a chosen base quotient pi: P -> B."""
+    """A module coalgebra with a chosen base quotient pi: P -> B, the
+    algebra side's pipeline run in Vect^op."""
 
     def __init__(self, modc, base, pi):
         if not isinstance(modc, ModuleCoalgebra):
@@ -606,10 +663,20 @@ class CoalgebraBundle(Bundle):
             raise TypeError("pi must map the total space onto the base")
         super().__init__(base, pi)
         self.modc = modc
+        P, H = modc.coalgebra, modc.hopf
+        self.m_P, self.u_P, self.coact = P.comult, P.counit, modc.action
+        self.m_B, self.u_B = base.comult, base.counit
+        self.u_H, self.cm_H = H.counit, H.mult
 
     side = "comonoid"
+    ops = VECT_OP
+    law_names = ("A.pi_comult", "A.pi_counit", "A.pi_coequalises")
     linearity_names = ("can_left_P_colinear", "can_right_H_linear")
     comparison_failure = "pi does not factor the quotient"
+    # the algebra side's maps, read in Vect^op
+    right_coaction = Bundle.right_action
+    left_coaction = Bundle.left_action
+    p_cotensor_p = Bundle.p_tensor_p
     # bench/tracer.py patches the stages through each class's own __dict__
     condition_A = Bundle.condition_A
     condition_B = Bundle.condition_B
@@ -627,45 +694,6 @@ class CoalgebraBundle(Bundle):
     def action(self):
         return self.modc.action
 
-    def invariants_base(self):
-        return self._memo("invbase", lambda: invariants_base(self.modc))
-
-    def right_coaction(self):
-        """P -> P (x) B through pi."""
-        return self._memo("right_coaction", lambda: compose_tensor(
-            [Morphism.identity(self.modc.space), self.pi], self.P.comult))
-
-    def left_coaction(self):
-        """P -> B (x) P through pi."""
-        return self._memo("left_coaction", lambda: compose_tensor(
-            [self.pi, Morphism.identity(self.modc.space)], self.P.comult))
-
-    def p_cotensor_p(self):
-        """(P box_B P, iota)."""
-        return self._memo("pcp", lambda: cotensor(
-            self.right_coaction(), self.left_coaction()))
-
-    def canonical_map(self):
-        def build():
-            P, H = self.modc.space, self.H.space
-            idP, idH = Morphism.identity(P), Morphism.identity(H)
-            composite = compose_tensor([idP, self.action],
-                                       tensor(self.P.comult, idH))
-            _, iota = self.p_cotensor_p()
-            return factor_through_equaliser(composite, iota)
-        return self._memo("can", build)
-
-    def _base_laws(self):
-        idP = Morphism.identity(self.modc.space)
-        return coalgebra_hom_laws(self.pi, self.P, self.base, "A.pi_comult",
-                                  "A.pi_counit") + [
-            equality_check("A.pi_coequalises", compose(self.pi, self.action),
-                           tensor_compose(self.pi, [idP, self.H.counit]))]
-
-    def _comparison_map(self):
-        _, Pi0 = self.invariants_base()
-        return factor_through_coequaliser(self.pi, Pi0)
-
     def equivariant_projectivity(self):
         return self._memo(
             "projectivity", lambda: self.dualize().equivariant_projectivity())
@@ -679,23 +707,6 @@ class CoalgebraBundle(Bundle):
             return AlgebraBundle(self.modc.dualize(), self.base.dualize(),
                                  dualize(self.pi))
         return self._memo("dual", build)
-
-    def linearity_sides(self):
-        """The (lhs, rhs) pairs of `canonical_map_linearity`'s two laws."""
-        P, H = self.modc.space, self.H.space
-        idP, idH = Morphism.identity(P), Morphism.identity(H)
-        _, iota = self.p_cotensor_p()
-        can = self.canonical_map()
-        # left P-coaction on P box_B P, factored through id (x) iota
-        lcoact = factor_through_equaliser(
-            compose_tensor([self.P.comult, idP], iota), tensor(idP, iota))
-        # right H-action on P box_B P from the second leg
-        ract = factor_through_equaliser(
-            compose_tensor([idP, self.action], tensor(iota, idH)), iota)
-        return ((compose(lcoact, can),
-                 compose_tensor([idP, can], tensor(self.P.comult, idH))),
-                (tensor_compose(can, [idP, self.H.mult]),
-                 tensor_compose(ract, [can, idH])))
 
 
 def canonical_map_linearity(b):

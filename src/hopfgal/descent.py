@@ -307,13 +307,12 @@ def _module_from_operator(base, T):
     d = len(T)
     V = GradedSpace(B.group, (0,) * d)
     field = B.field
+    # with basis (1, w) of B, b_j = c0*1 + c1*w acts by c0*I + c1*T
+    coordinates = _one_w_coordinates(base)
     entries = {}
     # columns of the action V (x) B -> V: v_i (x) b_j
     for i in range(d):
-        for j in range(B.dim):
-            # with basis (1, w) of B we act by c0*I + c1*T where
-            # b_j = c0*1 + c1*w
-            c0, c1 = _basis_in_one_w(base, j)
+        for j, (c0, c1) in enumerate(coordinates):
             for r in range(d):
                 val = (c0 if r == i else field.zero())
                 val = val + c1 * T[r][i]
@@ -323,26 +322,25 @@ def _module_from_operator(base, T):
 
 
 def _unit_coordinates(base):
-    rows = base.unit.to_rows()
-    return [rows[i][0] for i in range(base.space.dim)]
+    zero = base.space.field.zero()
+    get = base.unit.entries.get
+    return [get((i, 0), zero) for i in range(base.space.dim)]
 
 
-def _basis_in_one_w(base, j):
-    """Coordinates of the j-th basis vector of B in the (1, w) basis,
-    where w is the canonical complement of the unit (dim B = 2 only)."""
+def _one_w_coordinates(base):
+    """The coordinates (c0, c1) of each basis vector of B in the (1, w)
+    basis, where w is the canonical complement of the unit (dim B = 2
+    only)."""
     field = base.space.field
     u = _unit_coordinates(base)
     # pick the first index where the unit has a nonzero coordinate
     k = next(i for i, c in enumerate(u) if c)
     w_index = 1 - k
     # e_j = c0 * u + c1 * e_{w_index}  (u[w_index] may be nonzero)
-    if j == w_index:
-        c0 = field.zero()
-        c1 = field.one()
-    else:
-        c0 = field.inv(u[k])
-        c1 = field.reduce(-u[w_index] * c0)
-    return c0, c1
+    c0 = field.inv(u[k])
+    e_k = (c0, field.reduce(-u[w_index] * c0))
+    e_w = (field.zero(), field.one())
+    return [e_k, e_w] if k == 0 else [e_w, e_k]
 
 
 def _w_structure(base):
@@ -352,10 +350,10 @@ def _w_structure(base):
     u = _unit_coordinates(base)
     k = next(i for i, c in enumerate(u) if c)
     w = 1 - k
-    rows = base.mult.to_rows()
     # w * w in the original basis
     col = w * 2 + w
-    ww = [rows[i][col] for i in range(2)]
+    zero, get = field.zero(), base.mult.entries.get
+    ww = [get((i, col), zero) for i in range(2)]
     # ww = alpha * u + beta * e_w, read off at k (where e_w is 0) and at w
     alpha = field.reduce(ww[k] * field.inv(u[k]))
     return w, alpha, field.reduce(ww[w] - alpha * u[w])

@@ -5,8 +5,9 @@ verified, never constructed from presentations.  Each structure law is
 written once here and returns its equality items under the caller's
 names: (co)actions, maps into (out of) the braided tensor (co)algebra,
 whose structure (m_A (x) m_B) o (id (x) tau (x) id) (or its dual) is
-applied through `braided_compose` and never built, maps of (co)algebras,
-and the (co)invariants of a (co)action.
+applied through `braided_compose` and never built, maps of coalgebras,
+and the (co)invariants of a (co)action.  The bundle's laws on its base
+map pi are written once, in `bundle.Bundle`, for both directions.
 """
 
 from __future__ import annotations
@@ -145,13 +146,6 @@ def coalgebra_map_laws(g, A, B, C, comult, counit):
                                            (C.space, C.space))),
             equality_check(counit, compose(A.counit, g),
                            tensor(B.counit, C.counit))]
-
-
-def algebra_hom_laws(f, A, B, mult, unit):
-    """f: A -> B is a map of algebras: the items `mult` and `unit`."""
-    return [equality_check(mult, compose(f, A.mult),
-                           tensor_compose(B.mult, [f, f])),
-            equality_check(unit, compose(f, A.unit), B.unit)]
 
 
 def coalgebra_hom_laws(g, A, B, comult, counit):
