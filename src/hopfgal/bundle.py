@@ -5,21 +5,22 @@ subalgebra B and inclusion pi; the comonoid side packages a module
 coalgebra with a base quotient coalgebra.  A principal bundle in Vect^op
 is a faithfully flat Hopf-Galois extension, so the comonoid side is the
 algebra side read in Vect^op, and `Bundle` holds the one pipeline,
-written in Vect against a table of six morphism operations and the
-(co)invariants (`VECT`; `VECT_OP` reverses composition, trades the two
-factorisations and the (co)invariants and takes the cotensor for the
-balanced tensor product).  It builds the actions through pi, P (x)_B P,
-can, the three A-laws, the comparison map from the (co)invariants'
-inclusion and the two laws of `canonical_map_linearity`, and runs the
-memoised stages: condition A (the laws on pi, then the comparison map's
-isomorphism report), condition B (can bijective, caching its verdict)
-and `check_principal`.  `AlgebraBundle` supplies P.mult, P.unit, rho,
-H.unit and H.comult, `CoalgebraBundle` P.comult, P.counit, the action,
-H.counit and H.mult; each names its items and supplies condition C (the
-comonoid side answers it through its dual).  can is computed by
-factoring an explicit composite through the deterministic
-(co)equaliser, so failures surface as quantitative defects (corank of
-can, kernel of the comparison map) rather than exceptions.
+written in Vect against the operation tables of `hopf` (`VECT`;
+`VECT_OP` reverses composition, trades the two factorisations and takes
+the cotensor for the balanced tensor product), which the structure laws
+and the (co)invariants there are written against too.  It builds the
+actions through pi, P (x)_B P, can, the three A-laws, the comparison map
+from the (co)invariants' inclusion and the two laws of
+`canonical_map_linearity`, and runs the memoised stages: condition A
+(the laws on pi, then the comparison map's isomorphism report),
+condition B (can bijective, caching its verdict) and `check_principal`.
+`AlgebraBundle` supplies P.mult, rho, H.unit and H.comult,
+`CoalgebraBundle` P.comult, the action, H.counit and H.mult; each names
+its items and supplies condition C (the comonoid side answers it
+through its dual).  can is computed by factoring an explicit composite
+through the deterministic (co)equaliser, so failures surface as
+quantitative defects (corank of can, kernel of the comparison map)
+rather than exceptions.
 
 Condition C solves linear systems for an unknown morphism s (a section
 P -> B (x) P of the left action, or a left-B-linear map P -> B).  Each
@@ -42,16 +43,16 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 from . import linalg
-from .hopf import (Algebra, Coalgebra, action_laws, algebra_map_laws,
-                   check_algebra, check_coalgebra, coaction_laws,
-                   coalgebra_map_laws, coinvariants_of, invariants_of)
-from .morphism import (FactorizationError, Morphism, compose, compose_tensor,
-                       cotensor, dualize, factor_through_coequaliser,
-                       factor_through_equaliser, is_isomorphism, sparse_rows,
-                       tensor, tensor_compose, tensor_over)
+from .hopf import (VECT, VECT_OP, action_laws, algebra_map_laws,
+                   check_algebra, coinvariants_of, hom_laws)
+# compose is only called through the tables, but stays bound here:
+# bench/tracer.py rebinds and restores it in every module that holds it,
+# and its self-test checks this module's binding
+from .morphism import (FactorizationError, Morphism, compose,
+                       dualize, is_isomorphism, sparse_rows, tensor,
+                       tensor_compose)
 from .report import Report, equality_check
 
 
@@ -104,8 +105,8 @@ class ModuleCoalgebra:
 def check_comodule_algebra(x):
     rep = Report()
     rep.extend(check_algebra(x.algebra), prefix="carrier.")
-    rep.items.extend(coaction_laws(x.coaction, x.hopf, "coaction_coassoc",
-                                   "coaction_counit"))
+    rep.items.extend(action_laws(x.coaction, x.hopf, "coaction_coassoc",
+                                 "coaction_counit", VECT_OP))
     rep.items.extend(algebra_map_laws(x.coaction, x.algebra, x.algebra,
                                       x.hopf, "coaction_mult",
                                       "coaction_unit"))
@@ -114,34 +115,15 @@ def check_comodule_algebra(x):
 
 def check_module_coalgebra(x):
     rep = Report()
-    rep.extend(check_coalgebra(x.coalgebra), prefix="carrier.")
+    rep.extend(check_algebra(x.coalgebra, "coassociativity", "counit_right",
+                             "counit_left", VECT_OP), prefix="carrier.")
     rep.items.extend(action_laws(x.action, x.hopf, "action_assoc",
                                  "action_unit"))
     # act is a coalgebra map out of the braided tensor coalgebra P (x) H
-    rep.items.extend(coalgebra_map_laws(x.action, x.coalgebra, x.coalgebra,
-                                        x.hopf, "action_comult",
-                                        "action_counit"))
+    rep.items.extend(algebra_map_laws(x.action, x.coalgebra, x.coalgebra,
+                                      x.hopf, "action_comult",
+                                      "action_counit", VECT_OP))
     return rep
-
-
-# -- base computation --------------------------------------------------------
-
-def coinvariants(x):
-    """(B, iota): the subalgebra {p : rho(p) = p (x) 1} of a comodule algebra."""
-    Bsp, iota = coinvariants_of(x.coaction, x.hopf)
-    mult = factor_through_equaliser(
-        tensor_compose(x.algebra.mult, [iota, iota]), iota)
-    unit = factor_through_equaliser(x.algebra.unit, iota)
-    return Algebra(Bsp, mult, unit), iota
-
-
-def invariants_base(x):
-    """(B, Pi): the coequaliser quotient P/(p.h - p eps(h)) of a module coalgebra."""
-    Bsp, Pi = invariants_of(x.action, x.hopf)
-    comult = factor_through_coequaliser(
-        compose_tensor([Pi, Pi], x.coalgebra.comult), Pi)
-    counit = factor_through_coequaliser(x.coalgebra.counit, Pi)
-    return Coalgebra(Bsp, comult, counit), Pi
 
 
 # -- linear morphism-system solver -------------------------------------------
@@ -335,37 +317,6 @@ def morphism_nullspace(dom, cod, equations):
     return out
 
 
-# -- the two categories ------------------------------------------------------
-#
-# The bundle pipeline is written once, in Vect, against the operations of
-# these tables.  A map X -> Y of Vect^op is a linear map Y -> X, so there
-# f o g is compose(g, f), (f_1 (x) ... (x) f_k) o g is g o (f_1 (x) ...),
-# equalisers and coequalisers trade places, the tensor product over a
-# base is the cotensor product and coinvariants become invariants; the
-# tensor product of maps and the identities are the same.  Each entry
-# looks its function up in this module's globals when it is called, so a
-# rebinding of `compose` and the rest (bench/tracer.py counts calls that
-# way) reaches the comonoid side's calls too.
-
-VECT = SimpleNamespace(
-    compose=lambda f, g: compose(f, g),
-    compose_tensor=lambda fs, g: compose_tensor(fs, g),
-    tensor_compose=lambda f, gs: tensor_compose(f, gs),
-    factor_through_equaliser=lambda c, i: factor_through_equaliser(c, i),
-    factor_through_coequaliser=lambda c, p: factor_through_coequaliser(c, p),
-    tensor_over=lambda right, left: tensor_over(right, left),
-    invariants=lambda coact, H: coinvariants_of(coact, H))
-
-VECT_OP = SimpleNamespace(
-    compose=lambda f, g: compose(g, f),
-    compose_tensor=lambda fs, g: tensor_compose(g, fs),
-    tensor_compose=lambda f, gs: compose_tensor(gs, f),
-    factor_through_equaliser=lambda c, i: factor_through_coequaliser(c, i),
-    factor_through_coequaliser=lambda c, p: factor_through_equaliser(c, p),
-    tensor_over=lambda right, left: cotensor(right, left),
-    invariants=lambda act, H: invariants_of(act, H))
-
-
 # -- the bundle pipeline -----------------------------------------------------
 
 class Bundle:
@@ -376,9 +327,9 @@ class Bundle:
     conditions A and B read is built here once: the left and right
     actions through pi, (P (x)_B P, Pi), can, the three A-laws, the
     comparison map from the (co)invariants and the two sides of each
-    `canonical_map_linearity` law.  A side sets `ops` (`VECT` or
-    `VECT_OP`) and, in its own category, the structure maps m_P, u_P,
-    m_B, u_B, coact (P -> P (x) H), u_H and cm_H; it names its items
+    `canonical_map_linearity` law.  A side sets `ops` (`hopf.VECT` or
+    `hopf.VECT_OP`) and, in its own category, the structure maps m_P,
+    coact (P -> P (x) H), u_H and cm_H; it names its items
     (`law_names`, `comparison_failure`, `linearity_names`) and supplies
     condition C (`equivariant_projectivity`, `faithful_flatness`).  Each
     side binds conditions A, B and C and `check_principal` in its own
@@ -426,15 +377,13 @@ class Bundle:
         d, pi = self.ops, self.pi
         idP = Morphism.identity(self.P.space)
         mult, unit, equalises = self.law_names
-        return [equality_check(mult, d.compose(pi, self.m_B),
-                               d.tensor_compose(self.m_P, [pi, pi])),
-                equality_check(unit, d.compose(pi, self.u_B), self.u_P),
-                equality_check(equalises, d.compose(self.coact, pi),
-                               d.compose_tensor([idP, self.u_H], pi))]
+        return hom_laws(pi, self.base, self.P, mult, unit, d) + [
+            equality_check(equalises, d.compose(self.coact, pi),
+                           d.compose_tensor([idP, self.u_H], pi))]
 
     def _comparison_map(self):
         """pi factored through the inclusion of the (co)invariants."""
-        _, iota = self.ops.invariants(self.coact, self.H)
+        _, iota = coinvariants_of(self.coact, self.H, self.ops)
         return self.ops.factor_through_equaliser(self.pi, iota)
 
     def linearity_sides(self):
@@ -535,9 +484,8 @@ class AlgebraBundle(Bundle):
             raise TypeError("pi must map the base into the total space")
         super().__init__(base, pi)
         self.como = como
-        P, H = como.algebra, como.hopf
-        self.m_P, self.u_P, self.coact = P.mult, P.unit, como.coaction
-        self.m_B, self.u_B = base.mult, base.unit
+        H = como.hopf
+        self.m_P, self.coact = como.algebra.mult, como.coaction
         self.u_H, self.cm_H = H.unit, H.comult
 
     side = "algebra"
@@ -663,9 +611,8 @@ class CoalgebraBundle(Bundle):
             raise TypeError("pi must map the total space onto the base")
         super().__init__(base, pi)
         self.modc = modc
-        P, H = modc.coalgebra, modc.hopf
-        self.m_P, self.u_P, self.coact = P.comult, P.counit, modc.action
-        self.m_B, self.u_B = base.comult, base.counit
+        H = modc.hopf
+        self.m_P, self.coact = modc.coalgebra.comult, modc.action
         self.u_H, self.cm_H = H.counit, H.mult
 
     side = "comonoid"

@@ -54,12 +54,8 @@ def _load(path):
     return parse_instance(_read(path))
 
 
-def _bundle(inst, side=None, name=None):
+def _bundle(inst, side=None):
     pool = inst.bundles
-    if name is not None:
-        if name not in pool:
-            raise InstanceError(0, "no bundle named %r" % name)
-        return pool[name]
     for key in sorted(pool):
         b = pool[key]
         if side is None or b.side == side:

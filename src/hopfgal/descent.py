@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .hopf import action_laws, coaction_laws, coinvariants_of
+from .hopf import VECT_OP, action_laws, coinvariants_of
 from .morphism import (FactorizationError, Morphism, braided_compose,
                        braiding, cokernel, compose, compose_tensor, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
@@ -216,8 +216,8 @@ def hopf_module_check(m, bundle):
     b = bundle
     P, H, E = b.como.space, b.H.space, m.carrier
     rep = Report(action_laws(m.action, b.P, "p_module_assoc", "p_module_unit")
-                 + coaction_laws(m.coaction, b.H, "h_comodule_coassoc",
-                                 "h_comodule_counit"))
+                 + action_laws(m.coaction, b.H, "h_comodule_coassoc",
+                               "h_comodule_counit", VECT_OP))
     rep.items.append(equality_check(
         "hopf_compatibility",
         compose(m.coaction, m.action),

@@ -1,20 +1,25 @@
 """Algebras, coalgebras, bialgebras and Hopf algebras in the braided category.
 
 Structures are given by structure-constant matrices on a graded space and
-verified, never constructed from presentations.  Each structure law is
-written once here and returns its equality items under the caller's
-names: (co)actions, maps into (out of) the braided tensor (co)algebra,
-whose structure (m_A (x) m_B) o (id (x) tau (x) id) (or its dual) is
-applied through `braided_compose` and never built, maps of coalgebras,
-and the (co)invariants of a (co)action.  The bundle's laws on its base
-map pi are written once, in `bundle.Bundle`, for both directions.
+verified, never constructed from presentations.  A coalgebra is a monoid
+in Vect^op, so each structure law is written once here, in Vect, against
+an operation table (`VECT`, or `VECT_OP` for the comonoid reading), and
+returns its equality items under the caller's names: (co)actions,
+(co)monoid laws, maps of (co)monoids, maps into (out of) the braided
+tensor (co)algebra, whose structure (m_A (x) m_B) o (id (x) tau (x) id)
+(or its dual) is applied through `braided_compose` and never built, and
+the (co)invariants of a (co)action.  The bundle pipeline in
+`bundle.Bundle` runs against the same tables.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from .morphism import (Morphism, braided_compose, braiding, coequaliser,
-                       compose, compose_tensor, dualize, equaliser,
-                       is_isomorphism, tensor, tensor_compose)
+                       compose, compose_tensor, cotensor, dualize, equaliser,
+                       factor_through_coequaliser, factor_through_equaliser,
+                       is_isomorphism, tensor, tensor_compose, tensor_over)
 from .report import Report, equality_check
 from .spaces import unit_space
 
@@ -107,77 +112,108 @@ class HopfAlgebra(_Structure):
                            dualize(self.antipode))
 
 
-def action_laws(act, A, assoc, unit):
-    """A right action act: X (x) A -> X of the algebra A is associative
-    and unital: the items `assoc` and `unit`."""
-    idX, idA = Morphism.identity(act.cod), Morphism.identity(A.space)
-    return [equality_check(assoc, tensor_compose(act, [act, idA]),
-                           tensor_compose(act, [idX, A.mult])),
-            equality_check(unit, tensor_compose(act, [idX, A.unit]), idX)]
+# -- the two categories ------------------------------------------------------
+#
+# Each structure law is written once, in Vect, against the operations of
+# these tables.  A map X -> Y of Vect^op is a linear map Y -> X, so there
+# f o g is compose(g, f), (f_1 (x) ... (x) f_k) o g is g o (f_1 (x) ...),
+# domain and codomain, equalisers and coequalisers and the two
+# factorisations trade places, the tensor product over a base is the
+# cotensor product, a monoid's multiplication and unit are a comonoid's
+# comultiplication and counit, and the braided sandwich takes its two
+# halves the other way round; the tensor product of maps and the
+# identities are the same.  Each entry looks its function up in this
+# module's globals when it is called, so a rebinding of `compose` and the
+# rest (bench/tracer.py counts calls that way) reaches Vect^op's calls too.
+
+VECT = SimpleNamespace(
+    dom=lambda f: f.dom,
+    cod=lambda f: f.cod,
+    mult=lambda A: A.mult,
+    unit=lambda A: A.unit,
+    compose=lambda f, g: compose(f, g),
+    compose_tensor=lambda fs, g: compose_tensor(fs, g),
+    tensor_compose=lambda f, gs: tensor_compose(f, gs),
+    braided_compose=lambda m1, m2, f, g, U, V: braided_compose(
+        m1, m2, f, g, U, V),
+    equaliser=lambda f, g: equaliser(f, g),
+    factor_through_equaliser=lambda c, i: factor_through_equaliser(c, i),
+    factor_through_coequaliser=lambda c, p: factor_through_coequaliser(c, p),
+    tensor_over=lambda right, left: tensor_over(right, left))
+
+VECT_OP = SimpleNamespace(
+    dom=lambda f: f.cod,
+    cod=lambda f: f.dom,
+    mult=lambda A: A.comult,
+    unit=lambda A: A.counit,
+    compose=lambda f, g: compose(g, f),
+    compose_tensor=lambda fs, g: tensor_compose(g, fs),
+    tensor_compose=lambda f, gs: compose_tensor(gs, f),
+    braided_compose=lambda m1, m2, f, g, U, V: braided_compose(
+        f, g, m1, m2, (U[0], V[0]), (U[1], V[1])),
+    equaliser=lambda f, g: coequaliser(f, g),
+    factor_through_equaliser=lambda c, i: factor_through_coequaliser(c, i),
+    factor_through_coequaliser=lambda c, p: factor_through_equaliser(c, p),
+    tensor_over=lambda right, left: cotensor(right, left))
 
 
-def coaction_laws(coact, C, coassoc, counit):
-    """A right coaction coact: X -> X (x) C of the coalgebra C is
-    coassociative and counital: the items `coassoc` and `counit`."""
-    idX, idC = Morphism.identity(coact.dom), Morphism.identity(C.space)
-    return [equality_check(coassoc, compose_tensor([coact, idC], coact),
-                           compose_tensor([idX, C.comult], coact)),
-            equality_check(counit, compose_tensor([idX, C.counit], coact),
+# -- the laws ----------------------------------------------------------------
+
+def action_laws(act, A, assoc, unit, ops=VECT):
+    """A right action act: X (x) A -> X of the monoid A is associative
+    and unital: the items `assoc` and `unit`.  In `VECT_OP`, a right
+    coaction X -> X (x) A of a coalgebra, coassociative and counital."""
+    idX, idA = Morphism.identity(ops.cod(act)), Morphism.identity(A.space)
+    return [equality_check(assoc, ops.tensor_compose(act, [act, idA]),
+                           ops.tensor_compose(act, [idX, ops.mult(A)])),
+            equality_check(unit, ops.tensor_compose(act, [idX, ops.unit(A)]),
                            idX)]
 
 
-def algebra_map_laws(f, A, B, C, mult, unit):
-    """f: A -> B (x) C is an algebra map into the braided tensor algebra,
+def algebra_map_laws(f, A, B, C, mult, unit, ops=VECT):
+    """f: A -> B (x) C is a monoid map into the braided tensor monoid,
     multiplication (m_B (x) m_C) o (id (x) tau (x) id): the items `mult`
-    and `unit`."""
+    and `unit`.  In `VECT_OP`, f: B (x) C -> A is a coalgebra map out of
+    the braided tensor coalgebra."""
     BC = (B.space, C.space)
-    return [equality_check(mult, compose(f, A.mult),
-                           braided_compose(B.mult, C.mult, f, f, BC, BC)),
-            equality_check(unit, compose(f, A.unit), tensor(B.unit, C.unit))]
+    return [equality_check(mult, ops.compose(f, ops.mult(A)),
+                           ops.braided_compose(ops.mult(B), ops.mult(C),
+                                               f, f, BC, BC)),
+            equality_check(unit, ops.compose(f, ops.unit(A)),
+                           tensor(ops.unit(B), ops.unit(C)))]
 
 
-def coalgebra_map_laws(g, A, B, C, comult, counit):
-    """g: B (x) C -> A is a coalgebra map out of the braided tensor
-    coalgebra, comultiplication (id (x) tau (x) id) o (Delta_B (x)
-    Delta_C): the items `comult` and `counit`."""
-    return [equality_check(comult, compose(A.comult, g),
-                           braided_compose(g, g, B.comult, C.comult,
-                                           (B.space, B.space),
-                                           (C.space, C.space))),
-            equality_check(counit, compose(A.counit, g),
-                           tensor(B.counit, C.counit))]
+def hom_laws(f, A, B, mult, unit, ops=VECT):
+    """f: A -> B is a map of monoids: the items `mult` and `unit`.  In
+    `VECT_OP`, f: B -> A is a map of coalgebras."""
+    return [equality_check(mult, ops.compose(f, ops.mult(A)),
+                           ops.tensor_compose(ops.mult(B), [f, f])),
+            equality_check(unit, ops.compose(f, ops.unit(A)), ops.unit(B))]
 
 
-def coalgebra_hom_laws(g, A, B, comult, counit):
-    """g: A -> B is a map of coalgebras: the items `comult` and `counit`."""
-    return [equality_check(comult, compose(B.comult, g),
-                           compose_tensor([g, g], A.comult)),
-            equality_check(counit, compose(B.counit, g), A.counit)]
+def coinvariants_of(coact, H, ops=VECT):
+    """(X^coH, iota): the equaliser of coact: X -> X (x) H and id (x) 1.
+    In `VECT_OP`, (X_H, Pi): the coequaliser of act: X (x) H -> X and
+    id (x) eps."""
+    return ops.equaliser(coact, tensor(Morphism.identity(ops.dom(coact)),
+                                       ops.unit(H)))
 
 
-def coinvariants_of(coact, H):
-    """(X^coH, iota): the equaliser of coact: X -> X (x) H and id (x) 1."""
-    return equaliser(coact, tensor(Morphism.identity(coact.dom), H.unit))
-
-
-def invariants_of(act, H):
-    """(X_H, Pi): the coequaliser of id (x) eps and act: X (x) H -> X."""
-    return coequaliser(tensor(Morphism.identity(act.cod), H.counit), act)
-
-
-def check_algebra(a):
-    idA = Morphism.identity(a.space)
-    return Report(action_laws(a.mult, a, "associativity", "unit_right") + [
-        equality_check("unit_left", tensor_compose(a.mult, [a.unit, idA]),
+def check_algebra(a, assoc="associativity", unit_right="unit_right",
+                  unit_left="unit_left", ops=VECT):
+    """The monoid laws of a, under the three item names; in `VECT_OP`,
+    the comonoid laws of a coalgebra."""
+    m, idA = ops.mult(a), Morphism.identity(a.space)
+    return Report(action_laws(m, a, assoc, unit_right, ops) + [
+        equality_check(unit_left, ops.tensor_compose(m, [ops.unit(a), idA]),
                        idA)])
 
 
-def check_coalgebra(c):
-    idC = Morphism.identity(c.space)
-    return Report(coaction_laws(c.comult, c, "coassociativity",
-                                "counit_right") + [
-        equality_check("counit_left",
-                       compose_tensor([c.counit, idC], c.comult), idC)])
+def unit_algebra(group):
+    """The monoidal unit as an algebra: its multiplication and unit are
+    the identity of the unit space."""
+    ident = Morphism.identity(unit_space(group))
+    return Algebra(ident.dom, ident, ident)
 
 
 def check_hopf(h):
@@ -185,20 +221,17 @@ def check_hopf(h):
     idH = Morphism.identity(H)
     rep = Report()
     rep.extend(check_algebra(h.algebra), prefix="algebra.")
-    rep.extend(check_coalgebra(h.coalgebra), prefix="coalgebra.")
+    rep.extend(check_algebra(h.coalgebra, "coassociativity", "counit_right",
+                             "counit_left", VECT_OP), prefix="coalgebra.")
 
-    # bialgebra law: Delta and eps are algebra maps into/out of the braided
-    # tensor algebra on H (x) H
+    # bialgebra law: Delta and eps are algebra maps into the braided
+    # tensor algebra on H (x) H and into the unit algebra
     rep.items.extend(algebra_map_laws(h.comult, h, h, h,
                                       "bialgebra_comult_mult",
                                       "bialgebra_comult_unit"))
-    rep.items.append(equality_check(
-        "bialgebra_counit_mult",
-        compose(h.counit, h.mult),
-        tensor(h.counit, h.counit)))
-    rep.items.append(equality_check(
-        "bialgebra_counit_unit", compose(h.counit, h.unit),
-        Morphism.identity(unit_space(H.group))))
+    rep.items.extend(hom_laws(h.counit, h, unit_algebra(H.group),
+                              "bialgebra_counit_mult",
+                              "bialgebra_counit_unit"))
 
     unit_eps = compose(h.unit, h.counit)
     rep.items.append(equality_check(

@@ -11,7 +11,7 @@ factorisation; a failed factorisation is reported, not raised.
 
 from __future__ import annotations
 
-from .hopf import Coalgebra, coaction_laws, coalgebra_hom_laws, invariants_of
+from .hopf import VECT_OP, Coalgebra, check_algebra, coinvariants_of, hom_laws
 from .morphism import (FactorizationError, Morphism, braided_compose,
                        braiding, compose, compose_tensor, cotensor, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
@@ -133,7 +133,7 @@ def build_quantum_category(b):
     rep.add("qcat.can_invertible", True)
 
     zeta = diagonal_action(b)
-    G, PiG = invariants_of(zeta, b.H)
+    G, PiG = coinvariants_of(zeta, b.H, VECT_OP)
     rep.add("qcat.dim_G", True, details={"dim": G.dim})
 
     def induced_through_PiG(name, composite):
@@ -200,11 +200,8 @@ def build_quantum_category(b):
     idG = Morphism.identity(G)
     coalg_G = Coalgebra(G, comult_G, counit_G)
     # coalgebra axioms of G
-    rep.items.extend(coaction_laws(comult_G, coalg_G, "qcat.comult_coassoc",
-                                   "qcat.counit_right"))
-    rep.items.append(equality_check(
-        "qcat.counit_left",
-        compose_tensor([counit_G, idG], comult_G), idG))
+    rep.extend(check_algebra(coalg_G, "qcat.comult_coassoc",
+                             "qcat.counit_right", "qcat.counit_left", VECT_OP))
     # source/target laws against the unit
     rep.items.append(equality_check(
         "qcat.source_unit", compose(source, unit_G), idB))
@@ -212,9 +209,9 @@ def build_quantum_category(b):
         "qcat.target_unit", compose(target, unit_G), idB))
     # source and target are coalgebra maps
     for name, f in (("source", source), ("target", target)):
-        rep.items.extend(coalgebra_hom_laws(
-            f, coalg_G, b.base, "qcat.%s_coalgebra_map" % name,
-            "qcat.%s_counit" % name))
+        rep.items.extend(hom_laws(
+            f, b.base, coalg_G, "qcat.%s_coalgebra_map" % name,
+            "qcat.%s_counit" % name, VECT_OP))
     # unit laws of the composition
     try:
         ins_l = factor_through_equaliser(

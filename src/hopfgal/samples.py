@@ -12,29 +12,15 @@ import itertools
 from .bundle import (AlgebraBundle, CoalgebraBundle, ComoduleAlgebra,
                      ModuleCoalgebra)
 from .fields import QQ
-from .hopf import Algebra, Coalgebra, HopfAlgebra
+from .hopf import Algebra, Coalgebra, HopfAlgebra, unit_algebra
 from .morphism import Morphism
 from .spaces import GradedSpace, GradingGroup, unit_space
 
 
-def _unit_algebra(group):
-    one = unit_space(group)
-    ident = Morphism.identity(one)
-    return Algebra(one, ident, ident)
-
-
-def _unit_coalgebra(group):
-    one = unit_space(group)
-    ident = Morphism.identity(one)
-    return Coalgebra(one, ident, ident)
-
-
 def trivial_hopf(field):
     """The monoidal unit as a Hopf algebra (H = 1)."""
-    group = GradingGroup.trivial(field)
-    one = unit_space(group)
-    ident = Morphism.identity(one)
-    return HopfAlgebra(_unit_algebra(group), _unit_coalgebra(group), ident)
+    k = unit_algebra(GradingGroup.trivial(field))
+    return HopfAlgebra(k, k.dualize(), k.unit)
 
 
 def group_algebra(field, elements, op, inv, group=None, degrees=None):
@@ -79,24 +65,9 @@ def s3_group_algebra(field):
 
 
 def function_hopf(field, elements, op, inv):
-    """Fun(G), the dual of the group algebra: pointwise product, group comult."""
-    group = GradingGroup.trivial(field)
-    n = len(elements)
-    index = {g: i for i, g in enumerate(elements)}
-    H = GradedSpace(group, (0,) * n)
-    one = field.one()
-    mult = Morphism(H.tensor(H), H,
-                    {(i, i * n + i): one for i in range(n)})
-    unit = Morphism(unit_space(group), H, {(i, 0): one for i in range(n)})
-    cm = {}
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            cm[(i * n + j, index[op(a, b)])] = one
-    comult = Morphism(H, H.tensor(H), cm)
-    ident = next(g for g in elements if all(op(g, h) == h for h in elements))
-    counit = Morphism(H, unit_space(group), {(0, index[ident]): one})
-    antipode = Morphism(H, H, {(index[inv(g)], i): one for i, g in enumerate(elements)})
-    return HopfAlgebra(Algebra(H, mult, unit), Coalgebra(H, comult, counit), antipode)
+    """Fun(G) = k[G]*, on the basis of point indicators delta_g: pointwise
+    product, Delta(delta_g) = sum over ab = g of delta_a (x) delta_b."""
+    return group_algebra(field, elements, op, inv).dualize()
 
 
 def fun_z2(field):
@@ -190,13 +161,14 @@ def superline(field=QQ):
 def trivial_algebra_bundle(h):
     """P = H coacting on itself by its comultiplication, base = the unit."""
     como = ComoduleAlgebra(h.algebra, h, h.comult)
-    return AlgebraBundle(como, _unit_algebra(h.space.group), h.unit)
+    return AlgebraBundle(como, unit_algebra(h.space.group), h.unit)
 
 
 def trivial_coalgebra_bundle(h):
     """P = H acting on itself by its multiplication, base = the unit."""
     modc = ModuleCoalgebra(h.coalgebra, h, h.mult)
-    return CoalgebraBundle(modc, _unit_coalgebra(h.space.group), h.counit)
+    return CoalgebraBundle(modc, unit_algebra(h.space.group).dualize(),
+                           h.counit)
 
 
 def set_action_bundle(field, xelems, gelems, op, inv, act):
@@ -290,7 +262,7 @@ def nonflat_bundle(field):
     """P = k over B = k[t]/(t^2) with t acting as zero; not faithfully flat."""
     h = trivial_hopf(field)
     base = dual_numbers_algebra(field)
-    como = ComoduleAlgebra(_unit_algebra(base.space.group), h,
+    como = ComoduleAlgebra(unit_algebra(base.space.group), h,
                            Morphism.identity(h.space))
     pi = Morphism(base.space, como.space, {(0, 0): field.one()})
     return AlgebraBundle(como, base, pi)

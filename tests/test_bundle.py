@@ -10,15 +10,14 @@ from hopfgal.bundle import (LEFT, RIGHT, AlgebraBundle, CoalgebraBundle,
                             ComoduleAlgebra, ModuleCoalgebra,
                             _assemble_system,
                             canonical_map_linearity, check_comodule_algebra,
-                            check_module_coalgebra, coinvariants,
-                            invariants_base, morphism_nullspace,
+                            check_module_coalgebra, morphism_nullspace,
                             solve_morphism_system)
 from hopfgal.corpus import default_root
 from hopfgal.fields import QQ, PrimeField
-from hopfgal.hopf import Algebra, coalgebra_hom_laws
+from hopfgal.hopf import VECT, VECT_OP, Algebra, coinvariants_of
 from hopfgal.instances import parse_instance
-from hopfgal.morphism import (FactorizationError, Morphism, compose,
-                              compose_tensor, cotensor, dualize,
+from hopfgal.morphism import (FactorizationError, Morphism, coequaliser,
+                              compose, compose_tensor, cotensor, dualize,
                               factor_through_coequaliser,
                               factor_through_equaliser, is_isomorphism,
                               tensor, tensor_compose, tensor_over)
@@ -30,6 +29,7 @@ from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              sweedler_hopf, trivial_algebra_bundle,
                              trivial_coalgebra_bundle)
 from hopfgal.spaces import GradedSpace, unit_space
+from test_hopf import reference_coalgebra_hom_laws
 from test_morphism import (ELIMINATION_GROUPS, GROUPS, graded_morphism,
                            graded_space, nonzero_scalar)
 
@@ -64,32 +64,44 @@ def test_module_coalgebra_forced_failure():
     assert not rep.ok
 
 
+def assert_unit_in_image(unit, iota, ops):
+    """The (co)unit factors through the (co)invariants: unit = iota o u
+    (in Vect^op, counit = u o Pi)."""
+    u = ops.factor_through_equaliser(unit, iota)
+    assert ops.compose(iota, u) == unit
+
+
 def test_coinvariants_trivial_coaction():
     h = cyclic_group_algebra(QQ, 2)
     como = ComoduleAlgebra(h.algebra, h,
                            tensor(Morphism.identity(h.space), h.unit))
-    B, iota = coinvariants(como)
-    assert B.space == h.space and iota == Morphism.identity(h.space)
+    B, iota = coinvariants_of(como.coaction, como.hopf, VECT)
+    assert B == h.space and iota == Morphism.identity(h.space)
+    assert_unit_in_image(como.algebra.unit, iota, VECT)
 
 
 def test_coinvariants_regular_coaction():
     # P = H = QZ2 coacting by Delta: invariants are the span of 1
     b = trivial_algebra_bundle(cyclic_group_algebra(QQ, 2))
-    B, iota = coinvariants(b.como)
-    assert B.space.dim == 1
-    assert compose(iota, B.unit) == b.P.unit
+    B, iota = coinvariants_of(b.rho, b.H, VECT)
+    assert B.dim == 1
+    assert iota.dom == B and iota.cod == b.P.space
+    assert_unit_in_image(b.P.unit, iota, VECT)
 
 
 def test_coinvariants_free_action():
     b = free_z2_bundle(QQ)
-    B, _ = coinvariants(b.como)
-    assert B.space.dim == 1
+    B, iota = coinvariants_of(b.rho, b.H, VECT)
+    assert B.dim == 1
+    assert_unit_in_image(b.P.unit, iota, VECT)
 
 
 def test_invariants_base_regular_action():
     b = trivial_coalgebra_bundle(cyclic_group_algebra(QQ, 2))
-    B, _ = invariants_base(b.modc)
-    assert B.space.dim == 1
+    B, Pi = coinvariants_of(b.action, b.H, VECT_OP)
+    assert B.dim == 1
+    assert Pi.dom == b.P.space and Pi.cod == B
+    assert_unit_in_image(b.P.counit, Pi, VECT_OP)
 
 
 def test_tensor_and_cotensor_degenerate():
@@ -286,14 +298,16 @@ def reference_canonical_map(b):
 
 def reference_base_laws(b):
     idP = Morphism.identity(b.modc.space)
-    return coalgebra_hom_laws(b.pi, b.P, b.base, "A.pi_comult",
-                              "A.pi_counit") + [
+    return reference_coalgebra_hom_laws(b.pi, b.P, b.base, "A.pi_comult",
+                                        "A.pi_counit") + [
         equality_check("A.pi_coequalises", compose(b.pi, b.action),
                        tensor_compose(b.pi, [idP, b.H.counit]))]
 
 
 def reference_comparison_map(b):
-    _, Pi0 = invariants_base(b.modc)
+    """pi factored through the coequaliser of id (x) eps and the action."""
+    idP = Morphism.identity(b.modc.space)
+    _, Pi0 = coequaliser(tensor(idP, b.H.counit), b.action)
     return factor_through_coequaliser(b.pi, Pi0)
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,15 +6,17 @@ import pytest
 from hopfgal.bundle import (ComoduleAlgebra, check_comodule_algebra,
                             check_module_coalgebra)
 from hopfgal.fields import QQ, PrimeField
-from hopfgal.hopf import (Algebra, Coalgebra, HopfAlgebra,
-                          algebra_map_laws, antipode_antihomomorphism_check,
-                          check_algebra, check_coalgebra, check_hopf,
-                          coalgebra_map_laws)
-from hopfgal.morphism import Morphism, braiding, compose, tensor, tensor_many
-from hopfgal.report import equality_check
+from hopfgal.hopf import (VECT_OP, Algebra, Coalgebra, HopfAlgebra,
+                          action_laws, algebra_map_laws,
+                          antipode_antihomomorphism_check, check_algebra,
+                          check_hopf, coinvariants_of, hom_laws)
+from hopfgal.morphism import (Morphism, braided_compose, braiding,
+                              coequaliser, compose, compose_tensor, tensor,
+                              tensor_many)
+from hopfgal.report import Report, equality_check
 from hopfgal.samples import (braided_line, cyclic_group_algebra, fun_z2,
-                             s3_group_algebra, superline, sweedler_hopf,
-                             trivial_hopf)
+                             function_hopf, s3_group_algebra, superline,
+                             sweedler_hopf, trivial_hopf)
 from hopfgal.spaces import GradedSpace, GradingGroup, unit_space
 
 
@@ -31,7 +34,7 @@ def braided_tensor_algebra(a, b):
 def braided_tensor_coalgebra(b, c):
     """The coalgebra on B (x) C with comultiplication (id tau id)(Delta_B
     (x) Delta_C), built as a morphism: the reference for
-    `hopf.coalgebra_map_laws`."""
+    `hopf.algebra_map_laws` read in `VECT_OP`."""
     B, C = b.space, c.space
     idB, idC = Morphism.identity(B), Morphism.identity(C)
     comult = compose(tensor(tensor(idB, braiding(B, C)), idC),
@@ -40,6 +43,57 @@ def braided_tensor_coalgebra(b, c):
 
 
 F7 = PrimeField(7)
+
+
+# -- the comonoid laws written out in Vect ------------------------------------
+#
+# Each comonoid law used to be written a second time, in Vect, as the mirror
+# image of its monoid law.  Those functions are kept here as the reference
+# that the monoid laws, read in `VECT_OP`, reproduce item for item.
+
+def reference_coaction_laws(coact, C, coassoc, counit):
+    """A right coaction coact: X -> X (x) C of the coalgebra C is
+    coassociative and counital: the items `coassoc` and `counit`."""
+    idX, idC = Morphism.identity(coact.dom), Morphism.identity(C.space)
+    return [equality_check(coassoc, compose_tensor([coact, idC], coact),
+                           compose_tensor([idX, C.comult], coact)),
+            equality_check(counit, compose_tensor([idX, C.counit], coact),
+                           idX)]
+
+
+def reference_coalgebra_map_laws(g, A, B, C, comult, counit):
+    """g: B (x) C -> A is a coalgebra map out of the braided tensor
+    coalgebra, comultiplication (id (x) tau (x) id) o (Delta_B (x)
+    Delta_C): the items `comult` and `counit`."""
+    return [equality_check(comult, compose(A.comult, g),
+                           braided_compose(g, g, B.comult, C.comult,
+                                           (B.space, B.space),
+                                           (C.space, C.space))),
+            equality_check(counit, compose(A.counit, g),
+                           tensor(B.counit, C.counit))]
+
+
+def reference_coalgebra_hom_laws(g, A, B, comult, counit):
+    """g: A -> B is a map of coalgebras: the items `comult` and `counit`."""
+    return [equality_check(comult, compose(B.comult, g),
+                           compose_tensor([g, g], A.comult)),
+            equality_check(counit, compose(B.counit, g), A.counit)]
+
+
+def reference_invariants_of(act, H):
+    """(X_H, Pi): the coequaliser of id (x) eps and act: X (x) H -> X."""
+    return coequaliser(tensor(Morphism.identity(act.cod), H.counit), act)
+
+
+def reference_check_coalgebra(c):
+    idC = Morphism.identity(c.space)
+    return Report(reference_coaction_laws(c.comult, c, "coassociativity",
+                                          "counit_right") + [
+        equality_check("counit_left",
+                       compose_tensor([c.counit, idC], c.comult), idC)])
+
+
+COALGEBRA_NAMES = ("coassociativity", "counit_right", "counit_left")
 
 
 def assert_all_pass(report):
@@ -146,7 +200,7 @@ def test_map_laws_match_the_dense_braided_tensor_product(h):
     for g, B in ((h.mult, h), (bump(h.mult), h), (mult2, cc),
                  (bump(mult2), cc)):
         BC = braided_tensor_coalgebra(B, h)
-        items = coalgebra_map_laws(g, h, B, h, "comult", "counit")
+        items = algebra_map_laws(g, h, B, h, "comult", "counit", VECT_OP)
         assert [item.name for item in items] == ["comult", "counit"]
         assert_items_match(items, [
             (compose(h.comult, g), compose(tensor(g, g), BC.comult)),
@@ -182,7 +236,117 @@ def test_dualize_verdict_symmetry():
 
 def test_check_coalgebra_dual_of_algebra():
     h = s3_group_algebra(QQ)
-    assert all(i.ok for i in check_coalgebra(h.algebra.dualize()).items)
+    rep = check_algebra(h.algebra.dualize(), *COALGEBRA_NAMES, ops=VECT_OP)
+    assert [i.name for i in rep.items] == list(COALGEBRA_NAMES)
+    assert all(i.ok for i in rep.items)
+
+
+def column(f, c):
+    """f applied to basis vector c, as {row: scalar}."""
+    return {r: v for (r, k), v in f.entries.items() if k == c}
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["qq", "f7"])
+def test_function_hopf_pointwise_formulas(field):
+    """Fun(G) = k[G]* on the point indicators delta_g of S_3, where the
+    order of the factors in ab = g matters: delta_g delta_h = [g = h]
+    delta_g, 1 = sum of delta_g, Delta(delta_g) = sum over ab = g of
+    delta_a (x) delta_b, eps(delta_g) = [g = e] and S(delta_g) =
+    delta_{g^-1}."""
+    elements = sorted(itertools.permutations(range(3)))
+    op = lambda a, b: tuple(a[b[i]] for i in range(3))
+    inv = lambda a: tuple(sorted(range(3), key=a.__getitem__))
+    h = function_hopf(field, elements, op, inv)
+    n, one = len(elements), field.one()
+    index = {g: i for i, g in enumerate(elements)}
+    e = index[(0, 1, 2)]
+    assert column(h.unit, 0) == {i: one for i in range(n)}
+    for g, i in index.items():
+        for j in range(n):
+            assert column(h.mult, i * n + j) == ({i: one} if i == j else {})
+        assert column(h.comult, i) == {
+            index[a] * n + index[b]: one for a in elements for b in elements
+            if op(a, b) == g}
+        assert column(h.counit, i) == ({0: one} if i == e else {})
+        assert column(h.antipode, i) == {index[inv(g)]: one}
+    assert_all_pass(check_hopf(h))
+
+
+def bumped_variants(h):
+    """h, then h with one more at the first degree-preserving entry of
+    each of its four (co)monoid structure maps in turn."""
+    a, c = h.algebra, h.coalgebra
+    V = h.space
+    return [("exact", h),
+            ("mult+1", HopfAlgebra(Algebra(V, bump(a.mult), a.unit), c,
+                                   h.antipode)),
+            ("unit+1", HopfAlgebra(Algebra(V, a.mult, bump(a.unit)), c,
+                                   h.antipode)),
+            ("comult+1", HopfAlgebra(a, Coalgebra(V, bump(c.comult),
+                                                  c.counit), h.antipode)),
+            ("counit+1", HopfAlgebra(a, Coalgebra(V, c.comult,
+                                                  bump(c.counit)),
+                                     h.antipode))]
+
+
+LAW_HOPFS = {
+    "z2_qq": lambda: cyclic_group_algebra(QQ, 2),
+    "z3_qq": lambda: cyclic_group_algebra(QQ, 3),
+    "sweedler_qq": lambda: sweedler_hopf(QQ),
+    "fun_z2_qq": lambda: fun_z2(QQ),
+    "superline_qq": lambda: superline(QQ),
+    "braided_line_z3_f7": lambda: braided_line(F7, 3, F7.from_int(2)),
+}
+
+
+def as_tuples(items):
+    return [(i.name, i.ok, i.details, i.witness) for i in items]
+
+
+@pytest.mark.parametrize("name", sorted(LAW_HOPFS))
+def test_comonoid_laws_are_the_monoid_laws_in_vect_op(name):
+    """Each comonoid law is its monoid law read in Vect^op: the same items,
+    name, verdict, details and witness, as the law written out in Vect, on
+    exact and perturbed structures.  The braided line's braiding is not
+    symmetric, and a map out of the braided tensor coalgebra (H (x) H)
+    (x) H has two different tensor factors, so the order in which Vect^op
+    hands `braided_compose` its halves and spaces shows."""
+    failing = 0
+    for variant, h in bumped_variants(LAW_HOPFS[name]()):
+        where = "%s %s" % (name, variant)
+        H = h.space
+        idH = Morphism.identity(H)
+        one = Morphism.identity(unit_space(H.group))
+        k = Coalgebra(one.dom, one, one)
+        hh = braided_tensor_coalgebra(h, h)
+        mult2 = compose(h.mult, tensor(h.mult, idH))
+        pairs = [
+            (check_algebra(h.coalgebra, *COALGEBRA_NAMES, ops=VECT_OP).items,
+             reference_check_coalgebra(h.coalgebra).items),
+            (action_laws(h.comult, h, "coassoc", "counit", VECT_OP),
+             reference_coaction_laws(h.comult, h, "coassoc", "counit")),
+            (algebra_map_laws(h.mult, h, h, h, "comult", "counit", VECT_OP),
+             reference_coalgebra_map_laws(h.mult, h, h, h, "comult",
+                                          "counit")),
+            (algebra_map_laws(mult2, h, hh, h, "comult", "counit", VECT_OP),
+             reference_coalgebra_map_laws(mult2, h, hh, h, "comult",
+                                          "counit")),
+            (hom_laws(h.counit, k, h, "comult", "counit", VECT_OP),
+             reference_coalgebra_hom_laws(h.counit, h, k, "comult",
+                                          "counit")),
+        ]
+        for g in (idH, bump(idH), h.antipode,
+                  compose(h.antipode, h.antipode)):
+            pairs.append(
+                (hom_laws(g, h, h, "comult", "counit", VECT_OP),
+                 reference_coalgebra_hom_laws(g, h, h, "comult", "counit")))
+        for mine, theirs in pairs:
+            assert as_tuples(mine) == as_tuples(theirs), where
+            failing += sum(not i.ok for i in mine)
+        for act in (h.mult, tensor(idH, h.counit)):
+            assert (coinvariants_of(act, h, VECT_OP)
+                    == reference_invariants_of(act, h)), where
+    assert failing > 0
 
 
 def clifford_superline():
