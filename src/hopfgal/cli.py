@@ -60,7 +60,7 @@ def _bundle(inst, side=None):
         b = pool[key]
         if side is None or b.side == side:
             return b
-    raise InstanceError(0, "no %s bundle block in instance"
+    raise InstanceError(inst.end_line, "no %s bundle block in instance"
                         % (side or "matching"))
 
 

@@ -10,8 +10,9 @@ contain one `EXPECT <expr> == <expr>` per line.
 
 from __future__ import annotations
 
-from .morphism import (Morphism, braiding, braiding_endpoints, compose,
-                       compose_tensor, tensor_compose, tensor_many)
+from .morphism import (Morphism, _tensor_is, braided_compose, braiding,
+                       braiding_endpoints, compose, compose_tensor,
+                       tensor_compose, tensor_many)
 from .report import Report, equality_check
 
 HEADS = {"id": 1, "m": 1, "u": 1, "cm": 1, "cu": 1, "S": 1, "br": 2,
@@ -283,6 +284,50 @@ class Environment:
                                "comodule algebra").coaction
 
 
+def _leaves(e):
+    """The factors of a `*` tree, left to right."""
+    if isinstance(e, Tensor):
+        return _leaves(e.left) + _leaves(e.right)
+    return [e]
+
+
+def _sandwich(e, env):
+    """The legs of a braided sandwich, or None.
+
+    A sandwich is a chain (f * g) ; (id(U1) * br(U2,V1) * id(V2)) ;
+    (m1 * m2), in either parenthesisation, whose legs split at the
+    braiding: f and g land in U1 (x) U2 and V1 (x) V2, and m1 and m2 start
+    at U1 (x) V1 and U2 (x) V2.  It returns ((f, g, m1, m2), their
+    (domain, codomain) pairs, (U1, U2), (V1, V2)), read from the four legs
+    alone, so the four-fold middle space is never built.  Any other
+    expression, or a leg that fails to typecheck, gives None and takes the
+    generic walk, which raises its own error.
+    """
+    if not isinstance(e, Seq):
+        return None
+    if isinstance(e.first, Seq):
+        first, middle, last = e.first.first, e.first.second, e.second
+    elif isinstance(e.second, Seq):
+        first, middle, last = e.first, e.second.first, e.second.second
+    else:
+        return None
+    mid = _leaves(middle)
+    if not (isinstance(first, Tensor) and isinstance(last, Tensor)
+            and [getattr(x, "head", None) for x in mid] == ["id", "br", "id"]):
+        return None
+    legs = (first.left, first.right, last.left, last.right)
+    try:
+        U1, U2, V1, V2 = [env.space(name) for x in mid for name in x.args]
+        ends = [typecheck(x, env) for x in legs]
+        split = (_tensor_is((U1, U2), ends[0][1])
+                 and _tensor_is((V1, V2), ends[1][1])
+                 and _tensor_is((U1, V1), ends[2][0])
+                 and _tensor_is((U2, V2), ends[3][0]))
+    except TypeError:
+        return None
+    return (legs, ends, (U1, U2), (V1, V2)) if split else None
+
+
 def typecheck(e, env):
     """(domain, codomain) of a well-typed expression; TypeError otherwise."""
     if isinstance(e, (Name, Call)):
@@ -291,6 +336,10 @@ def typecheck(e, env):
         ld, lc = typecheck(e.left, env)
         rd, rc = typecheck(e.right, env)
         return ld.tensor(rd), lc.tensor(rc)
+    sandwich = _sandwich(e, env)
+    if sandwich is not None:
+        (fd, _), (gd, _), (_, c1), (_, c2) = sandwich[1]
+        return fd.tensor(gd), c1.tensor(c2)
     fd, fc = typecheck(e.first, env)
     sd, sc = typecheck(e.second, env)
     if fc != sd:
@@ -310,18 +359,22 @@ def evaluate(e, env):
 
 def _factors(e, env):
     """The evaluated factors of a `*` tree, left to right."""
-    if isinstance(e, Tensor):
-        return _factors(e.left, env) + _factors(e.right, env)
-    return [_evaluate(e, env)]
+    return [_evaluate(x, env) for x in _leaves(e)]
 
 
 def _evaluate(e, env):
     """`evaluate` of a typechecked expression.  A `*` side of a `;` is
-    composed factor by factor and never built as a Kronecker product."""
+    composed factor by factor and never built as a Kronecker product, and
+    a braided sandwich is one `braided_compose` of its four legs."""
     if isinstance(e, (Name, Call)):
         return env.atom_morphism(e)
     if isinstance(e, Tensor):
         return tensor_many(*_factors(e, env))
+    sandwich = _sandwich(e, env)
+    if sandwich is not None:
+        (f, g, m1, m2), _, U, V = sandwich
+        return braided_compose(_evaluate(m1, env), _evaluate(m2, env),
+                               _evaluate(f, env), _evaluate(g, env), U, V)
     if isinstance(e.second, Tensor):
         return compose_tensor(_factors(e.second, env), _evaluate(e.first, env))
     if isinstance(e.first, Tensor):

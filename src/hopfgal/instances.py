@@ -46,6 +46,9 @@ class Instance:
         self.modules = {}
         self.bundles = {}
         self.bmodules = {}
+        # the line after the last, where an error about a missing block
+        # points
+        self.end_line = 1
 
     def environment(self):
         return Environment(spaces=self.spaces, hopfs=self.hopfs,
@@ -232,8 +235,9 @@ def parse_instance(text):
             # TypeError: a constructor rejected the declared data, e.g. a
             # morphism entry that breaks degree preservation
             raise InstanceError(lineno, str(exc) or repr(exc))
+    inst.end_line = len(lines) + 1
     if inst.field is None:
-        raise InstanceError(len(lines) + 1, "no field declared")
+        raise InstanceError(inst.end_line, "no field declared")
     return inst
 
 

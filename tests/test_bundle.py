@@ -27,7 +27,7 @@ from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              nonfree_z2_bundle, pair_groupoid_bundle,
                              s3_group_algebra, set_action_bundle, superline,
                              sweedler_hopf, trivial_algebra_bundle,
-                             trivial_coalgebra_bundle)
+                             trivial_coalgebra_bundle, trivial_hopf)
 from hopfgal.spaces import GradedSpace, unit_space
 from test_hopf import reference_coalgebra_hom_laws
 from test_morphism import (ELIMINATION_GROUPS, GROUPS, graded_morphism,
@@ -165,6 +165,52 @@ def test_nonflat_bundle_fails_flatness():
     assert not rep["C.faithfully_flat"].ok
 
 
+def truncated_polynomials(group, dim):
+    """k[x]/(x^dim) on the basis (1, x, ..., x^(dim-1))."""
+    one = group.field.one()
+    A = GradedSpace(group, (0,) * dim)
+    mult = Morphism(A.tensor(A), A, {(i + j, i * dim + j): one
+                                     for i in range(dim)
+                                     for j in range(dim - i)})
+    return Algebra(A, mult, Morphism(unit_space(group), A, {(0, 0): one}))
+
+
+def power_extension_bundle(field, n, d):
+    """P = k[x]/(x^n) over B = k[y]/(y^m), m = ceil(n/d), with pi(y) = x^d,
+    H = k and rho = id."""
+    h = trivial_hopf(field)
+    m = -(-n // d)
+    P = truncated_polynomials(h.space.group, n)
+    B = truncated_polynomials(h.space.group, m)
+    pi = Morphism(B.space, P.space, {(d * k, k): field.one() for k in range(m)})
+    return AlgebraBundle(ComoduleAlgebra(P, h, Morphism.identity(P.space)),
+                         B, pi)
+
+
+@pytest.mark.parametrize("field", [QQ, F7])
+def test_condition_C_on_truncated_polynomials_is_d_divides_n(field):
+    # B is local, so P is projective over B exactly when it is free, which
+    # it is exactly when d divides n; P always has the free summand B.1, so
+    # the trace ideal is all of B
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            b = power_extension_bundle(field, n, d)
+            free = n % d == 0
+            sides = []
+            for side in (b, b.dualize()):
+                rep = Report()
+                rep.extend(side.equivariant_projectivity())
+                rep.extend(side.faithful_flatness())
+                sides.append([(it.name, it.ok, it.details)
+                              for it in rep.items])
+                for name in ("C.equivariant_projective", "C.projective",
+                             "C.faithfully_flat"):
+                    assert rep[name].ok == free, (n, d, name)
+                trace = rep["C.trace_ideal_full"]
+                assert trace.ok and trace.details["trace_rank"] == -(-n // d)
+            assert sides[0] == sides[1], (n, d)
+
+
 def test_equivariant_projectivity_free_action():
     b = free_z2_bundle(QQ)
     rep = b.equivariant_projectivity()
@@ -239,15 +285,11 @@ def truncated_polynomial_bundle():
     base k and pi the unit.  rho is no algebra map, so the coinvariants
     span{1, x} are no subalgebra, but pi lands in them."""
     h = cyclic_group_algebra(QQ, 2)
-    group = h.space.group
-    P, one = GradedSpace(group, (0, 0, 0)), unit_space(group)
-    mult = Morphism(P.tensor(P), P, {(a + b, a * 3 + b): 1 for a in range(3)
-                                     for b in range(3 - a)})
-    unit = Morphism(one, P, {(0, 0): 1})
-    rho = Morphism(P, P.tensor(h.space), {(0, 0): 1, (2, 1): 1, (5, 2): 1})
-    ident = Morphism.identity(one)
-    return AlgebraBundle(ComoduleAlgebra(Algebra(P, mult, unit), h, rho),
-                         Algebra(one, ident, ident), unit)
+    P = truncated_polynomials(h.space.group, 3)
+    rho = Morphism(P.space, P.space.tensor(h.space),
+                   {(0, 0): 1, (2, 1): 1, (5, 2): 1})
+    return AlgebraBundle(ComoduleAlgebra(P, h, rho),
+                         truncated_polynomials(h.space.group, 1), P.unit)
 
 
 def test_condition_A_compares_with_coinvariants_that_are_no_subalgebra():

@@ -102,6 +102,20 @@ def test_descent_module_over_another_base_is_input_error(tmp_path):
                    "for the bundle's base B\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["descent", inst("mc_trivial_z2")],
+     "line 63: no algebra bundle block in instance"),
+    (["principal", "--side", "algebra", inst("mc_trivial_z2")],
+     "line 63: no algebra bundle block in instance"),
+    (["qcat", inst("superline")],
+     "line 26: no matching bundle block in instance"),
+])
+def test_missing_bundle_block_names_the_line_after_the_last(argv, message):
+    # as parse_instance reports a missing field: the files have 62 and 25
+    # lines
+    assert run(argv) == (2, "", "error: %s\n" % message)
+
+
 @pytest.mark.parametrize("name, argv", [
     # a 1-dimensional base, whose one module structure inverts the unit
     ("free_z2", ["descent", "--sweep-dim", "1"]),

@@ -1,20 +1,27 @@
+import os
 import random
 import re
+import sys
+from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgal import morphism
-from hopfgal.dsl import (Call, Environment, Name, ParseError, Seq, Tensor,
-                         assert_equal, evaluate, parse, print_expr,
-                         run_assertions, typecheck)
+from hopfgal import dsl, morphism
+from hopfgal.corpus import default_root
+from hopfgal.dsl import (AssertionFileError, Call, Environment, Name,
+                         ParseError, Seq, Tensor, assert_equal, evaluate,
+                         parse, print_expr, run_assertions, typecheck)
 from hopfgal.fields import QQ, PrimeField
+from hopfgal.instances import parse_instance
 from hopfgal.morphism import compose, tensor
 from hopfgal.samples import (braided_line, cyclic_group_algebra, superline,
                              sweedler_hopf, trivial_algebra_bundle,
                              trivial_coalgebra_bundle)
 from hopfgal.spaces import GradedSpace, GradingGroup
+from test_morphism import BRAIDED_GROUPS, graded_morphism
 
 
 def z2_env():
@@ -285,3 +292,147 @@ def test_braiding_across_grading_groups_is_rejected_alike():
     for check in (typecheck, evaluate):
         with pytest.raises(TypeError, match=text):
             check(parse("br(V,W)"), env)
+
+
+# -- braided sandwiches: one braided_compose, typechecked by their legs ------
+
+SANDWICHES = [
+    "(f * g) ; (id(U1) * br(U2,V1) * id(V2)) ; (m1 * m2)",
+    "(f * g) ; ((id(U1) * br(U2,V1) * id(V2)) ; (m1 * m2))",
+    "(f * g) ; (id(U1) * (br(U2,V1) * id(V2))) ; (m1 * m2)",
+    "(m1 * m2) o (id(U1) * br(U2,V1) * id(V2)) o (f * g)",
+    "(m1 * m2) o ((id(U1) * br(U2,V1) * id(V2)) o (f * g))",
+]
+
+
+def graded_spaces(group, min_dim):
+    return st.lists(st.integers(0, group.n - 1), min_size=min_dim,
+                    max_size=3).map(lambda d: GradedSpace(group, tuple(d)))
+
+
+def chain_env(data, group, first_split, last_split, min_dim):
+    """Spaces U1, U2, V1, V2 and morphisms f, g, m1, m2 with f * g landing
+    in U1 (x) U2 (x) V1 (x) V2 split after `first_split` factors, and
+    m1 * m2 starting at U1 (x) V1 (x) U2 (x) V2 split after `last_split`;
+    a braided sandwich exactly when both splits are 2."""
+    U1, U2, V1, V2 = (data.draw(graded_spaces(group, min_dim))
+                      for _ in range(4))
+
+    def halves(factors, k):
+        return (reduce(GradedSpace.tensor, factors[:k]),
+                reduce(GradedSpace.tensor, factors[k:]))
+
+    fc, gc = halves([U1, U2, V1, V2], first_split)
+    m1d, m2d = halves([U1, V1, U2, V2], last_split)
+    morphisms = {
+        "f": data.draw(graded_morphism(data.draw(graded_spaces(group, 1)), fc)),
+        "g": data.draw(graded_morphism(data.draw(graded_spaces(group, 1)), gc)),
+        "m1": data.draw(graded_morphism(m1d, data.draw(graded_spaces(group, 1)))),
+        "m2": data.draw(graded_morphism(m2d, data.draw(graded_spaces(group, 1)))),
+    }
+    return Environment(spaces={"U1": U1, "U2": U2, "V1": V1, "V2": V2},
+                       morphisms=morphisms)
+
+
+def assert_matches_generic_walk(e, env):
+    """typecheck and evaluate agree with the generic walk, which never
+    takes the sandwich path, and with the Kronecker reference."""
+    dom, cod = typecheck(e, env)
+    got = evaluate(e, env)
+    with mock.patch.object(dsl, "_sandwich", return_value=None):
+        generic = typecheck(e, env)
+    want = reference_evaluate(e, env)
+    assert [(s.group, s.degrees) for s in (dom, cod)] == \
+        [(s.group, s.degrees) for s in generic]
+    assert (got.dom, got.cod, got.entries) == (want.dom, want.cod, want.entries)
+    assert (got.dom, got.cod) == (dom, cod)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sandwiches_are_one_braided_compose_equal_to_the_generic_walk(data):
+    group = data.draw(st.sampled_from(BRAIDED_GROUPS))
+    env = chain_env(data, group, 2, 2, min_dim=1)
+    for src in SANDWICHES:
+        e = parse(src)
+        assert dsl._sandwich(e, env) is not None, src
+        assert_matches_generic_walk(e, env)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_chains_whose_legs_split_elsewhere_keep_the_generic_walk(data):
+    group = data.draw(st.sampled_from(BRAIDED_GROUPS))
+    splits = data.draw(st.sampled_from(
+        [(k, l) for k in (1, 2, 3) for l in (1, 2, 3) if (k, l) != (2, 2)]))
+    # every factor of dim >= 2, so no other split lands in the same spaces
+    env = chain_env(data, group, *splits, min_dim=2)
+    for src in SANDWICHES:
+        e = parse(src)
+        assert dsl._sandwich(e, env) is None, src
+        assert_matches_generic_walk(e, env)
+
+
+def corpus_env(entry):
+    with open(os.path.join(default_root(), entry, "instance.txt")) as fh:
+        return parse_instance(fh.read()).environment()
+
+
+@pytest.mark.parametrize("entry, braiding", [("free_z2", "br(H,P)"),
+                                              ("pair_groupoid", "br(P,H)")])
+def test_sandwich_lines_of_the_corpus_are_one_braided_compose(
+        monkeypatch, entry, braiding):
+    # the comodule-algebra and the module-coalgebra diagram
+    with open(os.path.join(default_root(), entry, "assertions.txt")) as fh:
+        line, = [x for x in fh.read().splitlines() if braiding in x]
+    calls = []
+    for original in (morphism.braided_compose, morphism.tensor):
+        def counting(*args, _original=original):
+            calls.append(_original.__name__)
+            return _original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hopfgal") and module is not None:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+    assert run_assertions(line, corpus_env(entry)).ok
+    assert calls == ["braided_compose"]
+
+
+def test_sandwich_shaped_lines_with_a_wrong_space_keep_their_error_text():
+    env = corpus_env("free_z2")
+    sixteen = "dim 16, degrees (%s)" % ", ".join(["0"] * 16)
+    eight = "dim 8, degrees (%s)" % ", ".join(["0"] * 8)
+    middle = "id(P) * br(H,P) * id(H)"
+    cases = [
+        ("(coact(P) * coact(P)) ; (id(P) * br(H,P) * id(B)) ; (m(P) * m(H))",
+         "cannot compose 'id(P) * br(H, P) * id(B)' after 'coact(P) * "
+         "coact(P)': middle objects differ (%s vs %s)" % (sixteen, eight)),
+        ("(coact(P) * coact(P)) ; (id(P) * br(H,Q) * id(H)) ; (m(P) * m(H))",
+         "unknown space name 'Q'"),
+        ("(coact(P) * m(P)) ; (%s) ; (m(P) * m(H))" % middle,
+         "cannot compose 'id(P) * br(H, P) * id(H)' after 'coact(P) * m(P)'"
+         ": middle objects differ (%s vs %s)" % (eight, sixteen)),
+        ("(m(P) * m(H)) o (%s) o (m(P) * coact(P))" % middle,
+         "cannot compose 'id(P) * br(H, P) * id(H) ; m(P) * m(H)' after "
+         "'m(P) * coact(P)': middle objects differ (%s vs %s)"
+         % (eight, sixteen)),
+        ("(coact(P) * coact(P)) ; ((%s) ; (cm(H) * m(H)))" % middle,
+         "cannot compose 'cm(H) * m(H)' after 'id(P) * br(H, P) * id(H)': "
+         "middle objects differ (%s vs %s)" % (sixteen, eight)),
+        ("(coact(P) * coact(P)) ; (%s) ; (m(P) * cm(H))" % middle,
+         "cannot compose 'm(P) * cm(H)' after 'coact(P) * coact(P) ; id(P) "
+         "* br(H, P) * id(H)': middle objects differ (%s vs %s)"
+         % (sixteen, eight)),
+        # a well-typed sandwich, typechecked by its legs, whose endpoints
+        # differ from the other side's
+        ("(coact(P) * coact(P)) ; (%s) ; (m(P) * id(HH))" % middle,
+         "cannot compare 'coact(P) * coact(P) ; id(P) * br(H, P) * id(H) ; "
+         "m(P) * id(HH)' with 'm(P) ; coact(P)': endpoints differ "
+         "(4 -> 8 vs 4 -> 4)"),
+    ]
+    for lhs, text in cases:
+        with pytest.raises(AssertionFileError,
+                           match="^line 1: %s$" % re.escape(text)):
+            run_assertions("EXPECT %s == m(P) ; coact(P)" % lhs, env)
