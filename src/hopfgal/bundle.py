@@ -309,10 +309,9 @@ def morphism_nullspace(dom, cod, equations):
         for k, v in row.items():
             if k != c:
                 basis[k][divmod(c, d)] = -v
-    one = dom.field.one()
     out = []
     for k, entries in basis.items():
-        entries[divmod(k, d)] = one
+        entries[divmod(k, d)] = 1
         out.append(Morphism(dom, cod, entries))
     return out
 

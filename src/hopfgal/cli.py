@@ -88,7 +88,8 @@ def cmd_check(args):
             rep.extend(check_module_coalgebra(inst.modules[name]),
                        prefix="module_coalgebra.%s." % name)
     if not rep.items:
-        raise InstanceError(0, "nothing to check for --what %s" % what)
+        raise InstanceError(inst.end_line,
+                            "nothing to check for --what %s" % what)
     return _emit(rep, args.machine)
 
 
@@ -141,7 +142,13 @@ def cmd_descent(args):
             raise InstanceError(0, "bmodule %r does not act by V (x) B -> V "
                                 "for the bundle's base B" % args.module)
         rep.extend(check_bmodule(v, b.base), prefix="module.")
-        d = comparison_K(v, b)
+        try:
+            d = comparison_K(v, b)
+        except FactorizationError as err:
+            # P does not act on V (x)_B P: no datum to check or descend
+            for label in ("phi_iso", "psi_iso"):
+                rep.add(label, False, details={"reason": str(err)})
+            return _emit(rep, args.machine)
         rep.extend(verify_descent_datum(d), prefix="datum.")
         w, _ = descend(d)
         rep.add("descended_dim", True, details={"dim": w.carrier.dim})

@@ -22,7 +22,7 @@ from . import samples
 
 def _braiding_is_symmetric(group):
     field = group.field
-    return all(field.reduce(group.chi(a, b) * group.chi(b, a)) == field.one()
+    return all(field.reduce(group.chi(a, b) * group.chi(b, a)) == 1
                for a in range(group.n) for b in range(group.n))
 
 

@@ -306,7 +306,6 @@ def _module_from_operator(base, T):
     B = base.space
     d = len(T)
     V = GradedSpace(B.group, (0,) * d)
-    field = B.field
     # with basis (1, w) of B, b_j = c0*1 + c1*w acts by c0*I + c1*T
     coordinates = _one_w_coordinates(base)
     entries = {}
@@ -314,17 +313,15 @@ def _module_from_operator(base, T):
     for i in range(d):
         for j, (c0, c1) in enumerate(coordinates):
             for r in range(d):
-                val = (c0 if r == i else field.zero())
-                val = val + c1 * T[r][i]
+                val = (c0 if r == i else 0) + c1 * T[r][i]
                 if val:
                     entries[(r, i * B.dim + j)] = val
     return BModule(V, Morphism(V.tensor(B), V, entries))
 
 
 def _unit_coordinates(base):
-    zero = base.space.field.zero()
     get = base.unit.entries.get
-    return [get((i, 0), zero) for i in range(base.space.dim)]
+    return [get((i, 0), 0) for i in range(base.space.dim)]
 
 
 def _one_w_coordinates(base):
@@ -339,7 +336,7 @@ def _one_w_coordinates(base):
     # e_j = c0 * u + c1 * e_{w_index}  (u[w_index] may be nonzero)
     c0 = field.inv(u[k])
     e_k = (c0, field.reduce(-u[w_index] * c0))
-    e_w = (field.zero(), field.one())
+    e_w = (0, 1)
     return [e_k, e_w] if k == 0 else [e_w, e_k]
 
 
@@ -352,8 +349,8 @@ def _w_structure(base):
     w = 1 - k
     # w * w in the original basis
     col = w * 2 + w
-    zero, get = field.zero(), base.mult.entries.get
-    ww = [get((i, col), zero) for i in range(2)]
+    get = base.mult.entries.get
+    ww = [get((i, col), 0) for i in range(2)]
     # ww = alpha * u + beta * e_w, read off at k (where e_w is 0) and at w
     alpha = field.reduce(ww[k] * field.inv(u[k]))
     return w, alpha, field.reduce(ww[w] - alpha * u[w])
@@ -380,31 +377,30 @@ def enumerate_bmodules(base, max_dim, seed=0):
     if B.dim == 2 and commutative:
         _, alpha, beta = _w_structure(base)
         roots = _field_roots(field, beta, alpha)
-        zero, one = field.zero(), field.one()
         for d in range(1, max_dim + 1):
             if len(roots) == 2:
                 # split with distinct roots: diagonal signatures
                 for a in range(d + 1):
                     T = [[roots[0] if i == j and i < a else
-                          (roots[1] if i == j else zero)
+                          (roots[1] if i == j else 0)
                           for j in range(d)] for i in range(d)]
                     out.append(_module_from_operator(base, T))
             elif len(roots) == 1:
                 # double root r: T = r I + N with N^2 = 0, N of rank k
                 r = roots[0]
                 for k in range(0, d // 2 + 1):
-                    T = [[r if i == j else zero for j in range(d)]
+                    T = [[r if i == j else 0 for j in range(d)]
                          for i in range(d)]
                     for t in range(k):
-                        T[2 * t][2 * t + 1] = one
+                        T[2 * t][2 * t + 1] = 1
                     out.append(_module_from_operator(base, T))
             else:
                 # irreducible minimal polynomial: companion blocks, even dim
                 if d % 2 == 0:
-                    T = [[zero] * d for _ in range(d)]
+                    T = [[0] * d for _ in range(d)]
                     for t in range(d // 2):
                         T[2 * t][2 * t + 1] = alpha
-                        T[2 * t + 1][2 * t] = one
+                        T[2 * t + 1][2 * t] = 1
                         T[2 * t + 1][2 * t + 1] = beta
                     out.append(_module_from_operator(base, T))
         return out
@@ -433,7 +429,7 @@ def _random_bmodules(base, max_dim, seed):
         # random submodule generated by a few random vectors
         gens = []
         for _ in range(rng.randint(1, 2)):
-            gens.append([field.from_int(rng.randint(-2, 2))
+            gens.append([field.reduce(rng.randint(-2, 2))
                          for _ in range(F.dim)])
         closed = _module_closure(field, gens, act, B)
         quot_dim = F.dim - len(closed)
@@ -492,7 +488,9 @@ def sweep_phi_psi(bundle, max_dim=3, seed=0):
     """Check Phi and Psi on all enumerated base modules; one item each.
 
     A base whose unit is zero is one failing item: the enumeration reads
-    modules off a nonzero coordinate of the unit.
+    modules off a nonzero coordinate of the unit.  A module whose K(V),
+    Phi or Psi does not factor (P does not act on V (x)_B P) fails both
+    of its items with that reason.
     """
     rep = Report()
     if not bundle.base.unit.entries:
@@ -500,9 +498,15 @@ def sweep_phi_psi(bundle, max_dim=3, seed=0):
                        details={"reason": "the base's unit is zero"})
     mods = enumerate_bmodules(bundle.base, max_dim, seed=seed)
     for n, v in enumerate(mods):
-        d = comparison_K(v, bundle)
-        _, verdict_psi = counit_of_K(d)
-        _, verdict_phi = unit_Phi(d)
+        try:
+            d = comparison_K(v, bundle)
+            _, verdict_psi = counit_of_K(d)
+            _, verdict_phi = unit_Phi(d)
+        except FactorizationError as err:
+            for name in ("phi", "psi"):
+                rep.add("sweep.module_%02d_%s" % (n, name), False,
+                        details={"dim": v.carrier.dim, "reason": str(err)})
+            continue
         rep.add("sweep.module_%02d_phi" % n, verdict_phi.is_iso,
                 details={"dim": v.carrier.dim,
                          "kernel_dim": verdict_phi.kernel_dim})

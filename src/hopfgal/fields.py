@@ -3,12 +3,13 @@
 All arithmetic in the engine is exact.  A scalar is a plain Python number
 everywhere: over QQ an int when the value is integral and otherwise a
 `fractions.Fraction` with denominator > 1, over F_p an int in [0, p).
+0 and 1 are the ints 0 and 1 in both fields, written as literals.
 Generic code uses the ordinary operators on either kind; a field object
-owns parsing, the distinguished constants and the two operations the
-operators cannot do alone: `reduce` (back into the canonical form after
-ring arithmetic: an integral Fraction to its numerator, an int into
-[0, p)) and `inv`.  Plain `/` is never applied to scalars, since `/` on
-two ints gives a float.
+owns parsing and the two operations the operators cannot do alone:
+`reduce` (back into the canonical form after ring arithmetic: an
+integral Fraction to its numerator, an int into [0, p)) and `inv`.
+Plain `/` is never applied to scalars, since `/` on two ints gives a
+float.
 """
 
 from __future__ import annotations
@@ -71,46 +72,24 @@ def is_prime(n):
 
 
 class Field:
-    """Common interface of the two exact fields."""
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
+    """What the two exact fields share; each defines `reduce`, the
+    canonical scalar equal to a ring expression, and `inv`, 1 / x with a
+    ZeroDivisionError when x is zero."""
 
     def from_int(self, n):
-        raise NotImplementedError
-
-    def reduce(self, x):
-        """The canonical scalar equal to a ring expression x in the field."""
-        raise NotImplementedError
-
-    def inv(self, x):
-        """1 / x; ZeroDivisionError when x is zero."""
-        raise NotImplementedError
+        return self.reduce(n)
 
     def parse(self, text):
         """Parse a scalar literal: an integer or `p/q`."""
         text = text.strip()
         if "/" in text:
             num, den = text.split("/", 1)
-            return self.reduce(self.from_int(parse_int(num))
-                               * self.inv(self.from_int(parse_int(den))))
-        return self.from_int(parse_int(text))
+            return self.reduce(parse_int(num) * self.inv(parse_int(den)))
+        return self.reduce(parse_int(text))
 
 
 class RationalField(Field):
     characteristic = 0
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return n
 
     def reduce(self, x):
         if type(x) is Fraction and x.denominator == 1:
@@ -141,15 +120,6 @@ class PrimeField(Field):
     @property
     def characteristic(self):
         return self.p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return n % self.p
 
     def reduce(self, x):
         return x % self.p

@@ -37,14 +37,12 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 
-def zeros(field, m, n):
-    z = field.zero()
-    return [[z] * n for _ in range(m)]
+def zeros(m, n):
+    return [[0] * n for _ in range(m)]
 
 
-def identity(field, n):
-    z, o = field.zero(), field.one()
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _subtract(row, f, prow, p):
@@ -150,16 +148,16 @@ def rref(field, A):
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    z, reduce = field.zero(), field.reduce
+    reduce = field.reduce
     pivot_rows = rref_rows(field, ({j: reduce(x) for j, x in enumerate(dense)
                                     if x} for dense in A))
     R = []
     for row in pivot_rows.values():
-        out = [z] * n
+        out = [0] * n
         for j, v in row.items():
             out[j] = v
         R.append(out)
-    R.extend([z] * n for _ in range(m - len(pivot_rows)))
+    R.extend([0] * n for _ in range(m - len(pivot_rows)))
     return R, list(pivot_rows)
 
 
@@ -176,16 +174,14 @@ def kernel_basis(field, A, ncols=None):
     if ncols is None:
         ncols = len(A[0]) if A else 0
     if not A:
-        return [[field.one() if i == j else field.zero() for i in range(ncols)]
-                for j in range(ncols)]
+        return identity(ncols)
     R, pivots = rref(field, A)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    z, o = field.zero(), field.one()
     basis = []
     for fc in free:
-        v = [z] * ncols
-        v[fc] = o
+        v = [0] * ncols
+        v[fc] = 1
         for row, pc in zip(R, pivots):
             v[pc] = field.reduce(-row[fc])
         basis.append(v)
@@ -201,13 +197,13 @@ def solve(field, A, B):
     n = len(A[0]) if A else 0
     q = len(B[0]) if B else 0
     if m == 0:
-        return zeros(field, n, q)
+        return zeros(n, q)
     aug = [A[i] + B[i] for i in range(m)]
     R, pivots = rref(field, aug)
     pivots_in_A = [c for c in pivots if c < n]
     if len(pivots_in_A) != len(pivots):
         return None  # a pivot fell in the B block: inconsistent
-    X = zeros(field, n, q)
+    X = zeros(n, q)
     for r, pc in enumerate(pivots_in_A):
         for j in range(q):
             X[pc][j] = R[r][n + j]
@@ -223,4 +219,4 @@ def inverse(field, A):
     n = len(A)
     if any(len(row) != n for row in A):
         return None
-    return solve(field, A, identity(field, n))
+    return solve(field, A, identity(n))

@@ -120,8 +120,7 @@ class Morphism:
 
     @classmethod
     def identity(cls, V):
-        one = V.field.one()
-        return cls(V, V, {(i, i): one for i in range(V.dim)})
+        return cls(V, V, {(i, i): 1 for i in range(V.dim)})
 
     @classmethod
     def zero(cls, dom, cod):
@@ -134,8 +133,7 @@ class Morphism:
         return self.dom.field
 
     def to_rows(self):
-        z = self.field.zero()
-        rows = [[z] * self.dom.dim for _ in range(self.cod.dim)]
+        rows = [[0] * self.dom.dim for _ in range(self.cod.dim)]
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         return rows
@@ -150,9 +148,6 @@ class Morphism:
     def __repr__(self):
         return "Morphism(%d x %d, %d nonzero)" % (
             self.cod.dim, self.dom.dim, len(self.entries))
-
-    def is_zero(self):
-        return not self.entries
 
     # -- arithmetic --------------------------------------------------------
 
@@ -170,9 +165,6 @@ class Morphism:
 
     def __neg__(self):
         return Morphism(self.dom, self.cod, {k: -v for k, v in self.entries.items()})
-
-    def scale(self, c):
-        return Morphism(self.dom, self.cod, {k: c * v for k, v in self.entries.items()})
 
 
 def _by_column(f):
@@ -498,8 +490,7 @@ def _free_basis(space, pivot_rows):
     free = _by_degree(space, [j for j in range(len(degrees))
                               if j not in pivot_rows])
     position = {j: k for k, j in enumerate(free)}
-    one = space.field.one()
-    entries = {(j, k): one for k, j in enumerate(free)}
+    entries = {(j, k): 1 for k, j in enumerate(free)}
     for c, row in pivot_rows.items():
         for j, v in row.items():
             if j != c:

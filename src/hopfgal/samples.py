@@ -30,19 +30,18 @@ def group_algebra(field, elements, op, inv, group=None, degrees=None):
     n = len(elements)
     index = {g: i for i, g in enumerate(elements)}
     H = GradedSpace(group, tuple(degrees) if degrees else (0,) * n)
-    one = field.one()
     mult = Morphism(H.tensor(H), H, {
-        (index[op(a, b)], i * n + j): one
+        (index[op(a, b)], i * n + j): 1
         for i, a in enumerate(elements) for j, b in enumerate(elements)})
     ident = elements[0]
     for g in elements:
         if all(op(g, h) == h for h in elements):
             ident = g
             break
-    unit = Morphism(unit_space(group), H, {(index[ident], 0): one})
-    comult = Morphism(H, H.tensor(H), {(i * n + i, i): one for i in range(n)})
-    counit = Morphism(H, unit_space(group), {(0, i): one for i in range(n)})
-    antipode = Morphism(H, H, {(index[inv(g)], i): one for i, g in enumerate(elements)})
+    unit = Morphism(unit_space(group), H, {(index[ident], 0): 1})
+    comult = Morphism(H, H.tensor(H), {(i * n + i, i): 1 for i in range(n)})
+    counit = Morphism(H, unit_space(group), {(0, i): 1 for i in range(n)})
+    antipode = Morphism(H, H, {(index[inv(g)], i): 1 for i, g in enumerate(elements)})
     return HopfAlgebra(Algebra(H, mult, unit), Coalgebra(H, comult, counit), antipode)
 
 
@@ -78,7 +77,6 @@ def sweedler_hopf(field):
     """Sweedler's H4: g^2 = 1, x^2 = 0, xg = -gx; basis (1, g, x, gx)."""
     group = GradingGroup.trivial(field)
     H = GradedSpace(group, (0,) * 4)
-    one = field.one()
     # multiplication table on basis indices: row a, col b -> (index, sign)
     table = {
         (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
@@ -91,34 +89,34 @@ def sweedler_hopf(field):
         if val is None:
             continue
         idx, sign = val
-        mult_entries[(idx, a * 4 + b)] = field.from_int(sign)
+        mult_entries[(idx, a * 4 + b)] = field.reduce(sign)
     mult = Morphism(H.tensor(H), H, mult_entries)
-    unit = Morphism(unit_space(group), H, {(0, 0): one})
+    unit = Morphism(unit_space(group), H, {(0, 0): 1})
     # Delta: 1->1x1, g->gxg, x->x(x)1 + g(x)x, gx->gx(x)g + 1(x)gx
     cm = {}
-    cm[(0 * 4 + 0, 0)] = one
-    cm[(1 * 4 + 1, 1)] = one
-    cm[(2 * 4 + 0, 2)] = one
-    cm[(1 * 4 + 2, 2)] = one
-    cm[(3 * 4 + 1, 3)] = one
-    cm[(0 * 4 + 3, 3)] = one
+    cm[(0 * 4 + 0, 0)] = 1
+    cm[(1 * 4 + 1, 1)] = 1
+    cm[(2 * 4 + 0, 2)] = 1
+    cm[(1 * 4 + 2, 2)] = 1
+    cm[(3 * 4 + 1, 3)] = 1
+    cm[(0 * 4 + 3, 3)] = 1
     comult = Morphism(H, H.tensor(H), cm)
-    counit = Morphism(H, unit_space(group), {(0, 0): one, (0, 1): one})
+    counit = Morphism(H, unit_space(group), {(0, 0): 1, (0, 1): 1})
     # S: 1->1, g->g, x->-gx, gx->x
-    antipode = Morphism(H, H, {(0, 0): one, (1, 1): one,
-                               (3, 2): -one, (2, 3): one})
+    antipode = Morphism(H, H, {(0, 0): 1, (1, 1): 1,
+                               (3, 2): -1, (2, 3): 1})
     return HopfAlgebra(Algebra(H, mult, unit), Coalgebra(H, comult, counit), antipode)
 
 
-def _q_binomials(field, q, n):
+def _q_binomials(q, n):
     """Gaussian binomials [k choose j]_q for 0 <= j <= k < n."""
-    rows = [[field.one()]]
+    rows = [[1]]
     for k in range(1, n):
         prev = rows[-1]
-        row = [field.one()]
+        row = [1]
         for j in range(1, k):
             row.append(prev[j - 1] + (q ** j) * prev[j])
-        row.append(field.one())
+        row.append(1)
         rows.append(row)
     return rows
 
@@ -131,29 +129,28 @@ def braided_line(field, n, q):
     """
     group = GradingGroup.cyclic(n, field, q)
     H = GradedSpace(group, tuple(range(n)))
-    one = field.one()
     mult = Morphism(H.tensor(H), H, {
-        (a + b, a * n + b): one
+        (a + b, a * n + b): 1
         for a in range(n) for b in range(n) if a + b < n})
-    unit = Morphism(unit_space(group), H, {(0, 0): one})
-    binom = _q_binomials(field, q, n)
+    unit = Morphism(unit_space(group), H, {(0, 0): 1})
+    binom = _q_binomials(q, n)
     cm = {}
     for k in range(n):
         for j in range(k + 1):
             cm[(j * n + (k - j), k)] = binom[k][j]
     comult = Morphism(H, H.tensor(H), cm)
-    counit = Morphism(H, unit_space(group), {(0, 0): one})
+    counit = Morphism(H, unit_space(group), {(0, 0): 1})
     sp = {}
     for k in range(n):
         # S(x^k) = (-1)^k q^(k(k-1)/2) x^k
-        sp[(k, k)] = (-one) ** k * q ** (k * (k - 1) // 2)
+        sp[(k, k)] = (-1) ** k * q ** (k * (k - 1) // 2)
     antipode = Morphism(H, H, sp)
     return HopfAlgebra(Algebra(H, mult, unit), Coalgebra(H, comult, counit), antipode)
 
 
 def superline(field=QQ):
     """The exterior algebra on one odd generator: braided_line at n=2, q=-1."""
-    return braided_line(field, 2, -field.one())
+    return braided_line(field, 2, -1)
 
 
 # -- bundle fixtures ---------------------------------------------------------
@@ -182,11 +179,10 @@ def set_action_bundle(field, xelems, gelems, op, inv, act):
     nX, nG = len(xelems), len(gelems)
     xindex = {x: i for i, x in enumerate(xelems)}
     P = GradedSpace(group, (0,) * nX)
-    one = field.one()
-    mult = Morphism(P.tensor(P), P, {(i, i * nX + i): one for i in range(nX)})
-    unit = Morphism(unit_space(group), P, {(i, 0): one for i in range(nX)})
+    mult = Morphism(P.tensor(P), P, {(i, i * nX + i): 1 for i in range(nX)})
+    unit = Morphism(unit_space(group), P, {(i, 0): 1 for i in range(nX)})
     rho = Morphism(P, P.tensor(H.space), {
-        (i * nG + j, xindex[act(x, g)]): one
+        (i * nG + j, xindex[act(x, g)]): 1
         for i, x in enumerate(xelems) for j, g in enumerate(gelems)})
     # orbits of the action, in first-occurrence order
     orbits = []
@@ -199,10 +195,10 @@ def set_action_bundle(field, xelems, gelems, op, inv, act):
         seen.update(orbit)
     B = GradedSpace(group, (0,) * len(orbits))
     bmult = Morphism(B.tensor(B), B,
-                     {(o, o * len(orbits) + o): one for o in range(len(orbits))})
+                     {(o, o * len(orbits) + o): 1 for o in range(len(orbits))})
     bunit = Morphism(unit_space(group), B,
-                     {(o, 0): one for o in range(len(orbits))})
-    pi = Morphism(B, P, {(xindex[x], o): one
+                     {(o, 0): 1 for o in range(len(orbits))})
+    pi = Morphism(B, P, {(xindex[x], o): 1
                          for o, orbit in enumerate(orbits) for x in orbit})
     como = ComoduleAlgebra(Algebra(P, mult, unit), H, rho)
     return AlgebraBundle(como, Algebra(B, bmult, bunit), pi)
@@ -229,9 +225,8 @@ def setlike_coalgebra(field, n):
     """The coalgebra of a finite set: grouplike basis vectors."""
     group = GradingGroup.trivial(field)
     P = GradedSpace(group, (0,) * n)
-    one = field.one()
-    comult = Morphism(P, P.tensor(P), {(i * n + i, i): one for i in range(n)})
-    counit = Morphism(P, unit_space(group), {(0, i): one for i in range(n)})
+    comult = Morphism(P, P.tensor(P), {(i * n + i, i): 1 for i in range(n)})
+    counit = Morphism(P, unit_space(group), {(0, i): 1 for i in range(n)})
     return Coalgebra(P, comult, counit)
 
 
@@ -252,9 +247,8 @@ def dual_numbers_algebra(field):
     """k[t]/(t^2) on the basis (1, t)."""
     group = GradingGroup.trivial(field)
     B = GradedSpace(group, (0, 0))
-    one = field.one()
-    mult = Morphism(B.tensor(B), B, {(0, 0): one, (1, 1): one, (1, 2): one})
-    unit = Morphism(unit_space(group), B, {(0, 0): one})
+    mult = Morphism(B.tensor(B), B, {(0, 0): 1, (1, 1): 1, (1, 2): 1})
+    unit = Morphism(unit_space(group), B, {(0, 0): 1})
     return Algebra(B, mult, unit)
 
 
@@ -264,5 +258,5 @@ def nonflat_bundle(field):
     base = dual_numbers_algebra(field)
     como = ComoduleAlgebra(unit_algebra(base.space.group), h,
                            Morphism.identity(h.space))
-    pi = Morphism(base.space, como.space, {(0, 0): field.one()})
+    pi = Morphism(base.space, como.space, {(0, 0): 1})
     return AlgebraBundle(como, base, pi)

@@ -33,20 +33,19 @@ class GradingGroup:
             raise ValueError("group order must be positive")
         self.n = n
         self.field = field
-        one = field.one()
-        gen = one if gen is None else field.reduce(gen)
+        gen = 1 if gen is None else field.reduce(gen)
         p = field.characteristic
         if p:
-            root = pow(gen, n, p) == one
+            root = pow(gen, n, p) == 1
         else:
-            root = gen == one or (gen == -one and n % 2 == 0)
+            root = gen == 1 or (gen == -1 and n % 2 == 0)
         if not root:
             raise FieldError(
                 "bicharacter generator %r is not an %d-th root of unity" % (gen, n))
         self.gen = gen
-        powers = [one]
+        powers = [1]
         power = gen
-        while power != one:
+        while power != 1:
             if len(powers) == MAX_CHI_ORDER:
                 raise FieldError(
                     "bicharacter generator %r has order above the limit %d"
@@ -67,12 +66,6 @@ class GradingGroup:
         powers = self._powers
         return powers[(a * b) % len(powers)]
 
-    def add(self, a, b):
-        return (a + b) % self.n
-
-    def neg(self, a):
-        return (-a) % self.n
-
     def check(self, a):
         if not (0 <= a < self.n):
             raise ValueError("degree %r outside Z_%d" % (a, self.n))
@@ -81,7 +74,7 @@ class GradingGroup:
     @property
     def is_trivial(self):
         # every chi value is a power of gen = chi(1, 1)
-        return self.n == 1 or self.gen == self.field.one()
+        return self.n == 1 or self.gen == 1
 
     def __eq__(self, other):
         return self is other or (
@@ -171,7 +164,3 @@ class GradedSpace:
 
 def unit_space(group):
     return GradedSpace(group, (0,))
-
-
-def zero_space(group):
-    return GradedSpace(group, ())

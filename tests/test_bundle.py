@@ -167,12 +167,11 @@ def test_nonflat_bundle_fails_flatness():
 
 def truncated_polynomials(group, dim):
     """k[x]/(x^dim) on the basis (1, x, ..., x^(dim-1))."""
-    one = group.field.one()
     A = GradedSpace(group, (0,) * dim)
-    mult = Morphism(A.tensor(A), A, {(i + j, i * dim + j): one
+    mult = Morphism(A.tensor(A), A, {(i + j, i * dim + j): 1
                                      for i in range(dim)
                                      for j in range(dim - i)})
-    return Algebra(A, mult, Morphism(unit_space(group), A, {(0, 0): one}))
+    return Algebra(A, mult, Morphism(unit_space(group), A, {(0, 0): 1}))
 
 
 def power_extension_bundle(field, n, d):
@@ -182,7 +181,7 @@ def power_extension_bundle(field, n, d):
     m = -(-n // d)
     P = truncated_polynomials(h.space.group, n)
     B = truncated_polynomials(h.space.group, m)
-    pi = Morphism(B.space, P.space, {(d * k, k): field.one() for k in range(m)})
+    pi = Morphism(B.space, P.space, {(d * k, k): 1 for k in range(m)})
     return AlgebraBundle(ComoduleAlgebra(P, h, Morphism.identity(P.space)),
                          B, pi)
 
@@ -475,7 +474,8 @@ def term_callable(terms):
                 t = tensor(Morphism.identity(X), s)
             else:
                 t = tensor(s, Morphism.identity(X))
-            v = compose(f, compose(t, g)).scale(s.field.from_int(c))
+            v = compose(f, compose(t, g))
+            v = Morphism(v.dom, v.cod, {k: c * x for k, x in v.entries.items()})
             total = v if total is None else total + v
         return total
     return lin
@@ -486,15 +486,13 @@ def assemble_by_evaluation(dom, cod, equations):
     callable on the basis morphism of every degree-matched unknown and
     scatter the image into that unknown's column.  Returns (positions, A, b)
     with dense rows; equations are (callable, rhs) pairs."""
-    field = dom.field
     positions = [(i, j) for i in range(cod.dim) for j in range(dom.dim)
                  if cod.degrees[i] == dom.degrees[j]]
-    one, zero = field.one(), field.zero()
     n = len(positions)
-    blocks = [[[zero] * n for _ in range(rhs.cod.dim * rhs.dom.dim)]
+    blocks = [[[0] * n for _ in range(rhs.cod.dim * rhs.dom.dim)]
               for _, rhs in equations]
     for k, (i, j) in enumerate(positions):
-        basis = Morphism(dom, cod, {(i, j): one})
+        basis = Morphism(dom, cod, {(i, j): 1})
         for (lin, rhs), block in zip(equations, blocks):
             width = rhs.dom.dim
             for (r, c), v in lin(basis).entries.items():
@@ -502,7 +500,7 @@ def assemble_by_evaluation(dom, cod, equations):
     A, b = [], []
     for (_, rhs), block in zip(equations, blocks):
         width = rhs.dom.dim
-        rhs_rows = [[zero] for _ in block]
+        rhs_rows = [[0] for _ in block]
         for (r, c), v in rhs.entries.items():
             rhs_rows[r * width + c][0] = v
         A.extend(block)

@@ -37,8 +37,9 @@ def test_check_pass_and_fail():
 
 
 def test_check_nothing_to_do_is_input_error():
-    code, _, err = run(["check", inst("superline"), "--what", "comodule"])
-    assert code == 2 and "nothing to check" in err
+    # reported at the line after the last, as a missing bundle block is
+    assert run(["check", inst("superline"), "--what", "comodule"]) == (
+        2, "", "error: line 26: nothing to check for --what comodule\n")
 
 
 def test_principal_exit_codes():
@@ -132,6 +133,30 @@ def test_sweep_over_a_base_with_zero_unit_fails_cleanly(tmp_path, name, argv):
     assert [line for line in out.splitlines()
             if line.startswith("check=sweep.")] == [
         "check=sweep.base_unit verdict=fail reason=the base's unit is zero"]
+
+
+SWEEP_ITEMS = ["check=sweep.module_00_%s verdict=fail dim=1" % name
+               for name in ("phi", "psi")]
+
+
+@pytest.mark.parametrize("argv, items", [
+    (["descent", "--module", "M"],
+     ["check=%s verdict=fail" % name for name in ("phi_iso", "psi_iso")]),
+    (["descent", "--sweep-dim", "1"], SWEEP_ITEMS),
+    (["principal", "--sweep-dim", "1"], SWEEP_ITEMS),
+])
+def test_p_without_an_action_on_v_tensor_b_p_fails_cleanly(tmp_path, argv,
+                                                           items):
+    # 1 * 1 gains an x term, so P's multiplication is no longer
+    # associative and does not descend to an action on V (x)_B P
+    path = edited_corpus_entry(tmp_path, "trivial_z2",
+                               "  1 2 1\nend\nmorphism P_u",
+                               "  1 2 1\n  1 0 1\nend\nmorphism P_u")
+    code, out, err = run(argv[:1] + [path] + argv[1:])
+    assert (code, err) == (1, "") and out.endswith("result=fail\n")
+    for item in items:
+        assert (item + " reason=image does not lie in the subobject "
+                "(degree 0)") in out.splitlines()
 
 
 def test_qcat():

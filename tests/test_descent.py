@@ -251,7 +251,7 @@ def dense_closure(field, gens, act, B):
     n = len(rows)
     while True:
         images = [[field.reduce(sum((rows[r][i * B.dim + j] * v[i]
-                                     for i in range(n)), field.zero()))
+                                     for i in range(n)), 0))
                    for r in range(n)]
                   for v in vectors for j in range(B.dim)]
         if linalg.rank(field, vectors + images) == linalg.rank(field, vectors):
@@ -285,6 +285,6 @@ def test_module_closure_matches_dense_reference(data):
                  min_size=k * B.dim, max_size=k * B.dim),
         min_size=1, max_size=2))
     closed = _module_closure(field, gens, act, B)
-    assert [[row.get(i, field.zero()) for i in range(k * B.dim)]
+    assert [[row.get(i, 0) for i in range(k * B.dim)]
             for row in closed.values()] == \
         dense_closure(field, gens, act, B)

@@ -257,18 +257,18 @@ def test_function_hopf_pointwise_formulas(field):
     op = lambda a, b: tuple(a[b[i]] for i in range(3))
     inv = lambda a: tuple(sorted(range(3), key=a.__getitem__))
     h = function_hopf(field, elements, op, inv)
-    n, one = len(elements), field.one()
+    n = len(elements)
     index = {g: i for i, g in enumerate(elements)}
     e = index[(0, 1, 2)]
-    assert column(h.unit, 0) == {i: one for i in range(n)}
+    assert column(h.unit, 0) == {i: 1 for i in range(n)}
     for g, i in index.items():
         for j in range(n):
-            assert column(h.mult, i * n + j) == ({i: one} if i == j else {})
+            assert column(h.mult, i * n + j) == ({i: 1} if i == j else {})
         assert column(h.comult, i) == {
-            index[a] * n + index[b]: one for a in elements for b in elements
+            index[a] * n + index[b]: 1 for a in elements for b in elements
             if op(a, b) == g}
-        assert column(h.counit, i) == ({0: one} if i == e else {})
-        assert column(h.antipode, i) == {index[inv(g)]: one}
+        assert column(h.counit, i) == ({0: 1} if i == e else {})
+        assert column(h.antipode, i) == {index[inv(g)]: 1}
     assert_all_pass(check_hopf(h))
 
 

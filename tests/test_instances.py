@@ -105,6 +105,32 @@ def test_rational_literals_parse_to_the_canonical_scalar(literal, value):
         assert v == value and type(v) is type(value)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101)],
+                         ids=repr)
+@pytest.mark.parametrize("literal", [
+    "3/-6", "-14/7", "10/4", "1/7", "7/14", "-3/-21", "0/-5", "-5/101",
+    "1/0"])
+def test_fraction_literals_match_fraction_arithmetic(field, literal):
+    """`p/q` is the Fraction p/q reduced into the field, whatever the signs
+    and common factors of p and q; a q that is 0 in the field raises the
+    field's own ZeroDivisionError."""
+    num, den = (int(t) for t in literal.split("/"))
+    p = field.characteristic
+    if (den % p if p else den) == 0:
+        message = "division by zero in F_%d" % p if p else "Fraction(1, 0)"
+        with pytest.raises(ZeroDivisionError,
+                           match="^%s$" % re.escape(message)):
+            field.parse(literal)
+        return
+    value = Fraction(num, den)
+    if p:
+        value = value.numerator * pow(value.denominator, -1, p) % p
+    elif value.denominator == 1:
+        value = value.numerator
+    parsed = field.parse(literal)
+    assert parsed == value and type(parsed) is type(value)
+
+
 # -- parser fuzz and writer/parser round trip --------------------------------
 
 FUZZ = settings(max_examples=150, deadline=None)

@@ -25,8 +25,8 @@ def coinvariant_dim_oracle(b):
     collapse = tensor_many(Morphism.identity(PP), b.H.counit)
     diff = zeta.entries.copy()
     for key, val in collapse.entries.items():
-        diff[key] = diff.get(key, PP.field.zero()) - val
-    rows = [[diff.get((i, j), PP.field.zero())
+        diff[key] = diff.get(key, 0) - val
+    rows = [[diff.get((i, j), 0)
              for j in range(zeta.dom.dim)] for i in range(PP.dim)]
     return PP.dim - linalg.rank(PP.field, rows)
 
