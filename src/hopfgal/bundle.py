@@ -22,21 +22,31 @@ through the deterministic (co)equaliser, so failures surface as
 quantitative defects (corank of can, kernel of the comparison map)
 rather than exceptions.
 
-Condition C solves linear systems for an unknown morphism s (a section
-P -> B (x) P of the left action, or a left-B-linear map P -> B).  Each
-equation is a list of terms c * f o T(s) o g with T(s) one of s,
-id_X (x) s and s (x) id_X.  `_assemble_system` builds the column of each
-degree-matched unknown E_ij, the entry i * dim P + j, from vec(f o E_ij
-o g) = (g^T (x) f) vec(E_ij), as sparse rows of the field's own scalars
-(over QQ an int, or a Fraction with denominator > 1; over F_p an int in
-[0, p)) that `linalg.rref_rows` eliminates directly.  It assembles one
-equation at a time and presolves: an unknown that a homogeneous
-one-unknown row forces to zero joins a forced set, leaves every row and
-is not assembled again, and that row is dropped.  Nearly all section
-unknowns are forced this way; the canonical RREF, hence the least-pivot
-section, the nullspace basis and every report byte, is that of the full
-system.  A colinear section solves the non-colinear system too, so
-`faithful_flatness` reuses it.
+Condition C asks for a section s: P -> B (x) P of the left action q that
+is left B-linear and H-colinear.  B acts on B (x) P through its left
+factor only, so s splits along the last factor into one map P -> B[delta]
+per basis vector of P, delta its degree and B[delta] = B with every degree
+raised by delta, and s is B-linear exactly when each of them is: Hom_B(P,
+B (x) P) = Hom_B(P, B) (x) P, degree by degree, for any structure
+constants, with no algebra or action law needed.  So `b_linear_maps`
+solves for a basis of the B-linear maps P -> B[delta], for delta = 0 and
+each degree of P, and stacks it as Phi: P -> B (x) K; the sections are
+s = (id_B (x) C) o Phi for an unknown C: K -> P, held only by the
+splitting q s = id and the colinearity block.  The delta = 0 maps span
+the trace ideal.  A colinear section is a section, so `faithful_flatness`
+reuses it, and solves the splitting alone only when there is none.
+
+Each such equation on an unknown s is a list of terms c * f o T(s) o g
+with T(s) = id_X (x) s (x) id_Y, either leg absent.  `_assemble_system`
+builds the column of each degree-matched unknown E_ij, the entry
+i * dim dom + j, from vec(f o T(E_ij) o g), as sparse rows of the
+field's own scalars (over QQ an int, or a Fraction with denominator > 1;
+over F_p an int in [0, p)) that `linalg.rref_rows` eliminates directly.
+It assembles one equation at a time and presolves: an unknown that a
+homogeneous one-unknown row forces to zero joins a forced set, leaves
+every row and is not assembled again, and that row is dropped; the
+canonical RREF, hence the least-pivot solution, the nullspace basis and
+every report byte, is that of the full system.
 """
 
 from __future__ import annotations
@@ -51,9 +61,10 @@ from .hopf import (VECT, VECT_OP, action_laws, algebra_map_laws,
 # bench/tracer.py rebinds and restores it in every module that holds it,
 # and its self-test checks this module's binding
 from .morphism import (FactorizationError, Morphism, compose,
-                       dualize, is_isomorphism, sparse_rows, tensor,
-                       tensor_compose)
+                       compose_tensor, dualize, is_isomorphism, sparse_rows,
+                       tensor, tensor_compose)
 from .report import Report, equality_check
+from .spaces import GradedSpace
 
 
 # -- (co)module (co)algebra structures ---------------------------------------
@@ -130,10 +141,9 @@ def check_module_coalgebra(x):
 #
 # A linear condition on an unknown s: dom -> cod is an equation
 # (terms, rhs), meaning sum of c * f o T(s) o g over its terms == rhs.  Each
-# term is (c, f, X, side, g): an int c, morphisms f and g, and T(s) = s
-# when X is None, id_X (x) s when side is LEFT, s (x) id_X when it is RIGHT.
-
-LEFT, RIGHT = "left", "right"
+# term is (c, f, X, Y, g): an int c, morphisms f and g, f None for the
+# identity of T(s)'s codomain, and the spaces X and Y of T(s) =
+# id_X (x) s (x) id_Y, None for a missing leg.
 
 
 def _unknowns(dom, cod):
@@ -149,13 +159,13 @@ def _unknown_count(dom, cod):
     return sum(per_degree[d] for d in cod.degrees)
 
 
-def _legs(X, side, dom, cod):
-    """T's domain and codomain for T(s) = s, id_X (x) s or s (x) id_X."""
-    if X is None:
-        return dom, cod
-    if side == LEFT:
-        return X.tensor(dom), X.tensor(cod)
-    return dom.tensor(X), cod.tensor(X)
+def _legs(X, Y, dom, cod):
+    """T's domain and codomain for T(s) = id_X (x) s (x) id_Y."""
+    if X is not None:
+        dom, cod = X.tensor(dom), X.tensor(cod)
+    if Y is not None:
+        dom, cod = dom.tensor(Y), cod.tensor(Y)
+    return dom, cod
 
 
 def _assemble_system(dom, cod, equations):
@@ -168,12 +178,15 @@ def _assemble_system(dom, cod, equations):
     dict from column to nonzero scalar, both ascending; forced is the set
     of unknowns fixed at zero.  Each equation gives one row block, indexed
     by the entries (r, c) of its output as r * width + c.  A term's column
-    for the unknown E_ij is vec(f o E_ij o g) = (g^T (x) f) vec(E_ij): the
-    products of column (i, x) of f with row (j, x) of g, summed over x on
-    the id_X leg.  The nonzero columns of f and rows of g are split into
-    (i, x) and (j, x) once per term, so for each unknown only the legs x
-    where both are nonzero are visited, and its products go straight into
-    the row dicts.
+    for the unknown E_ij is vec(f o T(E_ij) o g): the products of column
+    (x, i, y) of f with row (x, j, y) of g, summed over the legs (x, y).
+    The nonzero columns of f and rows of g are split into i and the leg
+    pair, and j and the leg pair, once per term, so for each unknown only
+    the leg pairs where both are nonzero are visited, and its products go
+    straight into the row dicts.  An identity f (None) is never split: its
+    column (x, i, y) is the output row of that index, so each row of g is
+    read once, at the output positions for i = 0, and E_ij moves them
+    i * dim Y rows down (i rows without a Y leg).
 
     The blocks are assembled in order, each only over the unknowns still
     live.  A homogeneous row with one unknown k forces s_k = 0: k joins
@@ -195,35 +208,43 @@ def _assemble_system(dom, cod, equations):
         width = rhs.dom.dim
         prepared = []  # (f's columns by i, g's rows by j) per term
         integral = not p  # over QQ, no Fraction in the block's f and g
-        for c, f, X, side, g in terms:
-            t_dom, t_cod = _legs(X, side, dom, cod)
-            if (f.dom, f.cod, g.dom, g.cod) != (t_cod, rhs.cod, rhs.dom, t_dom):
+        for c, f, X, Y, g in terms:
+            t_dom, t_cod = _legs(X, Y, dom, cod)
+            f_ends = (t_cod, t_cod) if f is None else (f.dom, f.cod)
+            if (*f_ends, g.dom, g.cod) != (t_cod, rhs.cod, rhs.dom, t_dom):
                 raise TypeError("a term's f o T(s) o g does not have the "
                                 "endpoints of its equation's right-hand side")
-            # an index of T(s)'s (co)domain is (u, x) as u * m + x, with
-            # m = dim X (1 when T(s) = s), or as x * m + u on a left leg,
-            # with m the dim of s's (co)domain
-            left = side == LEFT
-            m_f = cod.dim if left else 1 if X is None else X.dim
-            m_g = d if left else m_f
-            # f's entry (r, (i, x)) lands in output row offset + r * width
-            f_cols = {}
-            for (r, k), v in f.entries.items():
-                i, x = divmod(k, m_f)
-                if left:
-                    i, x = x, i
-                f_cols.setdefault(i, {}).setdefault(x, []).append(
-                    (offset + r * width, c * v))
-            g_rows = {}
-            for (k, col), v in g.entries.items():
-                j, x = divmod(k, m_g)
-                if left:
-                    j, x = x, j
-                g_rows.setdefault(j, {}).setdefault(x, []).append((col, v))
-            prepared.append((f_cols, g_rows))
             if integral:
                 integral = not any(type(v) is Fraction for h in (f, g)
-                                   for v in h.entries.values())
+                                   if h is not None for v in h.entries.values())
+            # an index of T(s)'s (co)domain is (x, u, y) as (x * m + u) *
+            # m_y + y, with m the dim of s's (co)domain and m_y = dim Y (1
+            # without a Y leg); the leg pair (x, y) is keyed as x * m_y + y
+            m_y = 1 if Y is None else Y.dim
+            f_cols, g_rows = {}, {}
+            if f is None:
+                # the identity: T(E_ij)'s entry ((x, i, y), col) is the
+                # output's, i * m_y rows below that of i = 0, so each g_j
+                # is one list under one key, and each f_i one step
+                for (k, col), v in g.entries.items():
+                    x, j = divmod(k // m_y, d)
+                    g_rows.setdefault(j, {0: []})[0].append(
+                        (offset + (x * cod.dim * m_y + k % m_y) * width + col,
+                         c * v))
+                f_cols = {i: {0: [(i * m_y * width, 1)]}
+                          for i in range(cod.dim)}
+            else:
+                # f's entry (r, (x, i, y)) lands in row offset + r * width
+                for (r, k), v in f.entries.items():
+                    x, i = divmod(k // m_y, cod.dim)
+                    f_cols.setdefault(i, {}).setdefault(
+                        x * m_y + k % m_y, []).append(
+                            (offset + r * width, c * v))
+                for (k, col), v in g.entries.items():
+                    x, j = divmod(k // m_y, d)
+                    g_rows.setdefault(j, {}).setdefault(
+                        x * m_y + k % m_y, []).append((col, v))
+            prepared.append((f_cols, g_rows))
         block = {}
         for k in live:
             i, j = divmod(k, d)
@@ -519,78 +540,89 @@ class AlgebraBundle(Bundle):
             return tensor_compose(inv, [self.P.unit, idH])
         return self._memo("translation", build)
 
-    def _projectivity_equations(self, colinear):
-        """Linear conditions on a section s: P -> B (x) P of the left action:
-        q s = id, s q = (m_B (x) id)(id_B (x) s) and, when colinear,
+    def b_linear_maps(self):
+        """(maps, K, Phi): maps[delta] is the `morphism_nullspace` basis of
+        the left B-linear maps P -> B[delta], for delta = 0 and each degree
+        of P, and Phi: P -> B (x) K stacks them, K one vector of degree
+        delta per map in maps[delta].
+
+        B[delta] = B (x) k_delta is B with every degree raised by delta,
+        k_delta the line of degree delta, and f: P -> B[delta] is B-linear
+        when f q = (m_B (x) id) (id_B (x) f)."""
+        def build():
+            P, B = self.como.space, self.base.space
+            BP, q = B.tensor(P), self.left_action()
+            maps = {}
+            for delta in sorted({0, *P.degrees}):
+                line = GradedSpace(P.group, (delta,))
+                shifted = B.tensor(line)
+                m_B = tensor(self.base.mult, Morphism.identity(line))
+                maps[delta] = morphism_nullspace(P, shifted, [(
+                    [(1, None, None, None, q),
+                     (-1, m_B, B, None, Morphism.identity(BP))],
+                    Morphism.zero(BP, shifted))])
+            stacked = [(delta, f) for delta in maps for f in maps[delta]]
+            K = GradedSpace(P.group, tuple(delta for delta, _ in stacked))
+            Phi = Morphism(P, B.tensor(K), {
+                (b * K.dim + a, p): v for a, (_, f) in enumerate(stacked)
+                for (b, p), v in f.entries.items()})
+            return maps, K, Phi
+        return self._memo("b_linear_maps", build)
+
+    def _section_equations(self, colinear):
+        """Linear conditions on C: K -> P for the section s = (id_B (x) C)
+        Phi of the left action: q s = id and, when colinear,
         (id_B (x) rho) s = (s (x) id_H) rho."""
         P, B, H = self.como.space, self.base.space, self.H.space
-        BP = B.tensor(P)
-        idP, idB, idBP = (Morphism.identity(s) for s in (P, B, BP))
-        q = self.left_action()
-        eqs = [
-            ([(1, q, None, None, idP)], idP),
-            ([(1, idBP, None, None, q),
-              (-1, tensor(self.base.mult, idP), B, LEFT, idBP)],
-             Morphism.zero(BP, BP)),
-        ]
+        _, _, Phi = self.b_linear_maps()
+        eqs = [([(1, self.left_action(), B, None, Phi)], Morphism.identity(P))]
         if colinear:
+            rho_Phi = compose_tensor([Phi, Morphism.identity(H)], self.rho)
             eqs.append(
-                ([(1, tensor(idB, self.rho), None, None, idP),
-                  (-1, Morphism.identity(BP.tensor(H)), H, RIGHT, self.rho)],
-                 Morphism.zero(P, BP.tensor(H))))
+                ([(1, tensor(Morphism.identity(B), self.rho), B, None, Phi),
+                  (-1, None, B, H, rho_Phi)],
+                 Morphism.zero(P, B.tensor(P).tensor(H))))
         return eqs
 
-    def _trace_ideal_equations(self):
-        """Linear conditions on a left B-linear map f: P -> B:
-        f q = m_B (id_B (x) f)."""
-        P, B = self.como.space, self.base.space
-        return [([(1, Morphism.identity(B), None, None, self.left_action()),
-                  (-1, self.base.mult, B, LEFT,
-                   Morphism.identity(B.tensor(P)))],
-                 Morphism.zero(B.tensor(P), B))]
+    def _solve_section(self, colinear):
+        """The section s: P -> B (x) P of `_section_equations`, or None."""
+        _, K, Phi = self.b_linear_maps()
+        C = solve_morphism_system(K, self.como.space,
+                                  self._section_equations(colinear))
+        return None if C is None else compose_tensor(
+            [Morphism.identity(self.base.space), C], Phi)
 
     def equivariant_projectivity(self):
         def build():
-            P, B = self.como.space, self.base.space
-            BP = B.tensor(P)
-            s = solve_morphism_system(
-                P, BP, self._projectivity_equations(colinear=True))
-            rep = Report()
-            rep.add("C.equivariant_projective", s is not None,
-                    details={"dim_unknowns": _unknown_count(P, BP)},
-                    witness=s)
-            if s is not None:
-                self._cache["section"] = s
-            return rep
+            P = self.como.space
+            s = self._solve_section(colinear=True)
+            unknowns = _unknown_count(P, self.base.space.tensor(P))
+            return Report().add("C.equivariant_projective", s is not None,
+                                details={"dim_unknowns": unknowns}, witness=s)
         return self._memo("projectivity", build)
 
     def section(self):
-        self.equivariant_projectivity()
-        return self._cache.get("section")
+        return self.equivariant_projectivity()[
+            "C.equivariant_projective"].witness
 
     def faithful_flatness(self):
         def build():
             P, B = self.como.space, self.base.space
-            rep = Report()
-            # the colinear system contains the whole non-colinear one, so a
-            # section proves projectivity; solve the smaller system only
-            # when the colinear one is inconsistent
+            # a colinear section is a section; solve without colinearity
+            # only when there is none
             s = self.section()
             if s is None:
-                s = solve_morphism_system(
-                    P, B.tensor(P),
-                    self._projectivity_equations(colinear=False))
-            rep.add("C.projective", s is not None, witness=s)
+                s = self._solve_section(colinear=False)
+            rep = Report().add("C.projective", s is not None, witness=s)
             # trace ideal: the joint image of all left-B-linear maps P -> B,
             # spanned by their columns, the rows of their transposes
-            maps = morphism_nullspace(P, B, self._trace_ideal_equations())
-            columns = [row for f in maps
+            maps, _, _ = self.b_linear_maps()
+            columns = [row for f in maps[0]
                        for row in sparse_rows(f, transposed=True).values()]
             trace_rank = len(linalg.rref_rows(P.field, columns))
             rep.add("C.trace_ideal_full", trace_rank == B.dim,
                     details={"trace_rank": trace_rank, "dim_base": B.dim})
-            flat = (s is not None) and trace_rank == B.dim
-            rep.add("C.faithfully_flat", flat)
+            rep.add("C.faithfully_flat", s is not None and trace_rank == B.dim)
             return rep
         return self._memo("flatness", build)
 

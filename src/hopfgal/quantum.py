@@ -21,34 +21,34 @@ from .report import Report, equality_check
 
 def multi_cotensor(rho_right, lambda_left, n, square=None):
     """The cotensor powers of one bicomodule carrier X from the square up
-    to the n-th, one leg at a time: [(E_k, iota_k, j_k) for k = 2..n].
+    to the n-th, one leg at a time: [(E_k, iota_k, j_k, order_k) for k =
+    2..n].
 
     rho_right: X -> X (x) B and lambda_left: X -> B (x) X.  The square is
     `cotensor(rho, lambda)`, or `square` when that (E, iota) is already
-    built, with j_2 = iota_2.  Each later power extends the one before it:
-    E_k (x) X with iota_k (x) id_X (`kernel_tensor_id`, no elimination),
-    then the equaliser j of the last pair of legs, rho on leg k and lambda
-    on leg k + 1, one `compose_tensor` of that inclusion per side.  So
-    iota_{k+1} = (iota_k (x) id_X) o j, and j_{k+1}: E_{k+1} -> E_k (x) X
-    is j with its rows renamed through `kernel_tensor_id`'s order, which
-    puts it in the Kronecker basis of E_k (x) X under every grading.  Only
-    X (x) X and each E_k (x) X are eliminated, and each basis is the one
-    successive equalisers of adjacent pairs give.
+    built, with j_2 = iota_2 and order_2 the identity order.  Each later
+    power extends the one before it: E_k (x) X with iota_k (x) id_X
+    (`kernel_tensor_id`, no elimination), then the equaliser j_{k+1} of the
+    last pair of legs, rho on leg k and lambda on leg k + 1, one
+    `compose_tensor` of that inclusion per side.  So iota_{k+1} =
+    (iota_k (x) id_X) o j_{k+1}.  j_{k+1} lands in E_k (x) X in
+    `kernel_tensor_id`'s column order, and a caller that reads it renames
+    its rows through order_{k+1}, which puts it in the Kronecker basis of
+    E_k (x) X under every grading.  Only X (x) X and each E_k (x) X are
+    eliminated, and each basis is the one successive equalisers of
+    adjacent pairs give.
     """
     X = rho_right.dom
     idX = Morphism.identity(X)
     E, iota = cotensor(rho_right, lambda_left) if square is None else square
-    powers = [(E, iota, iota)]
+    powers = [(E, iota, iota, range(iota.cod.dim))]
     for k in range(2, n):
         _, F, order = kernel_tensor_id(iota, X)
         f = compose_tensor([idX] * (k - 1) + [rho_right, idX], F)
         g = compose_tensor([idX] * k + [lambda_left], F)
-        E_next, j = equaliser(f, g)
+        E, j = equaliser(f, g)
         iota = compose(F, j)
-        j = Morphism(E_next, E.tensor(X),
-                     {(order[p], e): v for (p, e), v in j.entries.items()})
-        E = E_next
-        powers.append((E, iota, j))
+        powers.append((E, iota, j, order))
     return powers
 
 
@@ -70,7 +70,7 @@ def cotensor_monoid(b):
     idP = Morphism.identity(P)
     rho_r = b.right_coaction()
     lam_l = b.left_coaction()
-    (E2, i2, _), (_, i3, _), (_, i4, _) = multi_cotensor(
+    (E2, i2, _, _), (_, i3, _, _), (_, i4, _, _) = multi_cotensor(
         rho_r, lam_l, 4, b.p_cotensor_p())
     rep = Report()
     try:
@@ -175,9 +175,13 @@ def build_quantum_category(b):
         return None, rep
 
     # G box_B G and the triple cotensor, with its inclusion j12 into
-    # (G box_B G) (x) G that associativity uses; the composition m_G on
-    # G box_B G is solved from the ambient composite
-    (GG, iota_GG, _), (_, iota_G3, j12) = multi_cotensor(rho_G, lam_G, 3)
+    # (G box_B G) (x) G that associativity uses, its rows renamed into the
+    # Kronecker basis; the composition m_G on G box_B G is solved from the
+    # ambient composite
+    (GG, iota_GG, _, _), (_, iota_G3, j, order) = multi_cotensor(
+        rho_G, lam_G, 3)
+    j12 = Morphism(j.dom, GG.tensor(G),
+                   {(order[p], e): v for (p, e), v in j.entries.items()})
     _, i2 = b.p_cotensor_p()
     M_mid = compose_tensor([b.action, idP],
                            compose_tensor([idP, b.P.counit, idH, idP],

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgal import linalg
-from hopfgal.bundle import (LEFT, RIGHT, AlgebraBundle, CoalgebraBundle,
+from hopfgal.bundle import (AlgebraBundle, CoalgebraBundle,
                             ComoduleAlgebra, ModuleCoalgebra,
                             _assemble_system,
                             canonical_map_linearity, check_comodule_algebra,
@@ -14,7 +14,8 @@ from hopfgal.bundle import (LEFT, RIGHT, AlgebraBundle, CoalgebraBundle,
                             solve_morphism_system)
 from hopfgal.corpus import default_root
 from hopfgal.fields import QQ, PrimeField
-from hopfgal.hopf import VECT, VECT_OP, Algebra, coinvariants_of
+from hopfgal.hopf import (VECT, VECT_OP, Algebra, HopfAlgebra,
+                          coinvariants_of, unit_algebra)
 from hopfgal.instances import parse_instance
 from hopfgal.morphism import (FactorizationError, Morphism, coequaliser,
                               compose, compose_tensor, cotensor, dualize,
@@ -25,10 +26,9 @@ from hopfgal.report import Report, equality_check
 from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              free_z2_bundle, fun_z2, nonflat_bundle,
                              nonfree_z2_bundle, pair_groupoid_bundle,
-                             s3_group_algebra, set_action_bundle, superline,
-                             sweedler_hopf, trivial_algebra_bundle,
-                             trivial_coalgebra_bundle, trivial_hopf)
-from hopfgal.spaces import GradedSpace, unit_space
+                             set_action_bundle, superline, sweedler_hopf,
+                             trivial_algebra_bundle, trivial_coalgebra_bundle)
+from hopfgal.spaces import GradedSpace, GradingGroup, unit_space
 from test_hopf import reference_coalgebra_hom_laws
 from test_morphism import (ELIMINATION_GROUPS, GROUPS, graded_morphism,
                            graded_space, nonzero_scalar)
@@ -165,25 +165,44 @@ def test_nonflat_bundle_fails_flatness():
     assert not rep["C.faithfully_flat"].ok
 
 
-def truncated_polynomials(group, dim):
-    """k[x]/(x^dim) on the basis (1, x, ..., x^(dim-1))."""
-    A = GradedSpace(group, (0,) * dim)
+def truncated_polynomials(group, dim, degree=0):
+    """k[x]/(x^dim) on the basis (1, x, ..., x^(dim-1)), x in `degree`."""
+    A = GradedSpace(group, tuple(k * degree % group.n for k in range(dim)))
     mult = Morphism(A.tensor(A), A, {(i + j, i * dim + j): 1
                                      for i in range(dim)
                                      for j in range(dim - i)})
     return Algebra(A, mult, Morphism(unit_space(group), A, {(0, 0): 1}))
 
 
-def power_extension_bundle(field, n, d):
-    """P = k[x]/(x^n) over B = k[y]/(y^m), m = ceil(n/d), with pi(y) = x^d,
-    H = k and rho = id."""
-    h = trivial_hopf(field)
+def unit_hopf(group):
+    """H = 1, the monoidal unit of the category `group` grades and braids."""
+    k = unit_algebra(group)
+    return HopfAlgebra(k, k.dualize(), k.unit)
+
+
+def power_extension_bundle(group, n, d):
+    """P = k[x]/(x^n) with x in degree 1 over B = k[y]/(y^m), m = ceil(n/d),
+    with pi(y) = x^d, H = k and rho = id."""
+    h = unit_hopf(group)
     m = -(-n // d)
-    P = truncated_polynomials(h.space.group, n)
-    B = truncated_polynomials(h.space.group, m)
+    P = truncated_polynomials(group, n, 1)
+    B = truncated_polynomials(group, m, d)
     pi = Morphism(B.space, P.space, {(d * k, k): 1 for k in range(m)})
     return AlgebraBundle(ComoduleAlgebra(P, h, Morphism.identity(P.space)),
                          B, pi)
+
+
+def condition_C_sides(b):
+    """The condition-C report of b and of its dual, and the algebra-side
+    bundle each one solves."""
+    out = []
+    for side in (b, b.dualize()):
+        rep = Report()
+        rep.extend(side.equivariant_projectivity())
+        rep.extend(side.faithful_flatness())
+        out.append((rep, side if isinstance(side, AlgebraBundle)
+                    else side.dualize()))
+    return out
 
 
 @pytest.mark.parametrize("field", [QQ, F7])
@@ -193,13 +212,10 @@ def test_condition_C_on_truncated_polynomials_is_d_divides_n(field):
     # the trace ideal is all of B
     for n in range(1, 7):
         for d in range(1, n + 1):
-            b = power_extension_bundle(field, n, d)
+            b = power_extension_bundle(GradingGroup.trivial(field), n, d)
             free = n % d == 0
             sides = []
-            for side in (b, b.dualize()):
-                rep = Report()
-                rep.extend(side.equivariant_projectivity())
-                rep.extend(side.faithful_flatness())
+            for rep, solved in condition_C_sides(b):
                 sides.append([(it.name, it.ok, it.details)
                               for it in rep.items])
                 for name in ("C.equivariant_projective", "C.projective",
@@ -207,7 +223,25 @@ def test_condition_C_on_truncated_polynomials_is_d_divides_n(field):
                     assert rep[name].ok == free, (n, d, name)
                 trace = rep["C.trace_ideal_full"]
                 assert trace.ok and trace.details["trace_rank"] == -(-n // d)
+                assert_condition_C_matches_the_reference(solved)
             assert sides[0] == sides[1], (n, d)
+
+
+@pytest.mark.parametrize("group", [
+    GradingGroup.cyclic(2, QQ, -1), GradingGroup.cyclic(3, F7, 2),
+    GradingGroup.cyclic(6, F7, 3)], ids=repr)
+def test_condition_C_on_graded_truncated_polynomials_is_d_divides_n(group):
+    # x in degree 1 and y in degree d: P is graded free over B, on 1, x,
+    # ..., x^(d-1), exactly when d divides n, and the sections are sums of
+    # B-linear maps into B shifted by each of those degrees
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            b = power_extension_bundle(group, n, d)
+            for rep, solved in condition_C_sides(b):
+                for name in ("C.equivariant_projective", "C.projective"):
+                    assert rep[name].ok == (n % d == 0), (n, d, name)
+                assert_condition_C_matches_the_reference(solved)
+                assert_linear_maps_match_evaluation(solved)
 
 
 def test_equivariant_projectivity_free_action():
@@ -467,14 +501,13 @@ def term_callable(terms):
     compose and tensor: the sum of c * f o T(s) o g."""
     def lin(s):
         total = None
-        for c, f, X, side, g in terms:
-            if X is None:
-                t = s
-            elif side == LEFT:
-                t = tensor(Morphism.identity(X), s)
-            else:
-                t = tensor(s, Morphism.identity(X))
-            v = compose(f, compose(t, g))
+        for c, f, X, Y, g in terms:
+            t = s
+            if X is not None:
+                t = tensor(Morphism.identity(X), t)
+            if Y is not None:
+                t = tensor(t, Morphism.identity(Y))
+            v = compose(t, g) if f is None else compose(f, compose(t, g))
             v = Morphism(v.dom, v.cod, {k: c * x for k, x in v.entries.items()})
             total = v if total is None else total + v
         return total
@@ -574,6 +607,14 @@ def _shift_action(n, k):
     return lambda x, g: (x + k * g) % n
 
 
+def zero_pi_bundle():
+    """QZ_2 over B = QQ with pi = 0: B acts on P by zero, so the only
+    B-linear map P -> B is zero, and K = 0."""
+    b = trivial_algebra_bundle(cyclic_group_algebra(QQ, 2))
+    k = truncated_polynomials(b.P.space.group, 1)
+    return AlgebraBundle(b.como, k, Morphism.zero(k.space, b.P.space))
+
+
 SAMPLE_BUNDLES = {
     "sweedler_qq": lambda: trivial_algebra_bundle(sweedler_hopf(QQ)),
     "sweedler_f7_comonoid":
@@ -592,7 +633,109 @@ SAMPLE_BUNDLES = {
         PrimeField(5), [0, 1, 2], [0, 1], _shift_action(2, 1), lambda a: a,
         lambda x, g: x if x == 0 or g == 0 else 3 - x),
     "nonflat_qq": lambda: nonflat_bundle(QQ),
+    "zero_pi_qq": zero_pi_bundle,
 }
+
+
+# -- Condition C against the system it replaced ------------------------------
+#
+# The section used to be solved as the unknown s: P -> B (x) P itself, with
+# its B-linearity as a block of its own.  That system is kept here as the
+# reference the solve for C in s = (id_B (x) C) o Phi reproduces, verdict
+# for verdict.
+
+def reference_projectivity_equations(b, colinear):
+    """Linear conditions on a section s: P -> B (x) P of the left action:
+    q s = id, s q = (m_B (x) id)(id_B (x) s) and, when colinear,
+    (id_B (x) rho) s = (s (x) id_H) rho."""
+    P, B, H = b.como.space, b.base.space, b.H.space
+    BP = B.tensor(P)
+    idP, idB, idBP = (Morphism.identity(V) for V in (P, B, BP))
+    q = b.left_action()
+    eqs = [
+        ([(1, q, None, None, idP)], idP),
+        ([(1, idBP, None, None, q),
+          (-1, tensor(b.base.mult, idP), B, None, idBP)],
+         Morphism.zero(BP, BP)),
+    ]
+    if colinear:
+        eqs.append(
+            ([(1, tensor(idB, b.rho), None, None, idP),
+              (-1, Morphism.identity(BP.tensor(H)), None, H, b.rho)],
+             Morphism.zero(P, BP.tensor(H))))
+    return eqs
+
+
+def assert_condition_C_matches_the_reference(b):
+    """b has a colinear section, and a section, exactly when the reference
+    system has one, each section b solves for solves the reference system,
+    and the report's witnesses are those sections."""
+    P = b.como.space
+    BP = b.base.space.tensor(P)
+    found = {}
+    for colinear in (True, False):
+        equations = reference_projectivity_equations(b, colinear)
+        expected = solve_morphism_system(P, BP, equations)
+        s = found[colinear] = b._solve_section(colinear)
+        assert (s is None) == (expected is None), colinear
+        if s is not None:
+            for terms, rhs in equations:
+                assert term_callable(terms)(s) == rhs, colinear
+    assert b.section() == found[True]
+    assert b.equivariant_projectivity()[
+        "C.equivariant_projective"].witness == found[True]
+    projective = b.faithful_flatness()["C.projective"]
+    assert projective.ok == (found[False] is not None)
+    if found[True] is None:
+        assert projective.witness == found[False]
+
+
+def reference_linear_maps(b, delta):
+    """The basis of the left B-linear maps f: P -> B (x) k_delta, k_delta
+    the line of degree delta, read off the per-unknown evaluation of
+    f q - (m_B (x) id)(id_B (x) f)."""
+    P, B = b.como.space, b.base.space
+    line = GradedSpace(P.group, (delta,))
+    shifted = B.tensor(line)
+    m = tensor(b.base.mult, Morphism.identity(line))
+    q, idB = b.left_action(), Morphism.identity(B)
+    positions, A, _ = assemble_by_evaluation(P, shifted, [(
+        lambda f: compose(f, q) - compose(m, tensor(idB, f)),
+        Morphism.zero(B.tensor(P), shifted))])
+    return [Morphism(P, shifted, dict(zip(positions, v)))
+            for v in linalg.kernel_basis(P.field, A, ncols=len(positions))]
+
+
+def assert_linear_maps_match_evaluation(b):
+    """b.b_linear_maps() holds the reference basis for delta = 0 and each
+    degree of P, and Phi: P -> B (x) K stacks it: the a-th map is Phi
+    followed by id_B (x) the a-th coordinate of K."""
+    P, B = b.como.space, b.base.space
+    maps, K, Phi = b.b_linear_maps()
+    assert maps == {delta: reference_linear_maps(b, delta)
+                    for delta in sorted({0, *P.degrees})}
+    stacked = [(delta, f) for delta in maps for f in maps[delta]]
+    assert K.degrees == tuple(delta for delta, _ in stacked)
+    idB = Morphism.identity(B)
+    for a, (delta, f) in enumerate(stacked):
+        coordinate = Morphism(K, GradedSpace(P.group, (delta,)), {(0, a): 1})
+        assert compose_tensor([idB, coordinate], Phi) == f
+
+
+def test_condition_C_matches_the_reference_system():
+    bundles = [build() for build in SAMPLE_BUNDLES.values()]
+    root = default_root()
+    for entry in sorted(os.listdir(root)):
+        with open(os.path.join(root, entry, "instance.txt"),
+                  encoding="utf-8") as fh:
+            inst = parse_instance(fh.read())
+        bundles.extend(b if isinstance(b, AlgebraBundle) else b.dualize()
+                       for b in inst.bundles.values())
+    assert len(bundles) == len(SAMPLE_BUNDLES) + 11
+    assert SAMPLE_BUNDLES["zero_pi_qq"]().b_linear_maps()[1].dim == 0
+    for b in bundles:
+        assert_condition_C_matches_the_reference(b)
+        assert_linear_maps_match_evaluation(b)
 
 
 def test_condition_C_systems_match_per_unknown_evaluation():
@@ -600,40 +743,52 @@ def test_condition_C_systems_match_per_unknown_evaluation():
         b = build()
         P, B = b.como.space, b.base.space
         BP = B.tensor(P)
+        _, K, _ = b.b_linear_maps()
         for colinear in (True, False):
-            system = check_against_evaluation(
-                P, BP, b._projectivity_equations(colinear))
-            forced = assert_forced_are_dropped(*system)
+            reference = check_against_evaluation(
+                P, BP, reference_projectivity_equations(b, colinear))
+            forced = assert_forced_are_dropped(*reference)
             if name.startswith("set_action"):
                 assert forced
-        check_against_evaluation(P, B, b._trace_ideal_equations())
+            check_against_evaluation(K, P, b._section_equations(colinear))
         if name.startswith("superline"):
             # the odd basis vector of P meets no even one of B (x) P
-            assert len(system[0]) < P.dim * BP.dim
+            assert len(reference[0]) < P.dim * BP.dim
 
 
-def leg_spaces(X, side, dom, cod):
-    """T's domain and codomain for T(s) = s, id_X (x) s or s (x) id_X."""
-    if side == LEFT:
-        return X.tensor(dom), X.tensor(cod)
-    if side == RIGHT:
-        return dom.tensor(X), cod.tensor(X)
+def leg_spaces(X, Y, dom, cod):
+    """T's domain and codomain for T(s) = id_X (x) s (x) id_Y."""
+    if X is not None:
+        dom, cod = X.tensor(dom), X.tensor(cod)
+    if Y is not None:
+        dom, cod = dom.tensor(Y), cod.tensor(Y)
     return dom, cod
 
 
 @st.composite
+def legs(draw, group):
+    """The legs (X, Y) of a term: none, either or both."""
+    return tuple(draw(graded_space(group, 2)) if draw(st.booleans()) else None
+                 for _ in range(2))
+
+
+@st.composite
 def random_block(draw, group, dom, cod):
-    """One equation of 1-3 random terms, each a plain, left or right leg
-    between random graded spaces."""
+    """One equation of 1-3 random terms, each with no leg, a left, a right
+    or both legs, between random graded spaces.  Sometimes the output is
+    the first term's T(s) codomain, and a term with that codomain may then
+    have f = None, the identity."""
+    term_legs = [draw(legs(group)) for _ in range(draw(st.integers(1, 3)))]
     out_dom, out_cod = draw(graded_space(group)), draw(graded_space(group))
+    if draw(st.booleans()):
+        out_cod = leg_spaces(*term_legs[0], dom, cod)[1]
     terms = []
-    for _ in range(draw(st.integers(1, 3))):
-        side = draw(st.sampled_from([None, LEFT, RIGHT]))
-        X = None if side is None else draw(graded_space(group, 2))
-        t_dom, t_cod = leg_spaces(X, side, dom, cod)
+    for X, Y in term_legs:
+        t_dom, t_cod = leg_spaces(X, Y, dom, cod)
         c = draw(st.sampled_from([1, -1, 2, -3]))
-        terms.append((c, draw(graded_morphism(t_cod, out_cod)), X, side,
-                      draw(graded_morphism(out_dom, t_dom))))
+        f = (None if t_cod == out_cod and draw(st.booleans())
+             else draw(graded_morphism(t_cod, out_cod)))
+        terms.append((c, f, X, Y, draw(graded_morphism(out_dom, t_dom))))
     return terms, draw(graded_morphism(out_dom, out_cod))
 
 
@@ -693,20 +848,23 @@ def selector(draw, dom, cod, by_row):
 @st.composite
 def planted_block(draw, group, dom, cod):
     """One equation c * f o T(s) o g = rhs whose rows hold one unknown at
-    most: entry (r, col) is f[r, (x, i)] * g[(x, j), col] * s_ij for the
-    one (x, i) and (x, j) that f and g pick.  rhs is zero but at a few
-    entries, so most of those rows force their unknown and some do not."""
-    side = draw(st.sampled_from([None, LEFT, RIGHT]))
-    X = None if side is None else draw(graded_space(group, 2))
-    t_dom, t_cod = leg_spaces(X, side, dom, cod)
+    most: entry (r, col) is f[r, (x, i, y)] * g[(x, j, y), col] * s_ij for
+    the one (x, i, y) and (x, j, y) that f and g pick; f may be None, the
+    identity.  rhs is zero but at a few entries, so most of those rows
+    force their unknown and some do not."""
+    X, Y = draw(legs(group))
+    t_dom, t_cod = leg_spaces(X, Y, dom, cod)
     out_dom, out_cod = draw(graded_space(group)), draw(graded_space(group))
-    f = draw(selector(t_cod, out_cod, True))
+    if draw(st.booleans()):
+        out_cod, f = t_cod, None
+    else:
+        f = draw(selector(t_cod, out_cod, True))
     g = draw(selector(out_dom, t_dom, False))
     rhs = draw(graded_morphism(out_dom, out_cod))
     rhs = Morphism(out_dom, out_cod, {
         key: v for key, v in rhs.entries.items() if not draw(st.integers(0, 3))})
     c = draw(st.sampled_from([1, -1, 2, -3]))
-    return [(c, f, X, side, g)], rhs
+    return [(c, f, X, Y, g)], rhs
 
 
 @st.composite
@@ -729,7 +887,8 @@ def test_presolved_systems_match_per_unknown_evaluation(system):
 
 def test_assembly_rejects_a_term_with_wrong_endpoints():
     b = SAMPLE_BUNDLES["set_action_free_x4_qq"]()
-    P, B = b.como.space, b.base.space
-    (terms, rhs), = b._trace_ideal_equations()
+    _, K, _ = b.b_linear_maps()
+    P, BP = b.como.space, b.base.space.tensor(b.como.space)
+    (terms, _), = b._section_equations(colinear=False)
     with pytest.raises(TypeError):
-        _assemble_system(P, B, [(terms, Morphism.zero(P, B))])
+        _assemble_system(K, P, [(terms, Morphism.zero(P, BP))])

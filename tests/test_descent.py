@@ -1,7 +1,6 @@
 import os
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +18,7 @@ from hopfgal.fields import QQ, PrimeField
 from hopfgal.instances import parse_instance
 from hopfgal.morphism import Morphism, compose, is_isomorphism, tensor
 from hopfgal.samples import (braided_line, cyclic_group_algebra,
-                             dual_numbers_algebra, free_z2_bundle, fun_z2,
+                             dual_numbers_algebra, free_z2_bundle,
                              nonflat_bundle, s3_group_algebra,
                              set_action_bundle, sweedler_hopf,
                              trivial_algebra_bundle)

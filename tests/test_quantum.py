@@ -146,6 +146,13 @@ def _superline_coactions():
     return h.comult, h.comult
 
 
+def kronecker_step(j, order, ambient):
+    """A power's step inclusion j with its rows renamed through order into
+    `ambient`, the Kronecker product of the previous power with X."""
+    return Morphism(j.dom, ambient,
+                    {(order[p], e): v for (p, e), v in j.entries.items()})
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("coactions", [
     _pair_groupoid_coactions, _free_z2_coactions, _braided_line_coactions,
@@ -156,16 +163,18 @@ def test_multi_cotensor_matches_successive_equalisers(coactions, n):
     powers = multi_cotensor(rho, lam, n)
     assert len(powers) == n - 1
     previous = Morphism.identity(X)
-    for k, (E, iota, j) in enumerate(powers, 2):
+    for k, (E, iota, raw, order) in enumerate(powers, 2):
         E_ref, iota_ref = successive_equaliser_multi_cotensor(rho, lam, k)
         assert E.group == E_ref.group and E.degrees == E_ref.degrees
         assert iota.cod == iota_ref.cod
         assert iota.cod.degrees == iota_ref.cod.degrees
         assert sorted(iota.entries.items()) == sorted(iota_ref.entries.items())
         assert 0 < E.dim < iota.cod.dim
-        # the step inclusion lands in the Kronecker basis of E_{k-1} (x) X
+        # the step inclusion, its rows renamed through order, lands in the
+        # Kronecker basis of E_{k-1} (x) X
         step = tensor(previous, Morphism.identity(X))
-        assert j.dom == E and j.cod == step.dom
+        j = kronecker_step(raw, order, step.dom)
+        assert j.dom == E
         assert compose(step, j) == iota
         previous = iota
 
@@ -180,8 +189,10 @@ def test_step_inclusion_is_the_factorisation_through_the_kronecker_product(
     rho, lam = coactions()
     idX = Morphism.identity(rho.dom)
     powers = multi_cotensor(rho, lam, 4)
-    for (_, inner, _), (_, iota, j) in zip(powers, powers[1:]):
-        assert j == factor_through_equaliser(iota, tensor(inner, idX))
+    for (_, inner, _, _), (_, iota, j, order) in zip(powers, powers[1:]):
+        step = tensor(inner, idX)
+        assert (kronecker_step(j, order, step.dom)
+                == factor_through_equaliser(iota, step))
 
 
 def test_qcat_eliminates_each_cotensor_square_once(monkeypatch):
