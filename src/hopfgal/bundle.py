@@ -64,7 +64,7 @@ from .morphism import (FactorizationError, Morphism, compose,
                        compose_tensor, dualize, is_isomorphism, sparse_rows,
                        tensor, tensor_compose)
 from .report import Report, equality_check
-from .spaces import GradedSpace
+from .spaces import GradedSpace, unit_space
 
 
 # -- (co)module (co)algebra structures ---------------------------------------
@@ -381,15 +381,20 @@ class Bundle:
         return self._memo("ptp", lambda: self.ops.tensor_over(
             self.right_action(), self.left_action()))
 
+    def _second_leg(self, m, g):
+        """(m (x) id_H) o (id_P (x) g), g into P (x) H: a braided sandwich
+        whose inner legs are the unit, where the braiding is the
+        identity."""
+        P, H = self.P.space, self.H.space
+        return self.ops.braided_compose(
+            m, Morphism.identity(H), Morphism.identity(P), g,
+            (P, unit_space(P.group)), (P, H))
+
     def canonical_map(self):
         def build():
-            d = self.ops
-            idP = Morphism.identity(self.P.space)
-            idH = Morphism.identity(self.H.space)
-            composite = d.compose_tensor([self.m_P, idH],
-                                         tensor(idP, self.coact))
             _, Pi = self.p_tensor_p()
-            return d.factor_through_coequaliser(composite, Pi)
+            return self.ops.factor_through_coequaliser(
+                self._second_leg(self.m_P, self.coact), Pi)
         return self._memo("can", build)
 
     def _base_laws(self):
@@ -418,9 +423,8 @@ class Bundle:
             d.tensor_compose(Pi, [self.m_P, idP]), tensor(idP, Pi))
         # right H-coaction on P (x)_B P from the second leg
         coact = d.factor_through_coequaliser(
-            d.compose_tensor([Pi, idH], tensor(idP, self.coact)), Pi)
-        return ((d.compose(can, lact),
-                 d.compose_tensor([self.m_P, idH], tensor(idP, can))),
+            self._second_leg(Pi, self.coact), Pi)
+        return ((d.compose(can, lact), self._second_leg(self.m_P, can)),
                 (d.compose_tensor([idP, self.cm_H], can),
                  d.compose_tensor([can, idH], coact)))
 
@@ -504,9 +508,9 @@ class AlgebraBundle(Bundle):
             raise TypeError("pi must map the base into the total space")
         super().__init__(base, pi)
         self.como = como
-        H = como.hopf
-        self.m_P, self.coact = como.algebra.mult, como.coaction
-        self.u_H, self.cm_H = H.unit, H.comult
+        self.P, self.H, self.rho = como.algebra, como.hopf, como.coaction
+        self.m_P, self.coact = self.P.mult, self.rho
+        self.u_H, self.cm_H = self.H.unit, self.H.comult
 
     side = "algebra"
     ops = VECT
@@ -517,18 +521,6 @@ class AlgebraBundle(Bundle):
     condition_A = Bundle.condition_A
     condition_B = Bundle.condition_B
     check_principal = Bundle.check_principal
-
-    @property
-    def P(self):
-        return self.como.algebra
-
-    @property
-    def H(self):
-        return self.como.hopf
-
-    @property
-    def rho(self):
-        return self.como.coaction
 
     def translation_map(self):
         """h -> can^{-1}(1 (x) h), defined when condition B holds."""
@@ -642,9 +634,9 @@ class CoalgebraBundle(Bundle):
             raise TypeError("pi must map the total space onto the base")
         super().__init__(base, pi)
         self.modc = modc
-        H = modc.hopf
-        self.m_P, self.coact = modc.coalgebra.comult, modc.action
-        self.u_H, self.cm_H = H.counit, H.mult
+        self.P, self.H, self.action = modc.coalgebra, modc.hopf, modc.action
+        self.m_P, self.coact = self.P.comult, self.action
+        self.u_H, self.cm_H = self.H.counit, self.H.mult
 
     side = "comonoid"
     ops = VECT_OP
@@ -659,18 +651,6 @@ class CoalgebraBundle(Bundle):
     condition_A = Bundle.condition_A
     condition_B = Bundle.condition_B
     check_principal = Bundle.check_principal
-
-    @property
-    def P(self):
-        return self.modc.coalgebra
-
-    @property
-    def H(self):
-        return self.modc.hopf
-
-    @property
-    def action(self):
-        return self.modc.action
 
     def equivariant_projectivity(self):
         return self._memo(

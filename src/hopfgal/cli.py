@@ -183,7 +183,7 @@ def cmd_eval(args):
     inst = _load(args.file)
     text = _read(args.exprfile)
     try:
-        rep = run_assertions(text, inst.environment())
+        rep = run_assertions(text, inst)
     except AssertionFileError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

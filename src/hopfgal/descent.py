@@ -17,11 +17,11 @@ from fractions import Fraction
 from . import linalg
 from .hopf import VECT_OP, action_laws, coinvariants_of
 from .morphism import (FactorizationError, Morphism, braided_compose,
-                       braiding, cokernel, compose, compose_tensor, equaliser,
+                       braiding, cokernel, compose, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
                        is_isomorphism, tensor, tensor_compose, tensor_over)
 from .report import Report, equality_check
-from .spaces import GradedSpace
+from .spaces import GradedSpace, unit_space
 
 
 class BModule:
@@ -229,11 +229,12 @@ def hopf_module_check(m, bundle):
 def kappa_transport(d):
     """The identification E (x)_B P -> E (x) H, [e (x) x] -> e.x_(0) (x) x_(1)."""
     b = d.bundle
-    idE = Morphism.identity(d.carrier)
-    idH = Morphism.identity(b.H.space)
+    E, P, H = d.carrier, b.como.space, b.H.space
     _, Pi1 = d.tensor_b_p()
-    return factor_through_coequaliser(
-        compose_tensor([d.action, idH], tensor(idE, b.rho)), Pi1)
+    # (act (x) id_H) o (id_E (x) rho), a braided sandwich with a unit leg
+    return factor_through_coequaliser(braided_compose(
+        d.action, Morphism.identity(H), Morphism.identity(E), b.rho,
+        (E, unit_space(E.group)), (P, H)), Pi1)
 
 
 def descent_to_hopf_module(d):
@@ -301,13 +302,12 @@ def _field_roots(field, beta, alpha):
     return roots
 
 
-def _module_from_operator(base, T):
-    """The right module on k^d where the second basis vector of B acts by T."""
-    B = base.space
+def _module_from_operator(B, coordinates, T):
+    """The right module on k^d where w acts by T, for a 2-dim base on the
+    space B with the `_one_w` coordinates of its basis."""
     d = len(T)
     V = GradedSpace(B.group, (0,) * d)
     # with basis (1, w) of B, b_j = c0*1 + c1*w acts by c0*I + c1*T
-    coordinates = _one_w_coordinates(base)
     entries = {}
     # columns of the action V (x) B -> V: v_i (x) b_j
     for i in range(d):
@@ -324,36 +324,25 @@ def _unit_coordinates(base):
     return [get((i, 0), 0) for i in range(base.space.dim)]
 
 
-def _one_w_coordinates(base):
-    """The coordinates (c0, c1) of each basis vector of B in the (1, w)
-    basis, where w is the canonical complement of the unit (dim B = 2
-    only)."""
-    field = base.space.field
-    u = _unit_coordinates(base)
-    # pick the first index where the unit has a nonzero coordinate
-    k = next(i for i, c in enumerate(u) if c)
-    w_index = 1 - k
-    # e_j = c0 * u + c1 * e_{w_index}  (u[w_index] may be nonzero)
-    c0 = field.inv(u[k])
-    e_k = (c0, field.reduce(-u[w_index] * c0))
-    e_w = (0, 1)
-    return [e_k, e_w] if k == 0 else [e_w, e_k]
-
-
-def _w_structure(base):
-    """For a commutative 2-dim base: (w_index, alpha, beta) with
-    w^2 = alpha * 1 + beta * w in the (1, w) basis."""
+def _one_w(base):
+    """A 2-dim base B in the basis (1, w), w the basis vector other than
+    the first one where the unit has a nonzero coordinate: (coordinates,
+    alpha, beta), with coordinates[j] = (c0, c1) for e_j = c0 * 1 + c1 * w,
+    and w^2 = alpha * 1 + beta * w when B is commutative."""
     field = base.space.field
     u = _unit_coordinates(base)
     k = next(i for i, c in enumerate(u) if c)
     w = 1 - k
-    # w * w in the original basis
-    col = w * 2 + w
+    # e_k = c0 * u + c1 * e_w  (u[w] may be nonzero)
+    c0 = field.inv(u[k])
+    e_k = (c0, field.reduce(-u[w] * c0))
+    coordinates = [e_k, (0, 1)] if k == 0 else [(0, 1), e_k]
+    # w * w in the original basis, = alpha * u + beta * e_w, read off at k
+    # (where e_w is 0) and at w
     get = base.mult.entries.get
-    ww = [get((i, col), 0) for i in range(2)]
-    # ww = alpha * u + beta * e_w, read off at k (where e_w is 0) and at w
-    alpha = field.reduce(ww[k] * field.inv(u[k]))
-    return w, alpha, field.reduce(ww[w] - alpha * u[w])
+    ww = [get((i, 3 * w), 0) for i in range(2)]
+    alpha = field.reduce(ww[k] * c0)
+    return coordinates, alpha, field.reduce(ww[w] - alpha * u[w])
 
 
 def enumerate_bmodules(base, max_dim, seed=0):
@@ -375,7 +364,7 @@ def enumerate_bmodules(base, max_dim, seed=0):
         return out
     commutative = compose(base.mult, braiding(B, B)) == base.mult
     if B.dim == 2 and commutative:
-        _, alpha, beta = _w_structure(base)
+        coordinates, alpha, beta = _one_w(base)
         roots = _field_roots(field, beta, alpha)
         for d in range(1, max_dim + 1):
             if len(roots) == 2:
@@ -384,7 +373,7 @@ def enumerate_bmodules(base, max_dim, seed=0):
                     T = [[roots[0] if i == j and i < a else
                           (roots[1] if i == j else 0)
                           for j in range(d)] for i in range(d)]
-                    out.append(_module_from_operator(base, T))
+                    out.append(_module_from_operator(B, coordinates, T))
             elif len(roots) == 1:
                 # double root r: T = r I + N with N^2 = 0, N of rank k
                 r = roots[0]
@@ -393,7 +382,7 @@ def enumerate_bmodules(base, max_dim, seed=0):
                          for i in range(d)]
                     for t in range(k):
                         T[2 * t][2 * t + 1] = 1
-                    out.append(_module_from_operator(base, T))
+                    out.append(_module_from_operator(B, coordinates, T))
             else:
                 # irreducible minimal polynomial: companion blocks, even dim
                 if d % 2 == 0:
@@ -402,7 +391,7 @@ def enumerate_bmodules(base, max_dim, seed=0):
                         T[2 * t][2 * t + 1] = alpha
                         T[2 * t + 1][2 * t] = 1
                         T[2 * t + 1][2 * t + 1] = beta
-                    out.append(_module_from_operator(base, T))
+                    out.append(_module_from_operator(B, coordinates, T))
         return out
     return _random_bmodules(base, max_dim, seed)
 

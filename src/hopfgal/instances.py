@@ -1,4 +1,4 @@
-"""The plain-text instance file format and the bundled example corpus.
+"""The plain-text instance file format: its parser and its writer.
 
 An instance file declares, in order of use: a scalar field, a grading
 group, named graded spaces, named sparse morphisms, then structured
@@ -33,28 +33,19 @@ class InstanceError(Exception):
         super().__init__("line %d: %s" % (lineno, message))
 
 
-class Instance:
+class Instance(Environment):
+    """A parsed instance file: the named objects assertion expressions
+    refer to, and the field, grading, bundles and base modules."""
+
     def __init__(self):
+        super().__init__()
         self.field = None
         self.group = None
-        self.spaces = {}
-        self.morphisms = {}
-        self.algebras = {}
-        self.coalgebras = {}
-        self.hopfs = {}
-        self.comodules = {}
-        self.modules = {}
         self.bundles = {}
         self.bmodules = {}
         # the line after the last, where an error about a missing block
         # points
         self.end_line = 1
-
-    def environment(self):
-        return Environment(spaces=self.spaces, hopfs=self.hopfs,
-                           algebras=self.algebras, coalgebras=self.coalgebras,
-                           comodules=self.comodules, modules=self.modules,
-                           morphisms=self.morphisms)
 
 
 def _space_product(inst, spec, lineno):

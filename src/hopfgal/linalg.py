@@ -10,8 +10,9 @@ that are there:
   increasing order from a heap that also receives the later pivot columns
   fill-in lands in, and its leading entry is scaled to 1 (no inversion
   and no rescaled copy when it is 1 already);
-- back-substitution, once, in descending pivot order: each echelon row
-  subtracts the final rows of the later pivot columns it holds.
+- back-substitution, once, in descending pivot order: the same clearing
+  loop subtracts from each echelon row the final rows of the later pivot
+  columns it holds.
 
 It returns the pivot rows, which hold scalars in that form, so a row of
 ints reduced against pivots of +-1 stays a row of ints.
@@ -45,22 +46,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _subtract(row, f, prow, p):
-    """row -= f * prow in place, reduced mod p when p and an integral
-    Fraction turned into its numerator otherwise; cancelled entries are
-    dropped."""
-    for j, x in prow.items():
-        v = row.get(j, 0) - f * x
-        if p:
-            v %= p
-        elif type(v) is Fraction and v.denominator == 1:
-            v = v.numerator
-        if v:
-            row[j] = v
-        else:
-            del row[j]
-
-
 def _forward(row, heap, echelon, p):
     """Clear from row, in place, every column that has an echelon row;
     heap holds the ones row has now.
@@ -68,7 +53,9 @@ def _forward(row, heap, echelon, p):
     The columns are taken in increasing order: an echelon row has no entry
     left of its pivot, so subtracting it changes row only at that pivot
     and to its right, and a later pivot column it fills in is pushed.  A
-    column pushed twice is found already cleared.
+    column pushed twice is found already cleared.  Back-substitution
+    calls it with final rows, which hold no other pivot column, so no
+    fill-in lands in a pivot column and the heap only pops.
     """
     heapify(heap)
     while heap:
@@ -134,8 +121,7 @@ def rref_rows(field, rows):
     # from one row commute and leave its other pivot columns untouched
     for c in reversed(pivots):
         row = echelon[c]
-        for j in [j for j in row if j != c and j in echelon]:
-            _subtract(row, row[j], echelon[j], p)
+        _forward(row, [j for j in row if j != c and j in echelon], echelon, p)
     return {c: echelon[c] for c in pivots}
 
 

@@ -22,7 +22,10 @@ to left, each non-identity leg one pass over the entries and each
 identity leg skipped, and under the trivial grading they check the inner
 space by the product of the dims.  `braided_compose`, the sandwich
 (m1 (x) m2) o (id (x) tau (x) id) o (f (x) g) of every braided law and
-structure map, is one pass over pairs of columns of f and g.
+structure map, is one pass over pairs of columns of f and g.  With the
+unit as its inner legs, where the braiding is the identity, it is the
+overlapping composite (A (x) id) o (id (x) B): braided_compose(A, id,
+id, B, (X, I), (Y, Z)) for B: W -> Y (x) Z, with no id (x) B built.
 Kernels, (co)equalisers and ranks come from one sparse elimination,
 `linalg.rref_rows`, over all degrees at once; its canonical RREF makes
 every basis reproducible, and kernel bases are grouped by degree, so they

@@ -17,6 +17,7 @@ from .morphism import (FactorizationError, Morphism, braided_compose,
                        factor_through_coequaliser, factor_through_equaliser,
                        kernel_tensor_id, tensor, tensor_many)
 from .report import Report, equality_check
+from .spaces import unit_space
 
 
 def multi_cotensor(rho_right, lambda_left, n, square=None):
@@ -52,6 +53,17 @@ def multi_cotensor(rho_right, lambda_left, n, square=None):
     return powers
 
 
+def _induced(rep, name, factor, c, through):
+    """factor(c, through), or None when c does not factor; adds the item
+    `name` with that verdict to rep."""
+    try:
+        out = factor(c, through)
+    except FactorizationError:
+        out = None
+    rep.add(name, out is not None)
+    return out
+
+
 class CotensorMonoid:
     """P box_B P with multiplication id box pi box id and unit from Delta."""
 
@@ -73,18 +85,13 @@ def cotensor_monoid(b):
     (E2, i2, _, _), (_, i3, _, _), (_, i4, _, _) = multi_cotensor(
         rho_r, lam_l, 4, b.p_cotensor_p())
     rep = Report()
-    try:
-        collapse_mid = compose_tensor([idP, b.P.counit, idP], i3)
-        mult = factor_through_equaliser(collapse_mid, i2)
-        rep.add("monoid.mult_exists", True)
-    except FactorizationError:
-        rep.add("monoid.mult_exists", False)
+    mult = _induced(rep, "monoid.mult_exists", factor_through_equaliser,
+                    compose_tensor([idP, b.P.counit, idP], i3), i2)
+    if mult is None:
         return None, rep
-    try:
-        unit = factor_through_equaliser(b.P.comult, i2)
-        rep.add("monoid.unit_exists", True)
-    except FactorizationError:
-        rep.add("monoid.unit_exists", False)
+    unit = _induced(rep, "monoid.unit_exists", factor_through_equaliser,
+                    b.P.comult, i2)
+    if unit is None:
         return None, rep
     # associativity on the 4-fold cotensor: collapsing leg 2 then the
     # middle equals collapsing leg 3 then the middle
@@ -136,40 +143,30 @@ def build_quantum_category(b):
     G, PiG = coinvariants_of(zeta, b.H, VECT_OP)
     rep.add("qcat.dim_G", True, details={"dim": G.dim})
 
-    def induced_through_PiG(name, composite):
-        try:
-            out = factor_through_coequaliser(composite, PiG)
-            rep.add("qcat.%s_exists" % name, True)
-            return out
-        except FactorizationError:
-            rep.add("qcat.%s_exists" % name, False)
-            return None
-
-    source = induced_through_PiG("source", tensor(b.pi, b.P.counit))
-    target = induced_through_PiG("target", tensor(b.P.counit, b.pi))
-    # right and left B-comodule structures on G, from the two legs
-    rho_G = induced_through_PiG(
-        "right_coaction",
-        compose_tensor([PiG, idB],
-                       compose_tensor([idP, idP, b.pi],
-                                      tensor(idP, b.P.comult))))
-    lam_G = induced_through_PiG(
-        "left_coaction",
-        compose_tensor([idB, PiG],
-                       compose_tensor([b.pi, idP, idP],
-                                      tensor(b.P.comult, idP))))
+    I = unit_space(P.group)
+    source = _induced(rep, "qcat.source_exists", factor_through_coequaliser,
+                      tensor(b.pi, b.P.counit), PiG)
+    target = _induced(rep, "qcat.target_exists", factor_through_coequaliser,
+                      tensor(b.P.counit, b.pi), PiG)
+    # right and left B-comodule structures on G, from the two legs: braided
+    # sandwiches with a unit leg, (Pi_G (x) pi) o (id_P (x) Delta_P) and
+    # (pi (x) Pi_G) o (Delta_P (x) id_P)
+    rho_G = _induced(rep, "qcat.right_coaction_exists",
+                     factor_through_coequaliser, braided_compose(
+                         PiG, b.pi, idP, b.P.comult, (P, I), (P, P)), PiG)
+    lam_G = _induced(rep, "qcat.left_coaction_exists",
+                     factor_through_coequaliser, braided_compose(
+                         b.pi, PiG, b.P.comult, idP, (P, P), (I, P)), PiG)
     # coalgebra structure from P (x) P^op, where Delta^op = tau o Delta
-    comult_G = induced_through_PiG("comult", braided_compose(
-        PiG, PiG, b.P.comult, compose(braiding(P, P), b.P.comult),
-        (P, P), (P, P)))
-    counit_G = induced_through_PiG("counit", tensor(b.P.counit, b.P.counit))
+    comult_G = _induced(rep, "qcat.comult_exists", factor_through_coequaliser,
+                        braided_compose(PiG, PiG, b.P.comult,
+                                        compose(braiding(P, P), b.P.comult),
+                                        (P, P), (P, P)), PiG)
+    counit_G = _induced(rep, "qcat.counit_exists", factor_through_coequaliser,
+                        tensor(b.P.counit, b.P.counit), PiG)
     # unit: B -> G induced from Pi_G o Delta_P along the surjection pi
-    try:
-        unit_G = factor_through_coequaliser(compose(PiG, b.P.comult), b.pi)
-        rep.add("qcat.unit_exists", True)
-    except FactorizationError:
-        rep.add("qcat.unit_exists", False)
-        unit_G = None
+    unit_G = _induced(rep, "qcat.unit_exists", factor_through_coequaliser,
+                      compose(PiG, b.P.comult), b.pi)
     pieces = [source, target, rho_G, lam_G, comult_G, counit_G, unit_G]
     if any(x is None for x in pieces):
         return None, rep
@@ -188,17 +185,13 @@ def build_quantum_category(b):
                                           tensor_many(idP, can_inv, idP)))
     composite = compose(PiG, M_mid)  # P (x) (P box P) (x) P -> G
     q = compose_tensor([PiG, PiG], tensor_many(idP, i2, idP))
-    try:
-        r = factor_through_equaliser(q, iota_GG)
-        rep.add("qcat.pairs_cover_exists", True)
-    except FactorizationError:
-        rep.add("qcat.pairs_cover_exists", False)
+    r = _induced(rep, "qcat.pairs_cover_exists", factor_through_equaliser,
+                 q, iota_GG)
+    if r is None:
         return None, rep
-    try:
-        mult_G = factor_through_coequaliser(composite, r)
-        rep.add("qcat.mult_exists", True)
-    except FactorizationError:
-        rep.add("qcat.mult_exists", False)
+    mult_G = _induced(rep, "qcat.mult_exists", factor_through_coequaliser,
+                      composite, r)
+    if mult_G is None:
         return None, rep
 
     idG = Morphism.identity(G)

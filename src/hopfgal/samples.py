@@ -23,13 +23,13 @@ def trivial_hopf(field):
     return HopfAlgebra(k, k.dualize(), k.unit)
 
 
-def group_algebra(field, elements, op, inv, group=None, degrees=None):
-    """k[G] for a finite group given by its multiplication and inverse."""
-    if group is None:
-        group = GradingGroup.trivial(field)
+def group_algebra(field, elements, op, inv):
+    """k[G], trivially graded, for a finite group given by its
+    multiplication and inverse."""
+    group = GradingGroup.trivial(field)
     n = len(elements)
     index = {g: i for i, g in enumerate(elements)}
-    H = GradedSpace(group, tuple(degrees) if degrees else (0,) * n)
+    H = GradedSpace(group, (0,) * n)
     mult = Morphism(H.tensor(H), H, {
         (index[op(a, b)], i * n + j): 1
         for i, a in enumerate(elements) for j, b in enumerate(elements)})

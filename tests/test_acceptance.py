@@ -179,8 +179,8 @@ def test_criterion_7_dsl_suite():
     for name, inst in _corpus_instances().items():
         with open(os.path.join(CORPUS, name, "assertions.txt"),
                   encoding="utf-8") as fh:
-            ok = ok and run_assertions(fh.read(), inst.environment()).ok
-    env = _corpus_instances()["trivial_braided_line_f7"].environment()
+            ok = ok and run_assertions(fh.read(), inst).ok
+    env = _corpus_instances()["trivial_braided_line_f7"]
     rng = random.Random(int(os.environ.get("HGL_SEED", "0")))
     for _ in range(1000):
         e = random_well_typed(env, rng, steps=6)

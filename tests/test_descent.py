@@ -15,14 +15,15 @@ from hopfgal.descent import (BModule, DescentDatum, RelativeHopfModule,
                              unit_Phi, verify_descent_datum)
 from hopfgal.corpus import default_root
 from hopfgal.fields import QQ, PrimeField
+from hopfgal.hopf import Algebra
 from hopfgal.instances import parse_instance
 from hopfgal.morphism import Morphism, compose, is_isomorphism, tensor
 from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              dual_numbers_algebra, free_z2_bundle,
                              nonflat_bundle, s3_group_algebra,
                              set_action_bundle, sweedler_hopf,
-                             trivial_algebra_bundle)
-from hopfgal.spaces import GradedSpace
+                             trivial_algebra_bundle, z2_set_action_bundle)
+from hopfgal.spaces import GradedSpace, GradingGroup, unit_space
 
 F7 = PrimeField(7)
 
@@ -287,3 +288,43 @@ def test_module_closure_matches_dense_reference(data):
     assert [[row.get(i, 0) for i in range(k * B.dim)]
             for row in closed.values()] == \
         dense_closure(field, gens, act, B)
+
+
+# -- random base modules and roots over F_p ----------------------------------
+
+def test_random_bmodules_of_a_3_dim_base():
+    # Z_2 acting freely on 6 points, x -> x + 3g: B = Fun(X/G) has dim 3,
+    # neither 1 nor 2, so the enumeration draws seeded random quotients
+    for field in (QQ, PrimeField(101)):
+        base = z2_set_action_bundle(field, list(range(6)),
+                                    lambda x, g: (x + 3 * g) % 6).base
+        assert base.space.dim == 3
+        for seed, dims in ((0, [3, 1, 3, 3]), (1, [3, 1, 1, 2])):
+            mods = enumerate_bmodules(base, 3, seed)
+            assert [m.carrier.dim for m in mods] == dims
+            for m in mods:
+                assert check_bmodule(m, base).ok
+            again = enumerate_bmodules(base, 3, seed)
+            assert [m.action.entries for m in again] == \
+                [m.action.entries for m in mods]
+
+
+def quadratic_algebra(field, a):
+    """k[t]/(t^2 - a) on the basis (1, t)."""
+    group = GradingGroup.trivial(field)
+    B = GradedSpace(group, (0, 0))
+    entries = {(0, 0): 1, (1, 1): 1, (1, 2): 1, (0, 3): a}
+    return Algebra(B, Morphism(B.tensor(B), B, entries),
+                   Morphism(unit_space(group), B, {(0, 0): 1}))
+
+
+def test_enumerate_quadratic_bases_over_f7():
+    # t^2 - 2 splits with roots 3 and 4, t^2 has the double root 0 and
+    # t^2 - 3 is irreducible: signatures, nilpotent ranks, companion blocks
+    for a, roots, count in ((2, [3, 4], 9), (0, [0], 5), (3, [], 1)):
+        assert descent._field_roots(F7, 0, a) == roots
+        base = quadratic_algebra(F7, a)
+        mods = enumerate_bmodules(base, 3)
+        assert len(mods) == count
+        for m in mods:
+            assert check_bmodule(m, base).ok

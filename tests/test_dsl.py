@@ -375,7 +375,7 @@ def test_chains_whose_legs_split_elsewhere_keep_the_generic_walk(data):
 
 def corpus_env(entry):
     with open(os.path.join(default_root(), entry, "instance.txt")) as fh:
-        return parse_instance(fh.read()).environment()
+        return parse_instance(fh.read())
 
 
 @pytest.mark.parametrize("entry, braiding", [("free_z2", "br(H,P)"),

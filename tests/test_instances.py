@@ -46,8 +46,7 @@ def test_parse_graded_instance():
 
 def test_environment_runs_assertions():
     inst = parse_instance(read("free_z2"))
-    rep = run_assertions(read("free_z2", "assertions.txt"),
-                         inst.environment())
+    rep = run_assertions(read("free_z2", "assertions.txt"), inst)
     assert rep.ok, rep.render()
 
 

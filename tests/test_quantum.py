@@ -8,10 +8,12 @@ from hopfgal.fields import QQ, PrimeField
 import pytest
 
 from hopfgal.corpus import default_root
-from hopfgal.morphism import (Morphism, compose, factor_through_equaliser,
-                              kernel, tensor, tensor_many)
-from hopfgal.quantum import (build_quantum_category, cotensor_monoid,
-                             diagonal_action, multi_cotensor)
+from hopfgal.morphism import (Morphism, compose, factor_through_coequaliser,
+                              factor_through_equaliser, kernel, tensor,
+                              tensor_many)
+from hopfgal.quantum import (_induced, build_quantum_category,
+                             cotensor_monoid, diagonal_action, multi_cotensor)
+from hopfgal.report import Report
 from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              nonfree_z2_bundle, pair_groupoid_bundle,
                              superline, sweedler_hopf,
@@ -216,3 +218,79 @@ def test_qcat_eliminates_each_cotensor_square_once(monkeypatch):
         code = cli.main(["qcat", path])
     assert code == 0 and out.getvalue().endswith("result=pass\n")
     assert len(calls) == 2
+
+
+# -- failed factorisations are reported items --------------------------------
+
+def _edited_mc_trivial_z2(tmp_path, edit):
+    path = os.path.join(default_root(), "mc_trivial_z2", "instance.txt")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    edit(lines)
+    out = tmp_path / "instance.txt"
+    out.write_text("\n".join(lines) + "\n")
+    return str(out)
+
+
+def _qcat_stdout(path):
+    with redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["qcat", path])
+    return code, out.getvalue()
+
+
+def test_qcat_reports_the_maps_that_do_not_factor(tmp_path):
+    # P's action sends p_1 (x) h_0 to 3 p_1 instead of p_1: the diagonal
+    # action has no invariants left, and G = 0 carries neither source,
+    # target nor counit
+    def edit(lines):
+        assert lines[40] == "  1 2 1"
+        lines[40] = "  1 2 3"
+    code, out = _qcat_stdout(_edited_mc_trivial_z2(tmp_path, edit))
+    assert code == 1
+    assert out == (
+        "check=dim_base verdict=pass dim=1\n"
+        "check=monoid.assoc verdict=pass\n"
+        "check=monoid.mult_exists verdict=pass\n"
+        "check=monoid.unit_exists verdict=pass\n"
+        "check=monoid.unit_left verdict=pass\n"
+        "check=monoid.unit_right verdict=pass\n"
+        "check=qcat.can_invertible verdict=pass\n"
+        "check=qcat.comult_exists verdict=pass\n"
+        "check=qcat.counit_exists verdict=fail\n"
+        "check=qcat.dim_G verdict=pass dim=0\n"
+        "check=qcat.left_coaction_exists verdict=pass\n"
+        "check=qcat.right_coaction_exists verdict=pass\n"
+        "check=qcat.source_exists verdict=fail\n"
+        "check=qcat.target_exists verdict=fail\n"
+        "check=qcat.unit_exists verdict=pass\n"
+        "result=fail\n")
+
+
+def test_qcat_reports_a_unit_outside_the_cotensor_square(tmp_path):
+    # Delta_P gains p_0 -> p_1 (x) p_1: it no longer lands in P box_B P,
+    # and can is not invertible
+    def edit(lines):
+        assert lines[29] == "  3 1 1"
+        lines.insert(29, "  3 0 1")
+    code, out = _qcat_stdout(_edited_mc_trivial_z2(tmp_path, edit))
+    assert code == 1
+    assert out == (
+        "check=dim_base verdict=pass dim=1\n"
+        "check=monoid.mult_exists verdict=pass\n"
+        "check=monoid.unit_exists verdict=fail\n"
+        "check=qcat.can_invertible verdict=fail\n"
+        "result=fail\n")
+
+
+def test_induced_reports_a_map_that_does_not_factor():
+    # the identity of k^2 does not factor through the counit k^2 -> k;
+    # the counit itself does
+    b = pair_groupoid_bundle(QQ, 2)
+    eps = b.P.counit
+    rep = Report()
+    assert _induced(rep, "x_exists", factor_through_coequaliser,
+                    Morphism.identity(eps.dom), eps) is None
+    assert _induced(rep, "y_exists", factor_through_coequaliser,
+                    eps, eps) == Morphism.identity(eps.cod)
+    assert [(item.name, item.ok) for item in rep.items] == [
+        ("x_exists", False), ("y_exists", True)]
