@@ -11,9 +11,11 @@ the cotensor for the balanced tensor product), which the structure laws
 and the (co)invariants there are written against too.  It builds the
 actions through pi, P (x)_B P, can, the three A-laws, the comparison map
 from the (co)invariants' inclusion and the two laws of
-`canonical_map_linearity`, and runs the memoised stages: condition A
-(the laws on pi, then the comparison map's isomorphism report),
-condition B (can bijective, caching its verdict) and `check_principal`.
+`canonical_map_linearity`, and runs the stages: condition A (the laws on
+pi, then the comparison map's isomorphism report), condition B (can
+bijective, read off the `can_verdict` stage) and `check_principal`.
+Each derived map and stage is a plain method under `memoised`, which
+keeps its first result in the bundle's `_cache` under its name.
 `AlgebraBundle` supplies P.mult, rho, H.unit and H.comult,
 `CoalgebraBundle` P.comult, the action, H.counit and H.mult; each names
 its items and supplies condition C (the comonoid side answers it
@@ -339,6 +341,21 @@ def morphism_nullspace(dom, cod, equations):
 
 # -- the bundle pipeline -----------------------------------------------------
 
+def memoised(fn):
+    """fn(obj), computed on the first call and kept in obj._cache under
+    fn's name; a call that raises keeps nothing.  Unlike functools.wraps,
+    it sets no `__wrapped__`, which bench/tracer.py reads as a span."""
+    key = fn.__name__
+
+    def method(obj):
+        cache = obj._cache
+        if key not in cache:
+            cache[key] = fn(obj)
+        return cache[key]
+    method.__name__, method.__doc__ = key, fn.__doc__
+    return method
+
+
 class Bundle:
     """The principal-bundle pipeline, written in Vect and run in a side's
     category.
@@ -361,25 +378,22 @@ class Bundle:
         self.pi = pi
         self._cache = {}
 
-    def _memo(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
+    @memoised
     def left_action(self):
         """B (x) P -> P through pi."""
-        return self._memo("left_action", lambda: self.ops.tensor_compose(
-            self.m_P, [self.pi, Morphism.identity(self.P.space)]))
+        return self.ops.tensor_compose(
+            self.m_P, [self.pi, Morphism.identity(self.P.space)])
 
+    @memoised
     def right_action(self):
         """P (x) B -> P through pi."""
-        return self._memo("right_action", lambda: self.ops.tensor_compose(
-            self.m_P, [Morphism.identity(self.P.space), self.pi]))
+        return self.ops.tensor_compose(
+            self.m_P, [Morphism.identity(self.P.space), self.pi])
 
+    @memoised
     def p_tensor_p(self):
         """(P (x)_B P, Pi)."""
-        return self._memo("ptp", lambda: self.ops.tensor_over(
-            self.right_action(), self.left_action()))
+        return self.ops.tensor_over(self.right_action(), self.left_action())
 
     def _second_leg(self, m, g):
         """(m (x) id_H) o (id_P (x) g), g into P (x) H: a braided sandwich
@@ -390,12 +404,11 @@ class Bundle:
             m, Morphism.identity(H), Morphism.identity(P), g,
             (P, unit_space(P.group)), (P, H))
 
+    @memoised
     def canonical_map(self):
-        def build():
-            _, Pi = self.p_tensor_p()
-            return self.ops.factor_through_coequaliser(
-                self._second_leg(self.m_P, self.coact), Pi)
-        return self._memo("can", build)
+        _, Pi = self.p_tensor_p()
+        return self.ops.factor_through_coequaliser(
+            self._second_leg(self.m_P, self.coact), Pi)
 
     def _base_laws(self):
         """pi is an algebra map, and it equalises coact and id (x) u_H."""
@@ -428,74 +441,70 @@ class Bundle:
                 (d.compose_tensor([idP, self.cm_H], can),
                  d.compose_tensor([can, idH], coact)))
 
+    @memoised
     def condition_A(self):
-        def build():
-            rep = Report()
-            rep.items.extend(self._base_laws())
-            try:
-                phi = self._comparison_map()
-            except FactorizationError:
-                rep.add("A.comparison_iso", False,
-                        details={"reason": self.comparison_failure})
-                return rep
-            inv = is_isomorphism(phi)
-            rep.add("A.comparison_iso", inv.is_iso,
-                    details={"rank": inv.rank, "kernel_dim": inv.kernel_dim,
-                             "cokernel_dim": inv.cokernel_dim})
-            return rep
-        return self._memo("condA", build)
+        rep = Report()
+        rep.items.extend(self._base_laws())
+        try:
+            phi = self._comparison_map()
+        except FactorizationError:
+            return rep.add("A.comparison_iso", False,
+                           details={"reason": self.comparison_failure})
+        inv = is_isomorphism(phi)
+        return rep.add("A.comparison_iso", inv.is_iso,
+                       details={"rank": inv.rank, "kernel_dim": inv.kernel_dim,
+                                "cokernel_dim": inv.cokernel_dim})
 
-    def condition_B(self):
-        def build():
-            rep = Report()
-            try:
-                can = self.canonical_map()
-            except FactorizationError as err:
-                rep.add("B.can_bijective", False, details={"reason": str(err)})
-                return rep
-            inv = self._cache["can_verdict"] = is_isomorphism(can)
-            detail = {"rank": inv.rank, "kernel_dim": inv.kernel_dim,
-                      "corank": inv.corank, "dim_dom": can.dom.dim,
-                      "dim_cod": can.cod.dim}
-            rep.add("B.can_bijective", inv.is_iso, details=detail,
-                    witness=inv.kernel_inclusion)
-            return rep
-        return self._memo("condB", build)
-
+    @memoised
     def can_verdict(self):
-        """Condition B's `is_isomorphism` report on can, or None when can
-        does not exist."""
-        self.condition_B()
-        return self._cache.get("can_verdict")
+        """The `is_isomorphism` report on can, or None when can does not
+        exist."""
+        try:
+            can = self.canonical_map()
+        except FactorizationError:
+            return None
+        return is_isomorphism(can)
+
+    @memoised
+    def condition_B(self):
+        try:
+            can = self.canonical_map()
+        except FactorizationError as err:
+            return Report().add("B.can_bijective", False,
+                                details={"reason": str(err)})
+        inv = self.can_verdict()
+        detail = {"rank": inv.rank, "kernel_dim": inv.kernel_dim,
+                  "corank": inv.cokernel_dim, "dim_dom": can.dom.dim,
+                  "dim_cod": can.cod.dim}
+        return Report().add("B.can_bijective", inv.is_iso, details=detail,
+                            witness=inv.kernel_inclusion)
 
     def can_inverse(self):
         inv = self.can_verdict()
         return None if inv is None else inv.inverse
 
+    @memoised
     def check_principal(self):
-        def build():
-            rep = Report()
-            rep.extend(self.condition_A())
-            rep.extend(self.condition_B())
-            rep.extend(self.equivariant_projectivity())
-            rep.extend(self.faithful_flatness())
-            s_inv = is_isomorphism(self.H.antipode)
-            rep.add("antipode_bijective", True,
-                    details={"bijective": "true" if s_inv.is_iso else "false"})
-            proj = rep["C.equivariant_projective"].ok
-            flat = rep["C.faithfully_flat"].ok
-            # the two condition-C criteria are equivalent only for a
-            # bijective antipode; report agreement instead of assuming it
-            rep.add("C.criteria_agree", True,
-                    details={"projective": str(proj).lower(),
-                             "faithfully_flat": str(flat).lower(),
-                             "equivalence_expected":
-                             "true" if s_inv.is_iso else "false"})
-            principal = (rep["A.comparison_iso"].ok and
-                         rep["B.can_bijective"].ok and proj and flat)
-            rep.add("principal", principal)
-            return rep
-        return self._memo("principal", build)
+        rep = Report()
+        rep.extend(self.condition_A())
+        rep.extend(self.condition_B())
+        rep.extend(self.equivariant_projectivity())
+        rep.extend(self.faithful_flatness())
+        s_inv = is_isomorphism(self.H.antipode)
+        rep.add("antipode_bijective", True,
+                details={"bijective": "true" if s_inv.is_iso else "false"})
+        proj = rep["C.equivariant_projective"].ok
+        flat = rep["C.faithfully_flat"].ok
+        # the two condition-C criteria are equivalent only for a
+        # bijective antipode; report agreement instead of assuming it
+        rep.add("C.criteria_agree", True,
+                details={"projective": str(proj).lower(),
+                         "faithfully_flat": str(flat).lower(),
+                         "equivalence_expected":
+                         "true" if s_inv.is_iso else "false"})
+        principal = (rep["A.comparison_iso"].ok and
+                     rep["B.can_bijective"].ok and proj and flat)
+        return rep.add("principal", principal)
 
 
 class AlgebraBundle(Bundle):
@@ -522,16 +531,16 @@ class AlgebraBundle(Bundle):
     condition_B = Bundle.condition_B
     check_principal = Bundle.check_principal
 
+    @memoised
     def translation_map(self):
         """h -> can^{-1}(1 (x) h), defined when condition B holds."""
-        def build():
-            inv = self.can_inverse()
-            if inv is None:
-                return None
-            idH = Morphism.identity(self.H.space)
-            return tensor_compose(inv, [self.P.unit, idH])
-        return self._memo("translation", build)
+        inv = self.can_inverse()
+        if inv is None:
+            return None
+        return tensor_compose(inv, [self.P.unit,
+                                    Morphism.identity(self.H.space)])
 
+    @memoised
     def b_linear_maps(self):
         """(maps, K, Phi): maps[delta] is the `morphism_nullspace` basis of
         the left B-linear maps P -> B[delta], for delta = 0 and each degree
@@ -541,25 +550,23 @@ class AlgebraBundle(Bundle):
         B[delta] = B (x) k_delta is B with every degree raised by delta,
         k_delta the line of degree delta, and f: P -> B[delta] is B-linear
         when f q = (m_B (x) id) (id_B (x) f)."""
-        def build():
-            P, B = self.como.space, self.base.space
-            BP, q = B.tensor(P), self.left_action()
-            maps = {}
-            for delta in sorted({0, *P.degrees}):
-                line = GradedSpace(P.group, (delta,))
-                shifted = B.tensor(line)
-                m_B = tensor(self.base.mult, Morphism.identity(line))
-                maps[delta] = morphism_nullspace(P, shifted, [(
-                    [(1, None, None, None, q),
-                     (-1, m_B, B, None, Morphism.identity(BP))],
-                    Morphism.zero(BP, shifted))])
-            stacked = [(delta, f) for delta in maps for f in maps[delta]]
-            K = GradedSpace(P.group, tuple(delta for delta, _ in stacked))
-            Phi = Morphism(P, B.tensor(K), {
-                (b * K.dim + a, p): v for a, (_, f) in enumerate(stacked)
-                for (b, p), v in f.entries.items()})
-            return maps, K, Phi
-        return self._memo("b_linear_maps", build)
+        P, B = self.como.space, self.base.space
+        BP, q = B.tensor(P), self.left_action()
+        maps = {}
+        for delta in sorted({0, *P.degrees}):
+            line = GradedSpace(P.group, (delta,))
+            shifted = B.tensor(line)
+            m_B = tensor(self.base.mult, Morphism.identity(line))
+            maps[delta] = morphism_nullspace(P, shifted, [(
+                [(1, None, None, None, q),
+                 (-1, m_B, B, None, Morphism.identity(BP))],
+                Morphism.zero(BP, shifted))])
+        stacked = [(delta, f) for delta in maps for f in maps[delta]]
+        K = GradedSpace(P.group, tuple(delta for delta, _ in stacked))
+        Phi = Morphism(P, B.tensor(K), {
+            (b * K.dim + a, p): v for a, (_, f) in enumerate(stacked)
+            for (b, p), v in f.entries.items()})
+        return maps, K, Phi
 
     def _section_equations(self, colinear):
         """Linear conditions on C: K -> P for the section s = (id_B (x) C)
@@ -584,39 +591,37 @@ class AlgebraBundle(Bundle):
         return None if C is None else compose_tensor(
             [Morphism.identity(self.base.space), C], Phi)
 
+    @memoised
     def equivariant_projectivity(self):
-        def build():
-            P = self.como.space
-            s = self._solve_section(colinear=True)
-            unknowns = _unknown_count(P, self.base.space.tensor(P))
-            return Report().add("C.equivariant_projective", s is not None,
-                                details={"dim_unknowns": unknowns}, witness=s)
-        return self._memo("projectivity", build)
+        P = self.como.space
+        s = self._solve_section(colinear=True)
+        unknowns = _unknown_count(P, self.base.space.tensor(P))
+        return Report().add("C.equivariant_projective", s is not None,
+                            details={"dim_unknowns": unknowns}, witness=s)
 
     def section(self):
         return self.equivariant_projectivity()[
             "C.equivariant_projective"].witness
 
+    @memoised
     def faithful_flatness(self):
-        def build():
-            P, B = self.como.space, self.base.space
-            # a colinear section is a section; solve without colinearity
-            # only when there is none
-            s = self.section()
-            if s is None:
-                s = self._solve_section(colinear=False)
-            rep = Report().add("C.projective", s is not None, witness=s)
-            # trace ideal: the joint image of all left-B-linear maps P -> B,
-            # spanned by their columns, the rows of their transposes
-            maps, _, _ = self.b_linear_maps()
-            columns = [row for f in maps[0]
-                       for row in sparse_rows(f, transposed=True).values()]
-            trace_rank = len(linalg.rref_rows(P.field, columns))
-            rep.add("C.trace_ideal_full", trace_rank == B.dim,
-                    details={"trace_rank": trace_rank, "dim_base": B.dim})
-            rep.add("C.faithfully_flat", s is not None and trace_rank == B.dim)
-            return rep
-        return self._memo("flatness", build)
+        P, B = self.como.space, self.base.space
+        # a colinear section is a section; solve without colinearity only
+        # when there is none
+        s = self.section()
+        if s is None:
+            s = self._solve_section(colinear=False)
+        rep = Report().add("C.projective", s is not None, witness=s)
+        # trace ideal: the joint image of all left-B-linear maps P -> B,
+        # spanned by their columns, the rows of their transposes
+        maps, _, _ = self.b_linear_maps()
+        columns = [row for f in maps[0]
+                   for row in sparse_rows(f, transposed=True).values()]
+        trace_rank = len(linalg.rref_rows(P.field, columns))
+        rep.add("C.trace_ideal_full", trace_rank == B.dim,
+                details={"trace_rank": trace_rank, "dim_base": B.dim})
+        return rep.add("C.faithfully_flat",
+                       s is not None and trace_rank == B.dim)
 
     def dualize(self):
         return CoalgebraBundle(self.como.dualize(), self.base.dualize(),
@@ -652,19 +657,18 @@ class CoalgebraBundle(Bundle):
     condition_B = Bundle.condition_B
     check_principal = Bundle.check_principal
 
+    @memoised
     def equivariant_projectivity(self):
-        return self._memo(
-            "projectivity", lambda: self.dualize().equivariant_projectivity())
+        return self.dualize().equivariant_projectivity()
 
+    @memoised
     def faithful_flatness(self):
-        return self._memo(
-            "flatness", lambda: self.dualize().faithful_flatness())
+        return self.dualize().faithful_flatness()
 
+    @memoised
     def dualize(self):
-        def build():
-            return AlgebraBundle(self.modc.dualize(), self.base.dualize(),
-                                 dualize(self.pi))
-        return self._memo("dual", build)
+        return AlgebraBundle(self.modc.dualize(), self.base.dualize(),
+                             dualize(self.pi))
 
 
 def canonical_map_linearity(b):

@@ -120,7 +120,7 @@ def cmd_principal(args):
     if verdict.kernel_dim:
         extra.append("can_defect_kernel=[%s]"
                      % matrix_triples(verdict.kernel_inclusion))
-    if verdict.corank:
+    if verdict.cokernel_dim:
         _, proj = cokernel(can)
         extra.append("can_defect_cokernel=[%s]" % matrix_triples(proj))
     return _emit(rep, args.machine, extra)

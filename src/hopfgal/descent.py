@@ -5,7 +5,9 @@ descended module (an equaliser), the unit/counit comparison maps whose
 invertibility witnesses effective descent, the transport between descent
 data and relative Hopf modules through the canonical map, and the
 invariants functor.  Exhaustive or seeded sweeps over small base modules
-corroborate the faithful-flatness verdict of the bundle module.
+corroborate the faithful-flatness verdict of the bundle module.  A
+descent datum's derived maps, and its descended module, are kept through
+`bundle.memoised`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
+from .bundle import memoised
 from .hopf import VECT_OP, action_laws, coinvariants_of
 from .morphism import (FactorizationError, Morphism, braided_compose,
                        braiding, cokernel, compose, equaliser,
@@ -76,27 +79,24 @@ class DescentDatum:
     @xi.setter
     def xi(self, xi):
         self._xi = xi
-        self._cache.pop("descended", None)
+        self._cache.pop("descend", None)
 
-    def _memo(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
+    @memoised
     def base_action(self):
         """The restricted right B-action on E."""
-        return self._memo("base_action", lambda: tensor_compose(
-            self.action, [Morphism.identity(self.carrier), self.bundle.pi]))
+        return tensor_compose(
+            self.action, [Morphism.identity(self.carrier), self.bundle.pi])
 
+    @memoised
     def tensor_b_p(self):
-        return self._memo("tbp", lambda: tensor_over(
-            self.base_action(), self.bundle.left_action()))
+        return tensor_over(self.base_action(), self.bundle.left_action())
 
+    @memoised
     def unit_insertion(self):
         """E -> E (x)_B P, e -> [e (x) 1]."""
-        return self._memo("insertion", lambda: tensor_compose(
+        return tensor_compose(
             self.tensor_b_p()[1],
-            [Morphism.identity(self.carrier), self.bundle.P.unit]))
+            [Morphism.identity(self.carrier), self.bundle.P.unit])
 
 
 def verify_descent_datum(d):
@@ -161,12 +161,11 @@ def comparison_K(v, bundle):
     return d
 
 
+@memoised
 def descend(d):
     """(V, incl): the equaliser of xi and the unit insertion, as a B-module."""
-    def build():
-        _, incl = equaliser(d.xi, d.unit_insertion())
-        return _restricted_bmodule(d.base_action(), incl, d.bundle.base)
-    return d._memo("descended", build)
+    _, incl = equaliser(d.xi, d.unit_insertion())
+    return _restricted_bmodule(d.base_action(), incl, d.bundle.base)
 
 
 def unit_Phi(d):
@@ -285,21 +284,50 @@ def monad_presentation_report(d):
 
 RANDOM_SAMPLES = 6  # random quotients drawn for a base of neither kind
 
+
+def _sqrt_mod(a, p):
+    """A square root of a modulo the odd prime p, or None (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    z = 2  # the least quadratic non-residue
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1; then e > i
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (e - i - 1), p)
+        c, r, t, e = b * b % p, r * b % p, t * b * b % p, i
+    return r
+
+
 def _field_roots(field, beta, alpha):
-    """Roots of x^2 - beta x - alpha in the field, sorted canonically."""
-    roots = []
-    if field.characteristic == 0:
-        disc = beta * beta + 4 * alpha
-        if disc >= 0:
-            num, den = disc.numerator, disc.denominator
-            r = math.isqrt(num * den)
-            if r * r == num * den:
-                s = Fraction(r, den)
-                roots = sorted({(beta + s) / 2, (beta - s) / 2})
+    """Roots of x^2 - beta x - alpha in the field, sorted canonically: the
+    (beta +- s) / 2 for a square root s of the discriminant."""
+    p = field.characteristic
+    if p == 2:
+        return [x for x in (0, 1)
+                if not field.reduce(x * x - beta * x - alpha)]
+    disc = beta * beta + 4 * alpha
+    if p:
+        s = _sqrt_mod(disc, p)
     else:
-        roots = [x for x in range(field.characteristic)
-                 if not field.reduce(x * x - beta * x - alpha)]
-    return roots
+        num, den = disc.numerator, disc.denominator
+        r = math.isqrt(max(num * den, 0))
+        s = Fraction(r, den) if r * r == num * den else None
+    if s is None:
+        return []
+    half = field.inv(2)
+    return sorted({field.reduce((beta + s) * half),
+                   field.reduce((beta - s) * half)})
 
 
 def _module_from_operator(B, coordinates, T):

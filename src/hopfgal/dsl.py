@@ -10,6 +10,7 @@ contain one `EXPECT <expr> == <expr>` per line.
 
 from __future__ import annotations
 
+from .hopf import Value
 from .morphism import (Morphism, _tensor_is, braided_compose, braiding,
                        braiding_endpoints, compose, compose_tensor,
                        tensor_compose, tensor_many)
@@ -35,31 +36,14 @@ class AssertionFileError(Exception):
         super().__init__("line %d: %s" % (lineno, message))
 
 
-class Node:
-    """An expression node, compared by value: equal when of one class with
-    equal fields, in `__slots__` order."""
-
-    __slots__ = ()
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return (other.__class__ is self.__class__
-                and other._fields() == self._fields())
-
-    def __hash__(self):
-        return hash(self._fields())
-
-
-class Name(Node):
+class Name(Value):
     __slots__ = ("text",)
 
     def __init__(self, text):
         self.text = text
 
 
-class Call(Node):
+class Call(Value):
     __slots__ = ("head", "args")
 
     def __init__(self, head, args):
@@ -67,7 +51,7 @@ class Call(Node):
         self.args = args
 
 
-class Tensor(Node):
+class Tensor(Value):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
@@ -75,7 +59,7 @@ class Tensor(Node):
         self.right = right
 
 
-class Seq(Node):
+class Seq(Value):
     """Diagrammatic composite: `first`, then `second`."""
 
     __slots__ = ("first", "second")

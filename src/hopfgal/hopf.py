@@ -24,9 +24,9 @@ from .report import Report, equality_check
 from .spaces import unit_space
 
 
-class _Structure:
-    """Structure maps compared by value: equal when of one class with equal
-    fields, in `__slots__` order."""
+class Value:
+    """A structure or an expression compared by value: equal when of one
+    class with equal fields, in `__slots__` order."""
 
     __slots__ = ()
 
@@ -41,7 +41,7 @@ class _Structure:
         return hash(self._fields())
 
 
-class Algebra(_Structure):
+class Algebra(Value):
     __slots__ = ("space", "mult", "unit")
 
     def __init__(self, space, mult, unit):
@@ -58,7 +58,7 @@ class Algebra(_Structure):
         return Coalgebra(self.space.dual(), dualize(self.mult), dualize(self.unit))
 
 
-class Coalgebra(_Structure):
+class Coalgebra(Value):
     __slots__ = ("space", "comult", "counit")
 
     def __init__(self, space, comult, counit):
@@ -75,7 +75,7 @@ class Coalgebra(_Structure):
         return Algebra(self.space.dual(), dualize(self.comult), dualize(self.counit))
 
 
-class HopfAlgebra(_Structure):
+class HopfAlgebra(Value):
     __slots__ = ("algebra", "coalgebra", "antipode")
 
     def __init__(self, algebra, coalgebra, antipode):

@@ -709,10 +709,6 @@ class InvertibilityReport:
         self.cokernel_dim = cokernel_dim
         self.kernel_inclusion = kernel_inclusion  # Morphism or None
 
-    @property
-    def corank(self):
-        return self.cokernel_dim
-
 
 def is_isomorphism(f):
     """Exact invertibility check with witness: inverse or defect data.

@@ -392,3 +392,24 @@ def test_principal_bytes_where_condition_C_presolve_bites(tmp_path, name, text,
     code, out, err = run(["principal", str(path)])
     assert err == ""
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == expected
+
+
+@pytest.mark.parametrize("line, message", [
+    ("EXPECT foo(H) == id(H)",
+     "parse error at position 1: expected S|act|br|cm|coact|cu|id|m|u, "
+     "found 'foo'"),
+    ("EXPECT id == id(H)",
+     "parse error at position 3: expected (, found 'end of input'"),
+    ("EXPECT id(H) ) == id(H)",
+     "parse error at position 7: expected *|;|end of input|o, found ')'"),
+    ("EXPECT id(H) + id(H) == id(H)",
+     "parse error at position 7: expected *|;|end of input|o, found '+'"),
+    ("EXPECT id(H) ; m(Q) == id(H)", "no algebra named 'Q'"),
+])
+def test_malformed_expression_is_input_error(tmp_path, line, message):
+    # an unknown head, a head without arguments, a stray token after a
+    # complete expression, and an object name the instance does not hold
+    path = tmp_path / "assertions.txt"
+    path.write_text("EXPECT id(H) == id(H)\n%s\n" % line)
+    code, out, err = run(["eval", inst("trivial_z2"), str(path)])
+    assert (code, out, err) == (2, "", "error: line 2: %s\n" % message)

@@ -1,4 +1,7 @@
 import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from hopfgal.descent import (BModule, DescentDatum, RelativeHopfModule,
                              invariants_functor, kappa_transport,
                              monad_presentation_report, sweep_phi_psi,
                              unit_Phi, verify_descent_datum)
-from hopfgal.corpus import default_root
+from hopfgal.corpus import _algebra_side_text, default_root
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.hopf import Algebra
 from hopfgal.instances import parse_instance
@@ -328,3 +331,43 @@ def test_enumerate_quadratic_bases_over_f7():
         assert len(mods) == count
         for m in mods:
             assert check_bmodule(m, base).ok
+
+
+def brute_force_roots(field, beta, alpha):
+    return [x for x in range(field.characteristic)
+            if not field.reduce(x * x - beta * x - alpha)]
+
+
+def test_field_roots_match_brute_force():
+    # 17 - 1 = 2^4: Tonelli-Shanks runs its loop more than once
+    for p in (2, 3, 5, 7, 11, 13, 17):
+        F = PrimeField(p)
+        for beta in range(p):
+            for alpha in range(p):
+                assert descent._field_roots(F, beta, alpha) == \
+                    brute_force_roots(F, beta, alpha), (p, beta, alpha)
+    F = PrimeField(101)
+    rng = random.Random(0)
+    for _ in range(200):
+        beta, alpha = rng.randrange(101), rng.randrange(101)
+        assert descent._field_roots(F, beta, alpha) == \
+            brute_force_roots(F, beta, alpha), (beta, alpha)
+
+
+def test_sweep_over_a_61_bit_prime_field(tmp_path):
+    # B = k[t]/(t^2): the roots of x^2 come from a square root mod p, where
+    # a search over all of F_p would never end
+    src = os.path.dirname(os.path.dirname(descent.__file__))
+    out = {}
+    for p in (101, 2**61 - 1):
+        path = tmp_path / ("nonflat_%d.txt" % p)
+        path.write_text(_algebra_side_text(nonflat_bundle(PrimeField(p)))[0])
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfgal.cli", "descent", str(path),
+             "--sweep-dim", "2"], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (1, ""), p
+        out[p] = proc.stdout
+    assert out[2**61 - 1] == out[101]
+    assert out[101].endswith("check=sweep.module_02_psi verdict=fail dim=2 "
+                             "kernel_dim=1\nresult=fail\n")
