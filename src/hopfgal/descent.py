@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -199,16 +200,11 @@ def counit_Psi(v, bundle):
 
 # -- relative Hopf modules and the transport ---------------------------------
 
-class RelativeHopfModule:
-    """Algebra side: a right P-module with a compatible right H-comodule
-    structure; the comonoid side is reached through bundle dualisation."""
-
-    __slots__ = ("carrier", "action", "coaction")
-
-    def __init__(self, carrier, action, coaction):
-        self.carrier = carrier
-        self.action = action      # E (x) P -> E
-        self.coaction = coaction  # E -> E (x) H
+# algebra side: a right P-module E with action E (x) P -> E and a compatible
+# right H-coaction E -> E (x) H; the comonoid side is reached through bundle
+# dualisation
+RelativeHopfModule = namedtuple("RelativeHopfModule",
+                                ("carrier", "action", "coaction"))
 
 
 def hopf_module_check(m, bundle):

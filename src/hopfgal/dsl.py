@@ -15,6 +15,7 @@ from .morphism import (Morphism, _tensor_is, braided_compose, braiding,
                        braiding_endpoints, compose, compose_tensor,
                        tensor_compose, tensor_many)
 from .report import Report, equality_check
+from .spaces import MAX_DIM
 
 HEADS = {"id": 1, "m": 1, "u": 1, "cm": 1, "cu": 1, "S": 1, "br": 2,
          "act": 1, "coact": 1}
@@ -233,7 +234,9 @@ class Environment:
             V = self.space(e.args[0])
             if e.head == "id":
                 return V, V
-            return braiding_endpoints(V, self.space(e.args[1]))
+            W = self.space(e.args[1])
+            _check_product(V, W)
+            return braiding_endpoints(V, W)
         f = self.atom_morphism(e)
         return f.dom, f.cod
 
@@ -312,18 +315,33 @@ def _sandwich(e, env):
     return (legs, ends, (U1, U2), (V1, V2)) if split else None
 
 
+def _check_product(V, W):
+    """TypeError when V (x) W is above MAX_DIM, before it is built."""
+    if V.dim * W.dim > MAX_DIM:
+        raise TypeError("dimension %d above the limit %d"
+                        % (V.dim * W.dim, MAX_DIM))
+
+
+def _products(V, W, X, Y):
+    """(V (x) W, X (x) Y), each checked by `_check_product`."""
+    _check_product(V, W)
+    _check_product(X, Y)
+    return V.tensor(W), X.tensor(Y)
+
+
 def typecheck(e, env):
-    """(domain, codomain) of a well-typed expression; TypeError otherwise."""
+    """(domain, codomain) of a well-typed expression; TypeError otherwise,
+    and for a space product above MAX_DIM."""
     if isinstance(e, (Name, Call)):
         return env.atom_endpoints(e)
     if isinstance(e, Tensor):
         ld, lc = typecheck(e.left, env)
         rd, rc = typecheck(e.right, env)
-        return ld.tensor(rd), lc.tensor(rc)
+        return _products(ld, rd, lc, rc)
     sandwich = _sandwich(e, env)
     if sandwich is not None:
         (fd, _), (gd, _), (_, c1), (_, c2) = sandwich[1]
-        return fd.tensor(gd), c1.tensor(c2)
+        return _products(fd, gd, c1, c2)
     fd, fc = typecheck(e.first, env)
     sd, sc = typecheck(e.second, env)
     if fc != sd:
@@ -385,8 +403,9 @@ def assert_equal(lhs, rhs, env, name="expect"):
 def run_assertions(text, env):
     """Run `EXPECT <expr> == <expr>` lines; blank lines and # comments skip.
 
-    A line that does not parse or typecheck raises `AssertionFileError`
-    with its line number.
+    A line that does not parse or typecheck, or nests too deeply for the
+    recursive parser and walks, raises `AssertionFileError` with its line
+    number.
     """
     rep = Report()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -402,4 +421,7 @@ def run_assertions(text, env):
                                     name="line_%03d" % lineno))
         except (ParseError, TypeError) as exc:
             raise AssertionFileError(lineno, str(exc)) from exc
+        except RecursionError:
+            raise AssertionFileError(
+                lineno, "expression nested too deeply") from None
     return rep

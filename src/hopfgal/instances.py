@@ -18,13 +18,8 @@ from .descent import BModule
 from .dsl import Environment
 from .fields import QQ, PrimeField, parse_int
 from .hopf import Algebra, Coalgebra, HopfAlgebra
-from .morphism import Morphism
-from .spaces import GradedSpace, GradingGroup, unit_space
-
-
-# a declared space's degree tuple takes 8 bytes a basis vector, and no check
-# reaches a space of this dimension
-MAX_DIM = 1 << 24
+from .morphism import Morphism, _tensor_spaces
+from .spaces import MAX_DIM, GradedSpace, GradingGroup, unit_space
 
 
 class InstanceError(Exception):
@@ -53,13 +48,19 @@ def _space_product(inst, spec, lineno):
         if inst.group is None:
             raise InstanceError(lineno, "unit space before grading")
         return unit_space(inst.group)
-    total = None
-    for part in spec.split("*"):
-        if part not in inst.spaces:
-            raise InstanceError(lineno, "unknown space %r" % part)
-        V = inst.spaces[part]
-        total = V if total is None else total.tensor(V)
-    return total
+    spaces = [_lookup(inst.spaces, part, lineno, "space")
+              for part in spec.split("*")]
+    dim = 1
+    for V in spaces:
+        dim *= V.dim
+    _check_dim(dim, lineno)
+    return _tensor_spaces(spaces)
+
+
+def _check_dim(dim, lineno):
+    if dim > MAX_DIM:
+        raise InstanceError(lineno, "dimension %d above the limit %d"
+                            % (dim, MAX_DIM))
 
 
 def _keywords(words, lineno, required):
@@ -126,9 +127,7 @@ def parse_instance(text):
                 dim = parse_int(words[3])
                 if dim < 0:
                     raise InstanceError(lineno, "negative dimension %d" % dim)
-                if dim > MAX_DIM:
-                    raise InstanceError(lineno, "dimension %d above the limit"
-                                        " %d" % (dim, MAX_DIM))
+                _check_dim(dim, lineno)
                 if len(words) > 4:
                     if words[4] != "degrees" or len(words) != 5 + dim:
                         raise InstanceError(lineno, "expected %d degrees" % dim)

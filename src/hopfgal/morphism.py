@@ -49,7 +49,7 @@ base (`tensor_over`) and the cotensor product (`cotensor`) are the
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain
 
@@ -223,17 +223,20 @@ def _tensor_spaces(spaces):
 def _tensor_is(spaces, W):
     """Whether V_1 (x) ... (x) V_k == W.
 
-    Under the trivial grading every degree is 0, so the group and the
-    product of the dims decide and the product is never built.  A Z_n
-    grading, or a factor over another group (which `tensor` rejects),
-    builds the product and compares it.
+    The product of the dims is compared first, so a product of another
+    dimension than W's is never built.  Under the trivial grading every
+    degree is 0, so the group and the dims decide.  A Z_n grading, or a
+    factor over another group (which `tensor` rejects), builds the product
+    and compares it.
     """
+    dim = 1
+    for V in spaces:
+        dim *= V.dim
+    if dim != W.dim:
+        return False
     group = W.group
     if group.n == 1 and all(V.group == group for V in spaces):
-        dim = 1
-        for V in spaces:
-            dim *= V.dim
-        return dim == W.dim
+        return True
     return _tensor_spaces(spaces) == W
 
 
@@ -696,18 +699,10 @@ def factor_through_coequaliser(c, Pi):
     return x
 
 
-class InvertibilityReport:
-    __slots__ = ("is_iso", "inverse", "rank", "kernel_dim", "cokernel_dim",
-                 "kernel_inclusion")
-
-    def __init__(self, is_iso, inverse, rank, kernel_dim, cokernel_dim,
-                 kernel_inclusion):
-        self.is_iso = is_iso
-        self.inverse = inverse  # Morphism or None
-        self.rank = rank
-        self.kernel_dim = kernel_dim
-        self.cokernel_dim = cokernel_dim
-        self.kernel_inclusion = kernel_inclusion  # Morphism or None
+# `inverse` and `kernel_inclusion` are Morphisms or None
+InvertibilityReport = namedtuple("InvertibilityReport", (
+    "is_iso", "inverse", "rank", "kernel_dim", "cokernel_dim",
+    "kernel_inclusion"))
 
 
 def is_isomorphism(f):

@@ -11,45 +11,48 @@ factorisation; a failed factorisation is reported, not raised.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from types import SimpleNamespace
+
 from .hopf import VECT_OP, Coalgebra, check_algebra, coinvariants_of, hom_laws
 from .morphism import (FactorizationError, Morphism, braided_compose,
                        braiding, compose, compose_tensor, cotensor, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
-                       kernel_tensor_id, tensor, tensor_many)
+                       kernel_tensor_id, tensor, tensor_compose, tensor_many)
 from .report import Report, equality_check
 from .spaces import unit_space
 
 
 def multi_cotensor(rho_right, lambda_left, n, square=None):
     """The cotensor powers of one bicomodule carrier X from the square up
-    to the n-th, one leg at a time: [(E_k, iota_k, j_k, order_k) for k =
-    2..n].
+    to the n-th, one leg at a time: [(E_k, iota_k, j_k) for k = 2..n].
 
     rho_right: X -> X (x) B and lambda_left: X -> B (x) X.  The square is
     `cotensor(rho, lambda)`, or `square` when that (E, iota) is already
-    built, with j_2 = iota_2 and order_2 the identity order.  Each later
-    power extends the one before it: E_k (x) X with iota_k (x) id_X
-    (`kernel_tensor_id`, no elimination), then the equaliser j_{k+1} of the
-    last pair of legs, rho on leg k and lambda on leg k + 1, one
-    `compose_tensor` of that inclusion per side.  So iota_{k+1} =
-    (iota_k (x) id_X) o j_{k+1}.  j_{k+1} lands in E_k (x) X in
-    `kernel_tensor_id`'s column order, and a caller that reads it renames
-    its rows through order_{k+1}, which puts it in the Kronecker basis of
-    E_k (x) X under every grading.  Only X (x) X and each E_k (x) X are
+    built, with j_2 = iota_2.  Each later power extends the one before it:
+    E_k (x) X with iota_k (x) id_X (`kernel_tensor_id`, no elimination),
+    then the equaliser of the last pair of legs, rho on leg k and lambda
+    on leg k + 1, one `compose_tensor` of that inclusion per side.  The
+    step j_{k+1}: E_{k+1} -> E_k (x) X is that equaliser's inclusion with
+    its rows renamed through `kernel_tensor_id`'s order, into the Kronecker
+    basis of E_k (x) X under every grading, so iota_{k+1} =
+    (iota_k (x) id_X) o j_{k+1}.  Only X (x) X and each E_k (x) X are
     eliminated, and each basis is the one successive equalisers of
     adjacent pairs give.
     """
     X = rho_right.dom
     idX = Morphism.identity(X)
     E, iota = cotensor(rho_right, lambda_left) if square is None else square
-    powers = [(E, iota, iota, range(iota.cod.dim))]
+    powers = [(E, iota, iota)]
     for k in range(2, n):
         _, F, order = kernel_tensor_id(iota, X)
         f = compose_tensor([idX] * (k - 1) + [rho_right, idX], F)
         g = compose_tensor([idX] * k + [lambda_left], F)
+        ambient = E.tensor(X)
         E, j = equaliser(f, g)
         iota = compose(F, j)
-        powers.append((E, iota, j, order))
+        powers.append((E, iota, Morphism(E, ambient, {
+            (order[p], e): v for (p, e), v in j.entries.items()})))
     return powers
 
 
@@ -64,16 +67,10 @@ def _induced(rep, name, factor, c, through):
     return out
 
 
-class CotensorMonoid:
-    """P box_B P with multiplication id box pi box id and unit from Delta."""
-
-    def __init__(self, carrier, iota, mult, unit, rho_right, lambda_left):
-        self.carrier = carrier
-        self.iota = iota
-        self.mult = mult  # triple cotensor -> carrier
-        self.unit = unit  # P -> carrier
-        self.rho_right = rho_right
-        self.lambda_left = lambda_left
+# P box_B P with its inclusion, the multiplication id box pi box id from the
+# triple cotensor, and the unit P -> carrier from Delta
+CotensorMonoid = namedtuple("CotensorMonoid", (
+    "carrier", "iota", "mult", "unit", "rho_right", "lambda_left"))
 
 
 def cotensor_monoid(b):
@@ -82,7 +79,7 @@ def cotensor_monoid(b):
     idP = Morphism.identity(P)
     rho_r = b.right_coaction()
     lam_l = b.left_coaction()
-    (E2, i2, _, _), (_, i3, _, _), (_, i4, _, _) = multi_cotensor(
+    (E2, i2, _), (_, i3, _), (_, i4, _) = multi_cotensor(
         rho_r, lam_l, 4, b.p_cotensor_p())
     rep = Report()
     mult = _induced(rep, "monoid.mult_exists", factor_through_equaliser,
@@ -111,11 +108,6 @@ def cotensor_monoid(b):
     return CotensorMonoid(E2, i2, mult, unit, rho_r, lam_l), rep
 
 
-class QuantumCategory:
-    def __init__(self, **kw):
-        self.__dict__.update(kw)
-
-
 def diagonal_action(b):
     """The diagonal right H-action on P (x) P."""
     P, H = b.modc.space, b.H.space
@@ -126,8 +118,9 @@ def diagonal_action(b):
 def build_quantum_category(b):
     """All structure maps of the quantum category of a comonoid bundle.
 
-    Returns (QuantumCategory or None, Report).  Requires condition B: the
-    composition of morphisms goes through the inverse canonical map.
+    Returns (category or None, Report), the category a SimpleNamespace of
+    its maps and spaces.  Requires condition B: the composition of
+    morphisms goes through the inverse canonical map.
     """
     P, H, B = b.modc.space, b.H.space, b.base.space
     idP, idH, idB = (Morphism.identity(s) for s in (P, H, B))
@@ -171,19 +164,16 @@ def build_quantum_category(b):
     if any(x is None for x in pieces):
         return None, rep
 
-    # G box_B G and the triple cotensor, with its inclusion j12 into
-    # (G box_B G) (x) G that associativity uses, its rows renamed into the
-    # Kronecker basis; the composition m_G on G box_B G is solved from the
-    # ambient composite
-    (GG, iota_GG, _, _), (_, iota_G3, j, order) = multi_cotensor(
-        rho_G, lam_G, 3)
-    j12 = Morphism(j.dom, GG.tensor(G),
-                   {(order[p], e): v for (p, e), v in j.entries.items()})
+    # G box_B G and the triple cotensor, with its step inclusion j12 into
+    # (G box_B G) (x) G that associativity uses; the composition m_G on
+    # G box_B G is solved from the ambient composite
+    (GG, iota_GG, _), (_, iota_G3, j12) = multi_cotensor(rho_G, lam_G, 3)
     _, i2 = b.p_cotensor_p()
-    M_mid = compose_tensor([b.action, idP],
-                           compose_tensor([idP, b.P.counit, idH, idP],
-                                          tensor_many(idP, can_inv, idP)))
-    composite = compose(PiG, M_mid)  # P (x) (P box P) (x) P -> G
+    # P (x) (P box P) (x) P -> G, folded by legs: Pi_G o ((act o (id_P (x)
+    # shear)) (x) id_P), where shear = (eps (x) id_H) o can^-1: P box P -> H
+    shear = compose_tensor([b.P.counit, idH], can_inv)
+    composite = tensor_compose(
+        PiG, [tensor_compose(b.action, [idP, shear]), idP])
     q = compose_tensor([PiG, PiG], tensor_many(idP, i2, idP))
     r = _induced(rep, "qcat.pairs_cover_exists", factor_through_equaliser,
                  q, iota_GG)
@@ -235,7 +225,7 @@ def build_quantum_category(b):
     except FactorizationError:
         rep.add("qcat.mult_assoc", False,
                 details={"reason": "composition is not bicomodule-colinear"})
-    qc = QuantumCategory(
+    qc = SimpleNamespace(
         objects=b.base, morphisms_space=G, projection=PiG,
         source=source, target=target, unit=unit_G, mult=mult_G,
         comult=comult_G, counit=counit_G,

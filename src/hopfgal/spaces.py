@@ -15,6 +15,10 @@ from .fields import FieldError
 # The most chi values (powers of gen) a grading group keeps.
 MAX_CHI_ORDER = 1 << 16
 
+# The largest space an input declares or an expression forms: a degree tuple
+# takes 8 bytes a basis vector, and no check reaches a space of this dimension.
+MAX_DIM = 1 << 24
+
 
 class GradingGroup:
     """Z_n together with a bicharacter chi(a, b) = gen^(a*b).

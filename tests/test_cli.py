@@ -1,6 +1,8 @@
 import hashlib
 import io
 import os
+import resource
+import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
 
@@ -27,6 +29,23 @@ def run(argv):
 
 def inst(name):
     return os.path.join(CORPUS, name, "instance.txt")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_limited(argv):
+    """The CLI in a child process under a 1 GiB address-space limit, so an
+    input that makes it allocate without bound fails fast instead of
+    filling the host's memory."""
+    src = os.path.dirname(os.path.dirname(morphism.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfgal.cli"] + argv,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_limit_address_space, capture_output=True, text=True,
+        timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_check_pass_and_fail():
@@ -250,6 +269,18 @@ def test_truncated_or_oversized_directive_is_input_error(tmp_path, text,
     assert run(["check", str(path)]) == (2, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("space, header, dim", [
+    ("V dim 4096", "V*V*V", 1 << 36), ("V dim 16777216", "V*V", 1 << 48)])
+def test_header_product_above_the_limit_is_input_error(tmp_path, space,
+                                                       header, dim):
+    # the dims are multiplied before the product space is built
+    path = tmp_path / "huge_product.txt"
+    path.write_text(GRADED + "space %s\nmorphism f %s 1\n  0 0 1\nend\n"
+                    % (space, header))
+    assert run_limited(["check", str(path)]) == (
+        2, "", "error: line 4: dimension %d above the limit 16777216\n" % dim)
+
+
 TRIVIAL_HOPF = "".join(
     "morphism %s %s\n  0 0 1\nend\n" % (name, ends) for name, ends in [
         ("m", "H*H H"), ("u", "1 H"), ("cm", "H H*H"), ("cu", "H 1"),
@@ -287,6 +318,17 @@ def test_structure_rejected_by_a_constructor_is_input_error(name, message):
     bad = os.path.join(os.path.dirname(__file__), "instances", name)
     code, out, err = run(["check", bad])
     assert code == 2 and out == "" and message in err
+
+
+def test_bundle_side_must_be_algebra_or_comonoid(tmp_path):
+    with open(inst("free_z2"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines[55] == "bundle main side=algebra total=P base=B pi=pi"
+    lines[55] = "bundle main side=both total=P base=B pi=pi"
+    path = tmp_path / "instance.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["check", str(path)]) == (
+        2, "", "error: line 56: side must be algebra or comonoid\n")
 
 
 def test_corpus_replay_matches_expected():
@@ -413,3 +455,37 @@ def test_malformed_expression_is_input_error(tmp_path, line, message):
     path.write_text("EXPECT id(H) == id(H)\n%s\n" % line)
     code, out, err = run(["eval", inst("trivial_z2"), str(path)])
     assert (code, out, err) == (2, "", "error: line 2: %s\n" % message)
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 400 + "id(H)" + ")" * 400, " ; ".join(["id(H)"] * 1200)],
+    ids=["parentheses", "chain"])
+def test_deeply_nested_expression_is_input_error(tmp_path, expr):
+    # deep parentheses and a long chain of compositions both recurse past
+    # the interpreter's limit in the parser or the typecheck
+    path = tmp_path / "assertions.txt"
+    path.write_text("EXPECT %s == id(H)\n" % expr)
+    assert run(["eval", inst("trivial_z2"), str(path)]) == (
+        2, "", "error: line 1: expression nested too deeply\n")
+
+
+@pytest.mark.parametrize("grading, dim, line", [
+    ("trivial", 8192, "EXPECT id(V) * id(V) == id(V) * id(V)"),
+    ("trivial", 8192, "EXPECT br(V,V) == br(V,V)"),
+    # a graded braided sandwich, whose leg split is read before the generic
+    # walk reaches its products
+    ("cyclic 2 gen -1", 16384,
+     "EXPECT (id(V) * id(V)) ; (id(V) * br(V,V) * id(V)) ; (id(V) * id(V))"
+     " == id(V)"),
+])
+def test_expression_product_above_the_limit_is_input_error(tmp_path, grading,
+                                                           dim, line):
+    # each product an expression forms is checked before it is built
+    instance = tmp_path / "instance.txt"
+    instance.write_text("field rational\ngrading %s\nspace V dim %d\n"
+                        % (grading, dim))
+    assertions = tmp_path / "assertions.txt"
+    assertions.write_text(line + "\n")
+    assert run_limited(["eval", str(instance), str(assertions)]) == (
+        2, "", "error: line 1: dimension %d above the limit 16777216\n"
+        % (dim * dim))

@@ -8,7 +8,9 @@ from hopfgal.fields import QQ, PrimeField
 import pytest
 
 from hopfgal.corpus import default_root
-from hopfgal.morphism import (Morphism, compose, factor_through_coequaliser,
+from hopfgal.bundle import CoalgebraBundle
+from hopfgal.morphism import (Morphism, compose, compose_tensor,
+                              factor_through_coequaliser,
                               factor_through_equaliser, kernel, tensor,
                               tensor_many)
 from hopfgal.quantum import (_induced, build_quantum_category,
@@ -18,6 +20,7 @@ from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              nonfree_z2_bundle, pair_groupoid_bundle,
                              superline, sweedler_hopf,
                              trivial_coalgebra_bundle, z2_set_action_bundle)
+from test_bundle import SAMPLE_BUNDLES, comonoid_bundles
 
 
 def coinvariant_dim_oracle(b):
@@ -108,6 +111,43 @@ def test_non_invertible_can_refuses():
     assert not rep["qcat.can_invertible"].ok
 
 
+def test_composition_matches_the_kronecker_product_composite():
+    # the composite through can^-1 that the composition is solved from,
+    # written with id_P (x) can^-1 (x) id_P built as a Kronecker product:
+    # the leg-folded one in build_quantum_category must induce the same m_G
+    bundles = comonoid_bundles()
+    for name, build in SAMPLE_BUNDLES.items():
+        b = build()
+        bundles["sample_" + name] = (
+            b if isinstance(b, CoalgebraBundle) else b.dualize())
+    checked = []
+    for name, b in bundles.items():
+        can_inv = b.can_inverse()
+        if can_inv is None:
+            continue
+        qc, _ = build_quantum_category(b)
+        if qc is None:
+            continue
+        idP = Morphism.identity(b.modc.space)
+        idH = Morphism.identity(b.H.space)
+        _, i2 = b.p_cotensor_p()
+        PiG = qc.projection
+        old = compose(PiG, compose_tensor(
+            [b.action, idP], compose_tensor([idP, b.P.counit, idH, idP],
+                                            tensor_many(idP, can_inv, idP))))
+        r = factor_through_equaliser(
+            compose_tensor([PiG, PiG], tensor_many(idP, i2, idP)),
+            qc.pairs_inclusion)
+        assert factor_through_coequaliser(old, r) == qc.mult, name
+        checked.append(name)
+    # the Z_1, Z_2 and Z_3 gradings, comonoid-side and dualised bundles
+    for name in ("pair_groupoid_qq", "corpus_mc_trivial_z2_main",
+                 "corpus_trivial_braided_line_f7_main", "free_z2_f7",
+                 "sample_superline_qq", "set_action_free_x4_qq"):
+        assert name in checked
+    assert len(checked) >= 20
+
+
 def successive_equaliser_multi_cotensor(rho_right, lambda_left, n):
     """The n-fold cotensor power with every equaliser pair built as a
     Kronecker product composed with the current inclusion, and equalised
@@ -148,13 +188,6 @@ def _superline_coactions():
     return h.comult, h.comult
 
 
-def kronecker_step(j, order, ambient):
-    """A power's step inclusion j with its rows renamed through order into
-    `ambient`, the Kronecker product of the previous power with X."""
-    return Morphism(j.dom, ambient,
-                    {(order[p], e): v for (p, e), v in j.entries.items()})
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("coactions", [
     _pair_groupoid_coactions, _free_z2_coactions, _braided_line_coactions,
@@ -165,17 +198,15 @@ def test_multi_cotensor_matches_successive_equalisers(coactions, n):
     powers = multi_cotensor(rho, lam, n)
     assert len(powers) == n - 1
     previous = Morphism.identity(X)
-    for k, (E, iota, raw, order) in enumerate(powers, 2):
+    for k, (E, iota, j) in enumerate(powers, 2):
         E_ref, iota_ref = successive_equaliser_multi_cotensor(rho, lam, k)
         assert E.group == E_ref.group and E.degrees == E_ref.degrees
         assert iota.cod == iota_ref.cod
         assert iota.cod.degrees == iota_ref.cod.degrees
         assert sorted(iota.entries.items()) == sorted(iota_ref.entries.items())
         assert 0 < E.dim < iota.cod.dim
-        # the step inclusion, its rows renamed through order, lands in the
-        # Kronecker basis of E_{k-1} (x) X
+        # the step inclusion lands in the Kronecker basis of E_{k-1} (x) X
         step = tensor(previous, Morphism.identity(X))
-        j = kronecker_step(raw, order, step.dom)
         assert j.dom == E
         assert compose(step, j) == iota
         previous = iota
@@ -187,14 +218,12 @@ def test_step_inclusion_is_the_factorisation_through_the_kronecker_product(
         coactions):
     # Z_1, the Z_2 superline and the Z_3 braided line over F_7: under a
     # Z_n grading the step's equaliser is taken in `kernel_tensor_id`'s
-    # degree order, and j must be carried back to the Kronecker basis
+    # degree order, and j comes back in the Kronecker basis
     rho, lam = coactions()
     idX = Morphism.identity(rho.dom)
     powers = multi_cotensor(rho, lam, 4)
-    for (_, inner, _, _), (_, iota, j, order) in zip(powers, powers[1:]):
-        step = tensor(inner, idX)
-        assert (kronecker_step(j, order, step.dom)
-                == factor_through_equaliser(iota, step))
+    for (_, inner, _), (_, iota, j) in zip(powers, powers[1:]):
+        assert j == factor_through_equaliser(iota, tensor(inner, idX))
 
 
 def test_qcat_eliminates_each_cotensor_square_once(monkeypatch):
