@@ -6,7 +6,8 @@ category), `eval` (assertion files).  Exit code 0 means every check
 passed, 1 means some check failed, 2 means the input could not be read.
 Reports are canonical: sorted by check name, byte-identical across runs;
 `HGL_SEED` (an integer, default 0) fixes the sampling seed of module
-sweeps; a sweep of no dimension, or a bad seed, is an input error.
+sweeps; a sweep of no dimension or above `MAX_SWEEP_DIM`, or a bad seed,
+is an input error.
 """
 
 from __future__ import annotations
@@ -26,6 +27,19 @@ from .instances import InstanceError, parse_instance
 from .morphism import FactorizationError, cokernel
 from .quantum import build_quantum_category, cotensor_monoid
 from .report import Report, matrix_triples
+
+
+# The largest --sweep-dim.  A sweep builds every base module of dimension
+# 1..max_dim, on a commutative 2-dim base up to d + 1 of dimension d with a
+# dense d x d matrix each, and its memory grows about as max_dim^3: the
+# nonflat corpus bundle peaks near 90 MiB at 128 and 520 MiB at 256.
+MAX_SWEEP_DIM = 128
+
+
+def _check_sweep_dim(sweep_dim):
+    if sweep_dim > MAX_SWEEP_DIM:
+        raise InstanceError(0, "--sweep-dim %d above the limit %d"
+                            % (sweep_dim, MAX_SWEEP_DIM))
 
 
 def _seed():
@@ -97,6 +111,7 @@ def cmd_principal(args):
     if args.sweep_dim < 0:
         raise InstanceError(0, "nothing to sweep for --sweep-dim %d (0 means "
                             "no sweep)" % args.sweep_dim)
+    _check_sweep_dim(args.sweep_dim)
     seed = _seed() if args.sweep_dim else None
     inst = _load(args.file)
     b = _bundle(inst, side=args.side)
@@ -130,6 +145,7 @@ def cmd_descent(args):
     if args.sweep_dim < 1:
         raise InstanceError(0, "nothing to sweep for --sweep-dim %d"
                             % args.sweep_dim)
+    _check_sweep_dim(args.sweep_dim)
     seed = None if args.module is not None else _seed()
     inst = _load(args.file)
     b = _bundle(inst, side="algebra")

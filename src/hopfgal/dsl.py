@@ -15,7 +15,7 @@ from .morphism import (Morphism, _tensor_is, braided_compose, braiding,
                        braiding_endpoints, compose, compose_tensor,
                        tensor_compose, tensor_many)
 from .report import Report, equality_check
-from .spaces import MAX_DIM
+from .spaces import MAX_ATOM_ENTRIES, MAX_DIM
 
 HEADS = {"id": 1, "m": 1, "u": 1, "cm": 1, "cu": 1, "S": 1, "br": 2,
          "act": 1, "coact": 1}
@@ -247,9 +247,13 @@ class Environment:
             return self.morphisms[e.text]
         head, args = e.head, e.args
         if head == "id":
-            return Morphism.identity(self.space(args[0]))
+            V = self.space(args[0])
+            _check_atom_entries(e, V.dim)
+            return Morphism.identity(V)
         if head == "br":
-            return braiding(self.space(args[0]), self.space(args[1]))
+            V, W = self.space(args[0]), self.space(args[1])
+            _check_atom_entries(e, V.dim * W.dim)
+            return braiding(V, W)
         if head in ("m", "u"):
             obj = self._structure(
                 args[0], (self.algebras, self.hopfs,
@@ -320,6 +324,14 @@ def _check_product(V, W):
     if V.dim * W.dim > MAX_DIM:
         raise TypeError("dimension %d above the limit %d"
                         % (V.dim * W.dim, MAX_DIM))
+
+
+def _check_atom_entries(e, count):
+    """TypeError when the atom e would hold more than MAX_ATOM_ENTRIES
+    entries, before it is built."""
+    if count > MAX_ATOM_ENTRIES:
+        raise TypeError("%s would hold %d entries, above the limit %d"
+                        % (print_expr(e), count, MAX_ATOM_ENTRIES))
 
 
 def _products(V, W, X, Y):

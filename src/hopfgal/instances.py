@@ -8,9 +8,17 @@ comments are ignored.  All scalars are exact (integers or `p/q`, digits
 mod p over a prime field).  Every integer token (dimensions, degrees,
 indices, the prime, the grading order, numerators and denominators) is
 an optional minus sign and ASCII digits.
+
+A morphism entry line in the writer's `i j v` form (spaces only, an
+integer value) is read by one compiled pattern, with no split and no
+field parse; any other line of a block (a comment, a blank line, a
+fraction, a tab, `end`) goes through the general reader.  Both share the
+range check, so every error keeps its message and line.
 """
 
 from __future__ import annotations
+
+import re
 
 from .bundle import (AlgebraBundle, CoalgebraBundle, ComoduleAlgebra,
                      ModuleCoalgebra)
@@ -20,6 +28,10 @@ from .fields import QQ, PrimeField, parse_int
 from .hopf import Algebra, Coalgebra, HopfAlgebra
 from .morphism import Morphism, _tensor_spaces
 from .spaces import MAX_DIM, GradedSpace, GradingGroup, unit_space
+
+
+# a morphism entry in the writer's form: spaces only, an integer value
+_ENTRY = re.compile(r" *([0-9]+) +([0-9]+) +(-?[0-9]+) *")
 
 
 class InstanceError(Exception):
@@ -144,18 +156,25 @@ def parse_instance(text):
                 entries = {}
                 while i < len(lines):
                     entry_lineno = i + 1
-                    entry = lines[i].split("#", 1)[0].strip()
+                    line = lines[i]
                     i += 1
-                    if not entry:
-                        continue
-                    if entry == "end":
-                        break
-                    parts = entry.split()
-                    if len(parts) != 3:
-                        raise InstanceError(entry_lineno, "expected: i j value")
+                    fast = _ENTRY.fullmatch(line)
                     try:
-                        r, c = parse_int(parts[0]), parse_int(parts[1])
-                        value = inst.field.parse(parts[2])
+                        if fast:
+                            # the constructor reduces an integer value
+                            r, c, value = map(int, fast.groups())
+                        else:
+                            entry = line.split("#", 1)[0].strip()
+                            if not entry:
+                                continue
+                            if entry == "end":
+                                break
+                            parts = entry.split()
+                            if len(parts) != 3:
+                                raise InstanceError(entry_lineno,
+                                                    "expected: i j value")
+                            r, c = parse_int(parts[0]), parse_int(parts[1])
+                            value = inst.field.parse(parts[2])
                     except (ValueError, ZeroDivisionError) as exc:
                         raise InstanceError(entry_lineno, str(exc))
                     if not (0 <= r < cod.dim and 0 <= c < dom.dim):

@@ -4,11 +4,21 @@ Supported gradings are the trivial group and cyclic groups Z_n with a
 bicharacter chi valued in the scalar field; chi drives the braiding.  The
 tensor-product basis is ordered lexicographically with the left factor
 major, and that convention is fixed throughout the engine.
+
+A space remembers the products it has formed as the left factor: a
+repeated V (x) W returns the space formed the first time, while anything
+still uses it.  The memo is keyed by the `id` of the right factor and holds
+both that factor and the product only through weak references, so it keeps
+no space alive and makes no reference cycle, V (x) V included; a hit needs
+the reference to give the same right factor back, and an entry is dropped
+when its right factor dies.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
+from weakref import ref
 
 from .fields import FieldError
 
@@ -18,6 +28,12 @@ MAX_CHI_ORDER = 1 << 16
 # The largest space an input declares or an expression forms: a degree tuple
 # takes 8 bytes a basis vector, and no check reaches a space of this dimension.
 MAX_DIM = 1 << 24
+
+# The most entries an `id` or `br` atom of an expression may hold when it is
+# built: a morphism entry takes about 128 bytes (its key tuple, the two
+# index ints and its dict slot), so such an atom takes up to 128 MiB, where
+# one of MAX_DIM entries would take 2 GiB.
+MAX_ATOM_ENTRIES = 1 << 20
 
 
 class GradingGroup:
@@ -98,9 +114,10 @@ class GradedSpace:
     """An ordered basis with one grading-group degree per basis vector.
 
     `dim` is the number of degrees, stored when the space is made.
+    `_products` maps id(W) to weak references to W and to self (x) W.
     """
 
-    __slots__ = ("group", "degrees", "dim")
+    __slots__ = ("group", "degrees", "dim", "_products", "__weakref__")
 
     def __init__(self, group, degrees):
         if degrees and (min(degrees) < 0 or max(degrees) >= group.n):
@@ -109,6 +126,7 @@ class GradedSpace:
         self.group = group
         self.degrees = degrees
         self.dim = len(degrees)
+        self._products = None
 
     @classmethod
     def _of_valid(cls, group, degrees):
@@ -117,6 +135,7 @@ class GradedSpace:
         space.group = group
         space.degrees = degrees
         space.dim = len(degrees)
+        space._products = None
         return space
 
     def __eq__(self, other):
@@ -139,6 +158,16 @@ class GradedSpace:
         return self.group.field
 
     def tensor(self, other):
+        products = self._products
+        if products is None:
+            products = self._products = {}
+        else:
+            # a hit needs the right factor itself and a product still in use
+            known = products.get(id(other))
+            if known is not None and known[0]() is other:
+                product = known[1]()
+                if product is not None:
+                    return product
         if other.group != self.group:
             raise TypeError("tensor of spaces over different grading groups")
         n = self.group.n
@@ -149,7 +178,11 @@ class GradedSpace:
                        for a in set(self.degrees)}
             degs = tuple(chain.from_iterable(
                 [shifted[a] for a in self.degrees]))
-        return GradedSpace._of_valid(self.group, degs)
+        product = GradedSpace._of_valid(self.group, degs)
+        key = id(other)
+        products[key] = (ref(other, partial(_forget, ref(self), key)),
+                         ref(product))
+        return product
 
     def dual(self):
         n = self.group.n
@@ -164,6 +197,14 @@ class GradedSpace:
 
     def __repr__(self):
         return "Space(dim=%d, deg=%s)" % (self.dim, list(self.degrees))
+
+
+def _forget(left, key, _):
+    """Drop the entry of a right factor that has died from the products of
+    the left factor, if that is still alive."""
+    space = left()
+    if space is not None:
+        space._products.pop(key, None)
 
 
 def unit_space(group):

@@ -489,3 +489,34 @@ def test_expression_product_above_the_limit_is_input_error(tmp_path, grading,
     assert run_limited(["eval", str(instance), str(assertions)]) == (
         2, "", "error: line 1: dimension %d above the limit 16777216\n"
         % (dim * dim))
+
+
+@pytest.mark.parametrize("spaces, lines, message", [
+    ("V dim 1048577", "EXPECT id(V) == id(V)",
+     "line 1: id(V) would hold 1048577 entries"),
+    ("V dim 1025\nspace W dim 1024",
+     "EXPECT id(V) == id(V)\nEXPECT br(V,W) == br(V,W)",
+     "line 2: br(V, W) would hold 1049600 entries"),
+])
+def test_atom_above_the_entry_limit_is_input_error(tmp_path, spaces, lines,
+                                                   message):
+    # the product check passes, and the atom is rejected before its entries
+    # are built
+    instance = tmp_path / "instance.txt"
+    instance.write_text("field rational\ngrading trivial\nspace %s\n" % spaces)
+    assertions = tmp_path / "assertions.txt"
+    assertions.write_text(lines + "\n")
+    assert run_limited(["eval", str(instance), str(assertions)]) == (
+        2, "", "error: %s, above the limit 1048576\n" % message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["descent", inst("trivial_z2"), "--sweep-dim", "100000"],
+    ["principal", inst("nonflat"), "--sweep-dim", "3000"],
+    ["descent", inst("trivial_z2"), "--sweep-dim", "129"],
+    ["principal", inst("nonflat"), "--sweep-dim", "129"],
+])
+def test_sweep_above_the_limit_is_input_error(argv):
+    # rejected before the instance is read, so before any module is built
+    assert run_limited(argv) == (
+        2, "", "error: line 0: --sweep-dim %s above the limit 128\n" % argv[-1])

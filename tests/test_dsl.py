@@ -436,3 +436,21 @@ def test_sandwich_shaped_lines_with_a_wrong_space_keep_their_error_text():
         with pytest.raises(AssertionFileError,
                            match="^line 1: %s$" % re.escape(text)):
             run_assertions("EXPECT %s == m(P) ; coact(P)" % lhs, env)
+
+
+def test_id_and_br_atoms_above_the_entry_limit_are_not_built(monkeypatch):
+    group = GradingGroup.trivial(QQ)
+    env = Environment(spaces={"V": GradedSpace(group, (0,) * 4),
+                              "W": GradedSpace(group, (0,) * 3)})
+    monkeypatch.setattr(dsl, "MAX_ATOM_ENTRIES", 12)
+    assert run_assertions("EXPECT br(V,W) ; br(W,V) == id(V) * id(W)\n",
+                          env).ok
+    monkeypatch.setattr(dsl, "MAX_ATOM_ENTRIES", 11)
+    with pytest.raises(AssertionFileError, match=r"^line 2: br\(V, W\) would "
+                       r"hold 12 entries, above the limit 11$"):
+        run_assertions("EXPECT id(V) == id(V)\n"
+                       "EXPECT br(V,W) == br(V,W)\n", env)
+    monkeypatch.setattr(dsl, "MAX_ATOM_ENTRIES", 3)
+    with pytest.raises(AssertionFileError, match=r"^line 1: id\(V\) would "
+                       r"hold 4 entries, above the limit 3$"):
+        run_assertions("EXPECT id(V) == id(V)\n", env)

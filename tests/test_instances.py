@@ -1,3 +1,4 @@
+import glob
 import os
 import re
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hopfgal.dsl import run_assertions
 from hopfgal.fields import (PROVABLE_PRIME_BOUND, QQ, FieldError, PrimeField,
                             is_prime, parse_int)
 from hopfgal.hopf import Algebra, Coalgebra, HopfAlgebra
+from hopfgal import instances
 from hopfgal.instances import (Instance, InstanceError, InstanceWriter,
                                parse_instance, serialize_hopf)
 from hopfgal.samples import (braided_line, cyclic_group_algebra, fun_z2,
@@ -19,6 +21,11 @@ from hopfgal.spaces import unit_space
 from test_morphism import GROUPS, graded_morphism, graded_space
 
 CORPUS = default_root()
+# every committed instance file: the corpus and the benchmark's inputs
+INSTANCE_FILES = sorted(
+    glob.glob(os.path.join(CORPUS, "*", "instance.txt"))
+    + glob.glob(os.path.join(os.path.dirname(CORPUS), "bench", "inputs", "*",
+                             "instance.txt")))
 
 
 def read(name, fname="instance.txt"):
@@ -66,6 +73,47 @@ def test_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(InstanceError) as exc:
         parse_instance(text)
     assert exc.value.lineno == lineno
+
+
+@pytest.mark.parametrize("path", INSTANCE_FILES,
+                         ids=lambda p: os.path.basename(os.path.dirname(p)))
+def test_pattern_and_general_readers_agree(path, monkeypatch):
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    # every committed entry line is in the writer's form, so takes the pattern
+    block = False
+    for line in text.splitlines():
+        if line == "end":
+            block = False
+        elif block:
+            assert instances._ENTRY.fullmatch(line), line
+        block = block or line.startswith("morphism ")
+    fast = parse_instance(text).morphisms
+    # a pattern that matches nothing sends every line to the general reader
+    monkeypatch.setattr(instances, "_ENTRY", re.compile(r"(?!)"))
+    slow = parse_instance(text).morphisms
+    assert list(fast) == list(slow)
+    for name, f in fast.items():
+        g = slow[name]
+        assert (f.dom, f.cod) == (g.dom, g.cod)
+        assert (f.dom.degrees, f.cod.degrees) == (g.dom.degrees, g.cod.degrees)
+        assert f.entries == g.entries
+        assert [type(v) for v in f.entries.values()] == \
+            [type(v) for v in g.entries.values()]
+
+
+@pytest.mark.parametrize("value", ["9" * 5000, "-" + "9" * 5000])
+def test_too_long_value_has_one_message_on_both_readers(value, monkeypatch):
+    text = ("field rational\ngrading trivial\nspace P dim 1\n"
+            "morphism f P P\n  0 0 %s\nend\n" % value)
+    messages = []
+    for pattern in (instances._ENTRY, re.compile(r"(?!)")):
+        monkeypatch.setattr(instances, "_ENTRY", pattern)
+        with pytest.raises(InstanceError) as exc:
+            parse_instance(text)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("line 5: ")
 
 
 def test_bad_scalar_rejected():

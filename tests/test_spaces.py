@@ -1,10 +1,15 @@
+import gc
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgal.fields import QQ, FieldError, PrimeField
 from hopfgal.spaces import MAX_CHI_ORDER, GradedSpace, GradingGroup, unit_space
+from test_morphism import GROUPS
 
 
 def test_trivial_group():
@@ -158,3 +163,56 @@ def test_cyclic_graded_spaces_compare_their_degrees():
     # equal degrees under another bicharacter of Z_3 are another space
     other = GradingGroup.cyclic(3, PrimeField(7), PrimeField(7).from_int(4))
     assert V != GradedSpace(other, (0, 1, 2))
+
+
+def _fresh_product(V, W):
+    """V (x) W formed from its definition, with no memo involved."""
+    n = V.group.n
+    return GradedSpace(V.group, tuple((a + b) % n for a in V.degrees
+                                      for b in W.degrees))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_products_are_memoised_without_keeping_either_space(data):
+    group = data.draw(st.sampled_from(GROUPS))
+    degrees = st.lists(st.integers(0, group.n - 1), max_size=4).map(tuple)
+    # V is not empty, so V (x) W tells the degrees of W apart
+    V = GradedSpace(group, data.draw(degrees.filter(bool)))
+    W = GradedSpace(group, data.draw(degrees))
+    other = data.draw(degrees.filter(lambda d: d != W.degrees))
+    VW = V.tensor(W)
+    fresh = _fresh_product(V, W)
+    assert VW == fresh and VW.degrees == fresh.degrees
+    assert hash(VW) == hash(fresh) and repr(VW) == repr(fresh)
+    assert V.tensor(W) is VW
+    gc.disable()
+    try:
+        # reference counting alone frees a product nobody uses
+        VW_ref = weakref.ref(VW)
+        del VW
+        assert VW_ref() is None
+        assert V.tensor(W).degrees == fresh.degrees
+        # and a right factor, whose entry goes with it; a space that takes
+        # its address (and so its id) gets its own product
+        W_id, W_ref = id(W), weakref.ref(W)
+        del W
+        assert W_ref() is None and W_id not in V._products
+        fresh_spaces = []
+        for _ in range(64):
+            fresh_spaces.append(GradedSpace(group, other))
+            if id(fresh_spaces[-1]) == W_id:
+                break
+        for W2 in (fresh_spaces[0], fresh_spaces[-1]):
+            VW2 = V.tensor(W2)
+            assert VW2.degrees == _fresh_product(V, W2).degrees
+            assert V.tensor(W2) is VW2
+        # V (x) V keeps V alive through no reference
+        VV = V.tensor(V)
+        assert VV.degrees == _fresh_product(V, V).degrees
+        assert V.tensor(V) is VV
+        V_ref = weakref.ref(V)
+        del V
+        assert V_ref() is None
+    finally:
+        gc.enable()
