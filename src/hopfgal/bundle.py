@@ -64,7 +64,7 @@ from .hopf import (VECT, VECT_OP, action_laws, algebra_map_laws,
 # and its self-test checks this module's binding
 from .morphism import (FactorizationError, Morphism, compose,
                        compose_tensor, dualize, is_isomorphism, sparse_rows,
-                       tensor, tensor_compose)
+                       tensor)
 from .report import Report, equality_check
 from .spaces import GradedSpace, unit_space
 
@@ -530,15 +530,6 @@ class AlgebraBundle(Bundle):
     condition_A = Bundle.condition_A
     condition_B = Bundle.condition_B
     check_principal = Bundle.check_principal
-
-    @memoised
-    def translation_map(self):
-        """h -> can^{-1}(1 (x) h), defined when condition B holds."""
-        inv = self.can_inverse()
-        if inv is None:
-            return None
-        return tensor_compose(inv, [self.P.unit,
-                                    Morphism.identity(self.H.space)])
 
     @memoised
     def b_linear_maps(self):

@@ -1,31 +1,30 @@
 """Descent data along the base inclusion of an algebra-side bundle.
 
 Implements the comparison functor K (base modules to descent data), the
-descended module (an equaliser), the unit/counit comparison maps whose
-invertibility witnesses effective descent, the transport between descent
-data and relative Hopf modules through the canonical map, and the
-invariants functor.  Exhaustive or seeded sweeps over small base modules
-corroborate the faithful-flatness verdict of the bundle module.  A
-descent datum's derived maps, and its descended module, are kept through
-`bundle.memoised`.
+descended module (an equaliser), and the unit/counit comparison maps
+whose invertibility witnesses effective descent.  Exhaustive or seeded
+sweeps over small base modules corroborate the faithful-flatness verdict
+of the bundle module.  A descent datum's derived maps, and its descended
+module, are kept through `bundle.memoised`.  The other side of the
+descent equivalence, relative Hopf modules reached through the canonical
+map, is an oracle of the test suite, not a command.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
 from .bundle import memoised
-from .hopf import VECT_OP, action_laws, coinvariants_of
-from .morphism import (FactorizationError, Morphism, braided_compose,
-                       braiding, cokernel, compose, equaliser,
-                       factor_through_coequaliser, factor_through_equaliser,
-                       is_isomorphism, tensor, tensor_compose, tensor_over)
+from .hopf import action_laws
+from .morphism import (FactorizationError, Morphism, braiding, cokernel,
+                       compose, equaliser, factor_through_coequaliser,
+                       factor_through_equaliser, is_isomorphism, tensor,
+                       tensor_compose, tensor_over)
 from .report import Report, equality_check
-from .spaces import GradedSpace, unit_space
+from .spaces import GradedSpace
 
 
 class BModule:
@@ -196,84 +195,6 @@ def counit_of_K(d):
 def counit_Psi(v, bundle):
     """The comparison V -> descend(K(V)) and its verdict; see `counit_of_K`."""
     return counit_of_K(comparison_K(v, bundle))
-
-
-# -- relative Hopf modules and the transport ---------------------------------
-
-# algebra side: a right P-module E with action E (x) P -> E and a compatible
-# right H-coaction E -> E (x) H; the comonoid side is reached through bundle
-# dualisation
-RelativeHopfModule = namedtuple("RelativeHopfModule",
-                                ("carrier", "action", "coaction"))
-
-
-def hopf_module_check(m, bundle):
-    b = bundle
-    P, H, E = b.como.space, b.H.space, m.carrier
-    rep = Report(action_laws(m.action, b.P, "p_module_assoc", "p_module_unit")
-                 + action_laws(m.coaction, b.H, "h_comodule_coassoc",
-                               "h_comodule_counit", VECT_OP))
-    rep.items.append(equality_check(
-        "hopf_compatibility",
-        compose(m.coaction, m.action),
-        braided_compose(m.action, b.H.mult, m.coaction, b.rho,
-                        (E, H), (P, H))))
-    return rep
-
-
-def kappa_transport(d):
-    """The identification E (x)_B P -> E (x) H, [e (x) x] -> e.x_(0) (x) x_(1)."""
-    b = d.bundle
-    E, P, H = d.carrier, b.como.space, b.H.space
-    _, Pi1 = d.tensor_b_p()
-    # (act (x) id_H) o (id_E (x) rho), a braided sandwich with a unit leg
-    return factor_through_coequaliser(braided_compose(
-        d.action, Morphism.identity(H), Morphism.identity(E), b.rho,
-        (E, unit_space(E.group)), (P, H)), Pi1)
-
-
-def descent_to_hopf_module(d):
-    """Transport a descent datum to a relative Hopf module along kappa."""
-    kappa = kappa_transport(d)
-    return RelativeHopfModule(d.carrier, d.action, compose(kappa, d.xi))
-
-
-def hopf_module_to_descent(m, bundle):
-    """The inverse transport; needs condition B for kappa to invert."""
-    d = DescentDatum(bundle, m.carrier, m.action)
-    kappa = kappa_transport(d)
-    inv = is_isomorphism(kappa)
-    if not inv.is_iso:
-        raise FactorizationError("transport map is not invertible; "
-                                 "condition B fails for this bundle")
-    d.xi = compose(inv.inverse, m.coaction)
-    return d
-
-
-def invariants_functor(m, bundle):
-    """(E^coH, incl): coaction invariants with the restricted B-action."""
-    _, incl = coinvariants_of(m.coaction, bundle.H)
-    baction = tensor_compose(
-        m.action, [Morphism.identity(m.carrier), bundle.pi])
-    return _restricted_bmodule(baction, incl, bundle.base)
-
-
-def monad_presentation_report(d):
-    """The concrete monad E (x) H: unit/multiplication laws and the
-    transported P-action, checked on the carrier of a descent datum."""
-    b = d.bundle
-    E, P, H = d.carrier, b.como.space, b.H.space
-    idE, idH = Morphism.identity(E), Morphism.identity(H)
-    idEH = Morphism.identity(E.tensor(H))
-    mu = tensor(idE, b.H.mult)
-    eta = tensor(idE, b.H.unit)
-    # the transported P-action nu on E (x) H
-    nu = braided_compose(d.action, b.H.mult, idEH, b.rho, (E, H), (P, H))
-    return Report(
-        action_laws(mu, b.H, "monad_assoc", "monad_unit_right")
-        + [equality_check("monad_unit_left", tensor_compose(mu, [eta, idH]),
-                          idEH)]
-        + action_laws(nu, b.P, "nu_assoc", "nu_unit"))
 
 
 # -- enumeration of small base modules ---------------------------------------

@@ -327,8 +327,8 @@ def _check_product(V, W):
 
 
 def _check_atom_entries(e, count):
-    """TypeError when the atom e would hold more than MAX_ATOM_ENTRIES
-    entries, before it is built."""
+    """TypeError when the atom or product e would hold more than
+    MAX_ATOM_ENTRIES entries, before it is built."""
     if count > MAX_ATOM_ENTRIES:
         raise TypeError("%s would hold %d entries, above the limit %d"
                         % (print_expr(e), count, MAX_ATOM_ENTRIES))
@@ -383,7 +383,12 @@ def _evaluate(e, env):
     if isinstance(e, (Name, Call)):
         return env.atom_morphism(e)
     if isinstance(e, Tensor):
-        return tensor_many(*_factors(e, env))
+        factors = _factors(e, env)
+        count = 1
+        for f in factors:  # tensor_many builds each partial product
+            count *= len(f.entries)
+            _check_atom_entries(e, count)
+        return tensor_many(*factors)
     sandwich = _sandwich(e, env)
     if sandwich is not None:
         (f, g, m1, m2), _, U, V = sandwich

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from .morphism import (Morphism, braided_compose, braiding, coequaliser,
-                       compose, compose_tensor, cotensor, dualize, equaliser,
+from .morphism import (Morphism, braided_compose, coequaliser, compose,
+                       compose_tensor, cotensor, dualize, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
                        is_isomorphism, tensor, tensor_compose, tensor_over)
 from .report import Report, equality_check
@@ -251,12 +251,3 @@ def check_hopf(h):
     rep.add("antipode_order", True,
             details={"involutive": "true" if ss == idH else "false"})
     return rep
-
-
-def antipode_antihomomorphism_check(h):
-    """m o (S (x) S) o tau = S o m, the braided anti-homomorphism law."""
-    return equality_check(
-        "antipode_antihom",
-        compose(tensor_compose(h.mult, [h.antipode, h.antipode]),
-                braiding(h.space, h.space)),
-        compose(h.antipode, h.mult))

@@ -31,15 +31,13 @@ Kernels, (co)equalisers and ranks come from one sparse elimination,
 every basis reproducible, and kernel bases are grouped by degree, so they
 are homogeneous.  An equaliser eliminates the rows of f - g, and a
 coequaliser or cokernel those of the transpose, written straight from the
-entry dicts by the one row writer `sparse_rows`: neither -g, nor f - g,
-nor a transpose is built as a morphism.  `kernel_tensor_id` reads the
-kernel of D (x) id_W as ker(D) (x) id_W, with no second elimination: the
-Kronecker product of D's kernel inclusion with id_W, its columns put in
-the order `kernel` uses, and that order, which carries a map into the
-pair back to the Kronecker basis.  A factorisation is read off unit
-lines, a row (or column) whose only nonzero is a 1: x with iota o x = c
-is c's rows at a unit row of iota for each of its columns, and x with
-x o Pi = c is c's columns at a unit column of Pi for each of its rows.
+entry dicts by the one row writer `sparse_rows`, which also writes the
+defect of a failed `report.equality_check`: a `Morphism` has no
+arithmetic operators, and neither -g, nor f - g, nor a transpose is built
+for an elimination.  A factorisation is read off unit lines, a row (or
+column) whose only nonzero is a 1: x with iota o x = c is c's rows at a
+unit row of iota for each of its columns, and x with x o Pi = c is c's
+columns at a unit column of Pi for each of its rows.
 Without a full set of them, or when that x fails the `compose` check
 every factorisation ends in, one elimination of [iota | c] solves it or
 names the degree where c leaves the image.  The tensor product over a
@@ -151,23 +149,6 @@ class Morphism:
     def __repr__(self):
         return "Morphism(%d x %d, %d nonzero)" % (
             self.cod.dim, self.dom.dim, len(self.entries))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if other.dom != self.dom or other.cod != self.cod:
-            raise TypeError("sum of morphisms with different endpoints")
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            s = entries.get(k)
-            entries[k] = v if s is None else s + v
-        return Morphism(self.dom, self.cod, entries)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Morphism(self.dom, self.cod, {k: -v for k, v in self.entries.items()})
 
 
 def _by_column(f):
@@ -560,37 +541,6 @@ def coequaliser(f, g):
     pivot_rows = linalg.rref_rows(
         f.field, sparse_rows(f, g, transposed=True).values())
     return _cokernel_projection(f.cod, pivot_rows)
-
-
-def kernel_tensor_id(iota, W):
-    """(E (x) W, iota (x) id_W, order) for a kernel inclusion iota: E -> V
-    read off a canonical RREF, as `kernel` and `equaliser` give it.
-
-    If iota is the kernel of D, then iota (x) id_W spans the kernel of
-    D (x) id_W, and the canonical RREF of D (x) id_W has the free column
-    j*m + x (m = dim W) for each free column j of D's and each x < m.  A
-    basis vector's free column is the last row it holds, so the columns of
-    iota (x) id_W are put in `_by_degree` order of those free columns,
-    which makes the pair the one `kernel` reads off D (x) id_W.  order[p]
-    is the Kronecker column k*m + x that is column p of the pair, so a map
-    into the returned space is carried to the Kronecker basis of E (x) W
-    by renaming its rows through order.  Under the trivial grading the
-    Kronecker order is already that order.
-    """
-    F = tensor(iota, Morphism.identity(W))
-    if F.dom.group.n == 1:
-        return F.dom, F, range(F.dom.dim)
-    m = W.dim
-    last = {k: i for i, k in sorted(iota.entries)}
-    column = {last[k] * m + x: k * m + x
-              for k in range(iota.dom.dim) for x in range(m)}
-    free = _by_degree(F.cod, sorted(column))
-    order = [column[j] for j in free]
-    position = {c: p for p, c in enumerate(order)}
-    degrees = F.cod.degrees
-    E = GradedSpace(F.dom.group, tuple([degrees[j] for j in free]))
-    return E, Morphism(E, F.cod, {(i, position[c]): v
-                                  for (i, c), v in F.entries.items()}), order
 
 
 def tensor_over(act_right, act_left):

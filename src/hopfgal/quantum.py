@@ -18,7 +18,7 @@ from .hopf import VECT_OP, Coalgebra, check_algebra, coinvariants_of, hom_laws
 from .morphism import (FactorizationError, Morphism, braided_compose,
                        braiding, compose, compose_tensor, cotensor, equaliser,
                        factor_through_coequaliser, factor_through_equaliser,
-                       kernel_tensor_id, tensor, tensor_compose, tensor_many)
+                       tensor, tensor_compose, tensor_many)
 from .report import Report, equality_check
 from .spaces import unit_space
 
@@ -30,29 +30,24 @@ def multi_cotensor(rho_right, lambda_left, n, square=None):
     rho_right: X -> X (x) B and lambda_left: X -> B (x) X.  The square is
     `cotensor(rho, lambda)`, or `square` when that (E, iota) is already
     built, with j_2 = iota_2.  Each later power extends the one before it:
-    E_k (x) X with iota_k (x) id_X (`kernel_tensor_id`, no elimination),
-    then the equaliser of the last pair of legs, rho on leg k and lambda
-    on leg k + 1, one `compose_tensor` of that inclusion per side.  The
-    step j_{k+1}: E_{k+1} -> E_k (x) X is that equaliser's inclusion with
-    its rows renamed through `kernel_tensor_id`'s order, into the Kronecker
-    basis of E_k (x) X under every grading, so iota_{k+1} =
-    (iota_k (x) id_X) o j_{k+1}.  Only X (x) X and each E_k (x) X are
-    eliminated, and each basis is the one successive equalisers of
-    adjacent pairs give.
+    E_{k+1} is the equaliser, inside E_k (x) X, of the last pair of legs,
+    rho on leg k and lambda on leg k + 1, each side one `compose_tensor`
+    of F = iota_k (x) id_X.  The step j_{k+1}: E_{k+1} -> E_k (x) X is
+    that equaliser's inclusion, already in the Kronecker basis of
+    E_k (x) X, and iota_{k+1} = F o j_{k+1}.  Only X (x) X and each
+    E_k (x) X are eliminated.
     """
     X = rho_right.dom
     idX = Morphism.identity(X)
     E, iota = cotensor(rho_right, lambda_left) if square is None else square
     powers = [(E, iota, iota)]
     for k in range(2, n):
-        _, F, order = kernel_tensor_id(iota, X)
+        F = tensor(iota, idX)
         f = compose_tensor([idX] * (k - 1) + [rho_right, idX], F)
         g = compose_tensor([idX] * k + [lambda_left], F)
-        ambient = E.tensor(X)
         E, j = equaliser(f, g)
         iota = compose(F, j)
-        powers.append((E, iota, Morphism(E, ambient, {
-            (order[p], e): v for (p, e), v in j.entries.items()})))
+        powers.append((E, iota, j))
     return powers
 
 

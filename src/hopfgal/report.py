@@ -8,6 +8,8 @@ line-oriented text form; rendering is deterministic.
 
 from __future__ import annotations
 
+from .morphism import Morphism, sparse_rows
+
 
 def matrix_triples(m):
     """Sparse `i j value` text for a Morphism, rows sorted."""
@@ -69,14 +71,16 @@ def equality_check(name, lhs, rhs, details=None):
     """A check item asserting two morphisms are equal, with defect witness.
 
     Entries are canonical (nonzero, one form per scalar), so equal maps
-    have equal `entries` dicts; the defect lhs - rhs is only built for the
-    witness of a failure.
+    have equal `entries` dicts; the defect lhs - rhs is only written, by
+    `sparse_rows`, for the witness of a failure.
     """
     if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
         raise TypeError("sum of morphisms with different endpoints")
     item = CheckItem(name, lhs.entries == rhs.entries, dict(details or {}))
     if not item.ok:
-        defect = lhs - rhs
+        defect = Morphism(lhs.dom, lhs.cod, {
+            (i, j): v for i, row in sparse_rows(lhs, rhs).items()
+            for j, v in row.items()})
         item.witness = defect
         item.details["defect_nonzeros"] = len(defect.entries)
     return item

@@ -9,10 +9,7 @@ from hopfgal import linalg
 from hopfgal.bundle import AlgebraBundle, canonical_map_linearity
 from hopfgal.corpus import corpus_commands, default_root, run_commands
 from hopfgal.descent import (BModule, comparison_K, counit_Psi, descend,
-                             descent_to_hopf_module, hopf_module_check,
-                             hopf_module_to_descent, invariants_functor,
-                             monad_presentation_report, sweep_phi_psi,
-                             verify_descent_datum)
+                             sweep_phi_psi, verify_descent_datum)
 from hopfgal.dsl import parse, print_expr, run_assertions
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.instances import parse_instance
@@ -24,6 +21,10 @@ from hopfgal.samples import (braided_line, cyclic_group_algebra, fun_z2,
                              s3_group_algebra, sweedler_hopf,
                              trivial_algebra_bundle, trivial_coalgebra_bundle,
                              z2_set_action_bundle)
+from test_bundle import translation_map
+from test_descent import (descent_to_hopf_module, hopf_module_check,
+                          hopf_module_to_descent, invariants_functor,
+                          monad_presentation_report)
 from test_dsl import random_well_typed
 
 CORPUS = default_root()
@@ -59,7 +60,7 @@ def test_criterion_1_trivial_bundle_suite():
         antipode_formula = compose(Pi, compose(tensor(h.antipode, idH),
                                                h.comult))
         ok = (ok and b.condition_A().ok and b.condition_B().ok
-              and b.translation_map() == antipode_formula
+              and translation_map(b) == antipode_formula
               and b.check_principal()["principal"].ok)
     elapsed = time.monotonic() - start
     _verdict(1, "trivial-bundle suite, %.2fs" % elapsed, ok and elapsed <= 5.0)

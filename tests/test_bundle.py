@@ -30,8 +30,8 @@ from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              trivial_algebra_bundle, trivial_coalgebra_bundle)
 from hopfgal.spaces import GradedSpace, GradingGroup, unit_space
 from test_hopf import reference_coalgebra_hom_laws
-from test_morphism import (ELIMINATION_GROUPS, GROUPS, graded_morphism,
-                           graded_space, nonzero_scalar)
+from test_morphism import (ELIMINATION_GROUPS, GROUPS, difference,
+                           graded_morphism, graded_space, nonzero_scalar)
 
 F7 = PrimeField(7)
 
@@ -120,6 +120,15 @@ def test_tensor_and_cotensor_degenerate():
     assert E2.dim == P.dim
 
 
+def translation_map(b):
+    """h -> can^{-1}(1 (x) h) of an algebra-side bundle, or None when
+    condition B fails."""
+    inv = b.can_inverse()
+    if inv is None:
+        return None
+    return tensor_compose(inv, [b.P.unit, Morphism.identity(b.H.space)])
+
+
 def test_trivial_bundle_conditions():
     for h in sample_hopfs():
         b = trivial_algebra_bundle(h)
@@ -129,7 +138,7 @@ def test_trivial_bundle_conditions():
         # transported along the quotient P (x) P -> P (x)_B P
         _, Pi = b.p_tensor_p()
         idH = Morphism.identity(h.space)
-        lhs = b.translation_map()
+        lhs = translation_map(b)
         rhs = compose(Pi, compose(tensor(h.antipode, idH), h.comult))
         assert lhs == rhs
 
@@ -508,8 +517,10 @@ def term_callable(terms):
             if Y is not None:
                 t = tensor(t, Morphism.identity(Y))
             v = compose(t, g) if f is None else compose(f, compose(t, g))
-            v = Morphism(v.dom, v.cod, {k: c * x for k, x in v.entries.items()})
-            total = v if total is None else total + v
+            if total is None:
+                total = Morphism.zero(v.dom, v.cod)
+            total = difference(total, Morphism(
+                v.dom, v.cod, {k: -c * x for k, x in v.entries.items()}))
         return total
     return lin
 
@@ -700,7 +711,7 @@ def reference_linear_maps(b, delta):
     m = tensor(b.base.mult, Morphism.identity(line))
     q, idB = b.left_action(), Morphism.identity(B)
     positions, A, _ = assemble_by_evaluation(P, shifted, [(
-        lambda f: compose(f, q) - compose(m, tensor(idB, f)),
+        lambda f: difference(compose(f, q), compose(m, tensor(idB, f))),
         Morphism.zero(B.tensor(P), shifted))])
     return [Morphism(P, shifted, dict(zip(positions, v)))
             for v in linalg.kernel_basis(P.field, A, ncols=len(positions))]
@@ -722,15 +733,27 @@ def assert_linear_maps_match_evaluation(b):
         assert compose_tensor([idB, coordinate], Phi) == f
 
 
-def test_condition_C_matches_the_reference_system():
-    bundles = [build() for build in SAMPLE_BUNDLES.values()]
+def corpus_bundles():
+    """'entry.key' -> each bundle of the corpus instances, on the side its
+    instance declares."""
     root = default_root()
+    out = {}
     for entry in sorted(os.listdir(root)):
         with open(os.path.join(root, entry, "instance.txt"),
                   encoding="utf-8") as fh:
             inst = parse_instance(fh.read())
-        bundles.extend(b if isinstance(b, AlgebraBundle) else b.dualize()
-                       for b in inst.bundles.values())
+        for key, b in sorted(inst.bundles.items()):
+            out[entry + "." + key] = b
+    return out
+
+
+def algebra_side(b):
+    return b if isinstance(b, AlgebraBundle) else b.dualize()
+
+
+def test_condition_C_matches_the_reference_system():
+    bundles = [build() for build in SAMPLE_BUNDLES.values()]
+    bundles.extend(algebra_side(b) for b in corpus_bundles().values())
     assert len(bundles) == len(SAMPLE_BUNDLES) + 11
     assert SAMPLE_BUNDLES["zero_pi_qq"]().b_linear_maps()[1].dim == 0
     for b in bundles:
@@ -909,14 +932,8 @@ def test_galois_implies_condition_C():
     trivial grading Z_1 this is a theorem; under a Z_n grading it is only
     an observation on these bundles, with no claim of proof."""
     bundles = {name: build() for name, build in SAMPLE_BUNDLES.items()}
-    root = default_root()
-    for entry in sorted(os.listdir(root)):
-        with open(os.path.join(root, entry, "instance.txt"),
-                  encoding="utf-8") as fh:
-            inst = parse_instance(fh.read())
-        for key, b in sorted(inst.bundles.items()):
-            bundles[entry + "." + key] = (
-                b if isinstance(b, AlgebraBundle) else b.dualize())
+    bundles.update((name, algebra_side(b))
+                   for name, b in corpus_bundles().items())
     assert len(bundles) == len(SAMPLE_BUNDLES) + 11
     orders = []  # of the grading group of each Galois bundle
     for name, b in bundles.items():
@@ -928,3 +945,83 @@ def test_galois_implies_condition_C():
         assert [rep[item].ok for item in C_ITEMS] == [True] * 4, name
     # both the theorem (Z_1) and the graded observation are exercised
     assert 1 in orders and max(orders) > 1
+
+
+# -- certificates that composition alone checks ------------------------------
+#
+# Each verdict is checked with `compose`, `compose_tensor`, `tensor` and
+# `==` only, so the check does not rest on the elimination, the presolve or
+# the factorisation shortcuts that produced the witness (McConnell,
+# Mehlhorn, Naeher & Schweitzer, "Certifying algorithms", Computer Science
+# Review 5, 2011).
+
+def has_unit_rows(f):
+    """Whether each column of f has a row whose only nonzero is a 1 there,
+    which makes f injective."""
+    rows = {}
+    for (i, j), v in f.entries.items():
+        rows.setdefault(i, []).append((j, v))
+    units = {line[0][0] for line in rows.values()
+             if len(line) == 1 and line[0][1] == 1}
+    return units == set(range(f.dom.dim))
+
+
+def assert_certified(b, name):
+    """The composition certificates of b's verdicts on conditions A, B
+    and, on the algebra side, C.  Returns the verdicts it certified.
+
+    A failing C has no certificate: it stays on the dense reference
+    (`reference_projectivity_equations`).  Nor does a failing B whose can
+    is injective: `is_isomorphism` gives no cokernel witness.
+    """
+    certified = []
+    if b.condition_A().ok:
+        phi = b._comparison_map()
+        inv = is_isomorphism(phi).inverse
+        assert compose(phi, inv) == Morphism.identity(phi.cod), name
+        assert compose(inv, phi) == Morphism.identity(phi.dom), name
+        certified.append("A")
+    verdict = b.can_verdict()
+    if verdict is not None:
+        can = b.canonical_map()
+        if verdict.is_iso:
+            inv = verdict.inverse
+            assert compose(can, inv) == Morphism.identity(can.cod), name
+            assert compose(inv, can) == Morphism.identity(can.dom), name
+            certified.append("B pass")
+        elif verdict.kernel_dim:
+            iota = verdict.kernel_inclusion
+            assert has_unit_rows(iota), name
+            assert compose(can, iota) == Morphism.zero(iota.dom, can.cod), name
+            certified.append("B fail")
+    if isinstance(b, AlgebraBundle):
+        P, B, H = b.como.space, b.base.space, b.H.space
+        idP, idB = Morphism.identity(P), Morphism.identity(B)
+        q = b.left_action()
+        sections = [(b.section(), True),
+                    (b.faithful_flatness()["C.projective"].witness, False)]
+        for s, colinear in sections:
+            if s is None:
+                continue
+            assert compose(q, s) == idP, name
+            # s is B-linear: s q = (m_B (x) id_P)(id_B (x) s)
+            assert compose(s, q) == compose_tensor(
+                [b.base.mult, idP], tensor(idB, s)), name
+            if colinear:
+                assert compose_tensor([idB, b.rho], s) == compose_tensor(
+                    [s, Morphism.identity(H)], b.rho), name
+                certified.append("C pass")
+    return certified
+
+
+def test_verdicts_carry_composition_certificates():
+    # each bundle on both sides: a non-free action's can is injective on
+    # the algebra side, and its dual on the comonoid side has a kernel
+    bundles = {name: build() for name, build in SAMPLE_BUNDLES.items()}
+    bundles.update(corpus_bundles())
+    assert len(bundles) == len(SAMPLE_BUNDLES) + 11
+    certified = set()
+    for name, b in bundles.items():
+        certified.update(assert_certified(b, name))
+        certified.update(assert_certified(b.dualize(), name + " dualised"))
+    assert certified == {"A", "B pass", "B fail", "C pass"}

@@ -497,11 +497,13 @@ def test_expression_product_above_the_limit_is_input_error(tmp_path, grading,
     ("V dim 1025\nspace W dim 1024",
      "EXPECT id(V) == id(V)\nEXPECT br(V,W) == br(V,W)",
      "line 2: br(V, W) would hold 1049600 entries"),
+    ("V dim 4096", "EXPECT id(V) * id(V) == id(V) * id(V)",
+     "line 1: id(V) * id(V) would hold 16777216 entries"),
 ])
 def test_atom_above_the_entry_limit_is_input_error(tmp_path, spaces, lines,
                                                    message):
-    # the product check passes, and the atom is rejected before its entries
-    # are built
+    # the product check passes, and the atom, or the Kronecker product of
+    # atoms, is rejected before its entries are built
     instance = tmp_path / "instance.txt"
     instance.write_text("field rational\ngrading trivial\nspace %s\n" % spaces)
     assertions = tmp_path / "assertions.txt"

@@ -2,25 +2,27 @@ import os
 import random
 import subprocess
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgal import descent, linalg
-from hopfgal.descent import (BModule, DescentDatum, RelativeHopfModule,
-                             _module_closure, check_bmodule, comparison_K,
-                             counit_Psi, descend,
-                             descent_to_hopf_module, enumerate_bmodules,
-                             hopf_module_check, hopf_module_to_descent,
-                             invariants_functor, kappa_transport,
-                             monad_presentation_report, sweep_phi_psi,
-                             unit_Phi, verify_descent_datum)
+from hopfgal.descent import (BModule, DescentDatum, _module_closure,
+                             _restricted_bmodule, check_bmodule,
+                             comparison_K, counit_Psi, descend,
+                             enumerate_bmodules, sweep_phi_psi, unit_Phi,
+                             verify_descent_datum)
 from hopfgal.corpus import _algebra_side_text, default_root
 from hopfgal.fields import QQ, PrimeField
-from hopfgal.hopf import Algebra
+from hopfgal.hopf import VECT_OP, Algebra, action_laws, coinvariants_of
 from hopfgal.instances import parse_instance
-from hopfgal.morphism import Morphism, compose, is_isomorphism, tensor
+from hopfgal.morphism import (FactorizationError, Morphism, braided_compose,
+                              compose, factor_through_coequaliser,
+                              factor_through_equaliser, is_isomorphism,
+                              tensor, tensor_compose)
+from hopfgal.report import Report, equality_check
 from hopfgal.samples import (braided_line, cyclic_group_algebra,
                              dual_numbers_algebra, free_z2_bundle,
                              nonflat_bundle, s3_group_algebra,
@@ -199,6 +201,90 @@ def test_nonflat_psi_kernel_witness():
     assert K.to_rows() == [[Fraction(0)], [Fraction(1)]]
 
 
+# -- relative Hopf modules and the transport ---------------------------------
+#
+# The other side of the descent equivalence (Schneider, "Principal
+# homogeneous spaces for arbitrary Hopf algebras", Israel J. Math. 72,
+# 1990): a descent datum is a relative Hopf module through the canonical
+# map.  No command prints it, so it lives here as an oracle for the
+# descent data that `hopfgal.descent` builds.
+
+# algebra side: a right P-module E with action E (x) P -> E and a compatible
+# right H-coaction E -> E (x) H; the comonoid side is reached through bundle
+# dualisation
+RelativeHopfModule = namedtuple("RelativeHopfModule",
+                                ("carrier", "action", "coaction"))
+
+
+def hopf_module_check(m, bundle):
+    b = bundle
+    P, H, E = b.como.space, b.H.space, m.carrier
+    rep = Report(action_laws(m.action, b.P, "p_module_assoc", "p_module_unit")
+                 + action_laws(m.coaction, b.H, "h_comodule_coassoc",
+                               "h_comodule_counit", VECT_OP))
+    rep.items.append(equality_check(
+        "hopf_compatibility",
+        compose(m.coaction, m.action),
+        braided_compose(m.action, b.H.mult, m.coaction, b.rho,
+                        (E, H), (P, H))))
+    return rep
+
+
+def kappa_transport(d):
+    """The identification E (x)_B P -> E (x) H, [e (x) x] -> e.x_(0) (x) x_(1)."""
+    b = d.bundle
+    E, P, H = d.carrier, b.como.space, b.H.space
+    _, Pi1 = d.tensor_b_p()
+    # (act (x) id_H) o (id_E (x) rho), a braided sandwich with a unit leg
+    return factor_through_coequaliser(braided_compose(
+        d.action, Morphism.identity(H), Morphism.identity(E), b.rho,
+        (E, unit_space(E.group)), (P, H)), Pi1)
+
+
+def descent_to_hopf_module(d):
+    """Transport a descent datum to a relative Hopf module along kappa."""
+    kappa = kappa_transport(d)
+    return RelativeHopfModule(d.carrier, d.action, compose(kappa, d.xi))
+
+
+def hopf_module_to_descent(m, bundle):
+    """The inverse transport; needs condition B for kappa to invert."""
+    d = DescentDatum(bundle, m.carrier, m.action)
+    kappa = kappa_transport(d)
+    inv = is_isomorphism(kappa)
+    if not inv.is_iso:
+        raise FactorizationError("transport map is not invertible; "
+                                 "condition B fails for this bundle")
+    d.xi = compose(inv.inverse, m.coaction)
+    return d
+
+
+def invariants_functor(m, bundle):
+    """(E^coH, incl): coaction invariants with the restricted B-action."""
+    _, incl = coinvariants_of(m.coaction, bundle.H)
+    baction = tensor_compose(
+        m.action, [Morphism.identity(m.carrier), bundle.pi])
+    return _restricted_bmodule(baction, incl, bundle.base)
+
+
+def monad_presentation_report(d):
+    """The concrete monad E (x) H: unit/multiplication laws and the
+    transported P-action, checked on the carrier of a descent datum."""
+    b = d.bundle
+    E, P, H = d.carrier, b.como.space, b.H.space
+    idE, idH = Morphism.identity(E), Morphism.identity(H)
+    idEH = Morphism.identity(E.tensor(H))
+    mu = tensor(idE, b.H.mult)
+    eta = tensor(idE, b.H.unit)
+    # the transported P-action nu on E (x) H
+    nu = braided_compose(d.action, b.H.mult, idEH, b.rho, (E, H), (P, H))
+    return Report(
+        action_laws(mu, b.H, "monad_assoc", "monad_unit_right")
+        + [equality_check("monad_unit_left", tensor_compose(mu, [eta, idH]),
+                          idEH)]
+        + action_laws(nu, b.P, "nu_assoc", "nu_unit"))
+
+
 def test_kappa_and_hopf_module_transport():
     for b in flat_bundles():
         d = regular_datum(b)
@@ -220,7 +306,6 @@ def test_invariants_functor_agrees_with_descend():
         v2, incl2 = descend(d)
         assert v1.carrier.dim == v2.carrier.dim
         # same subspace of E: each inclusion factors through the other
-        from hopfgal.morphism import factor_through_equaliser
         x = factor_through_equaliser(incl1, incl2)
         assert is_isomorphism(x).is_iso
         idB = Morphism.identity(b.base.space)

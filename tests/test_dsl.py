@@ -16,7 +16,7 @@ from hopfgal.dsl import (AssertionFileError, Call, Environment, Name,
                          parse, print_expr, run_assertions, typecheck)
 from hopfgal.fields import QQ, PrimeField
 from hopfgal.instances import parse_instance
-from hopfgal.morphism import compose, tensor
+from hopfgal.morphism import Morphism, compose, tensor
 from hopfgal.samples import (braided_line, cyclic_group_algebra, superline,
                              sweedler_hopf, trivial_algebra_bundle,
                              trivial_coalgebra_bundle)
@@ -454,3 +454,26 @@ def test_id_and_br_atoms_above_the_entry_limit_are_not_built(monkeypatch):
     with pytest.raises(AssertionFileError, match=r"^line 1: id\(V\) would "
                        r"hold 4 entries, above the limit 3$"):
         run_assertions("EXPECT id(V) == id(V)\n", env)
+
+
+def test_products_above_the_entry_limit_are_not_built(monkeypatch):
+    # each atom is below the limit, and the Kronecker product of a `*` is
+    # checked before it is built, partial products included
+    group = GradingGroup.trivial(QQ)
+    env = Environment(spaces={"V": GradedSpace(group, (0,) * 4),
+                              "W": GradedSpace(group, (0,) * 3)})
+    monkeypatch.setattr(dsl, "MAX_ATOM_ENTRIES", 12)
+    assert run_assertions("EXPECT id(V) * id(W) == br(V,W) ; br(W,V)\n",
+                          env).ok
+    monkeypatch.setattr(dsl, "MAX_ATOM_ENTRIES", 11)
+    with pytest.raises(AssertionFileError, match=r"^line 1: id\(V\) \* "
+                       r"id\(W\) would hold 12 entries, above the limit 11$"):
+        run_assertions("EXPECT id(V) * id(W) == id(V) * id(W)\n", env)
+    monkeypatch.setattr(dsl, "MAX_ATOM_ENTRIES", 15)
+    with pytest.raises(AssertionFileError, match=r"^line 1: id\(V\) \* "
+                       r"id\(V\) \* Z would hold 16 entries, above the "
+                       r"limit 15$"):
+        run_assertions("EXPECT id(V) * id(V) * Z == id(V) * id(V) * Z\n",
+                       Environment(spaces=env.spaces, morphisms={
+                           "Z": Morphism.zero(env.spaces["W"],
+                                              env.spaces["W"])}))

@@ -134,3 +134,75 @@ def test_no_unread_imports(path):
         found = unread_imports(fh.read())
     assert [(line, name) for line, name in found
             if (path, name) not in IMPORT_EXCEPTIONS] == []
+
+
+def unnamed_functions(sources):
+    """[(module, line, name)] for each function or method defined in
+    `sources` (module name -> source) that no code in them names outside
+    the function's own def.
+
+    A name counts where it is loaded as a variable or read as an attribute,
+    in any of the modules; the language itself calls dunder methods.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    uses = {}  # name -> [(module, line)]
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((module, node.lineno))
+    found = []
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, FUNCTIONS) or (
+                    fn.name.startswith("__") and fn.name.endswith("__")):
+                continue
+            if not any(m != module or not fn.lineno <= line <= fn.end_lineno
+                       for m, line in uses.get(fn.name, ())):
+                found.append((module, fn.lineno, fn.name))
+    return sorted(found)
+
+
+def test_unnamed_functions_are_found():
+    sources = {
+        "a.py": ("def f():\n"
+                 "    return f()\n"
+                 "def g():\n"
+                 "    return h\n"
+                 "class C:\n"
+                 "    def __eq__(self, other):\n"
+                 "        return False\n"
+                 "    def m(self):\n"
+                 "        pass\n"
+                 "    def n(self):\n"
+                 "        pass\n"),
+        "b.py": "from a import g\ndef h():\n    return C().n\n",
+    }
+    assert unnamed_functions(sources) == [("a.py", 1, "f"), ("a.py", 3, "g"),
+                                          ("a.py", 8, "m")]
+
+
+# functions that no program code names, each with the reason it stays
+ENTRY_POINTS = {
+    ("descent.py", "counit_Psi"): "a traced span of bench/run.py and "
+                                  "bench/tracer.py",
+    ("linalg.py", "kernel_basis"): "a traced span of bench/run.py and "
+                                   "bench/tracer.py",
+    ("fields.py", "from_int"): "bench/gen_inputs.py builds a braided line "
+                               "with it",
+    ("dsl.py", "evaluate"): "the entry point the expression tests drive",
+    ("corpus.py", "corpus_commands"): "the entry point the corpus tests "
+                                      "drive",
+}
+
+
+def test_every_program_function_is_named_in_the_program():
+    # a function that only tests reach belongs with the tests
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    found = unnamed_functions(sources)
+    assert sorted((module, name) for module, _, name in found) == sorted(
+        ENTRY_POINTS)
