@@ -7,12 +7,14 @@ passed, 1 means some check failed, 2 means the input could not be read.
 Reports are canonical: sorted by check name, byte-identical across runs;
 `HGL_SEED` (an integer, default 0) fixes the sampling seed of module
 sweeps; a sweep of no dimension or above `MAX_SWEEP_DIM`, or a bad seed,
-is an input error.
+is an input error.  Help and usage are formatted at 78 columns whatever
+the terminal, so they are byte-reproducible like the reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -34,6 +36,11 @@ from .report import Report, matrix_triples
 # dense d x d matrix each, and its memory grows about as max_dim^3: the
 # nonflat corpus bundle peaks near 90 MiB at 128 and 520 MiB at 256.
 MAX_SWEEP_DIM = 128
+
+# Help and usage at a fixed width: 78 is argparse's own width when stdout is
+# not a terminal and COLUMNS is unset.  A fixed width also spares each
+# parser and argument the terminal-size probe argparse makes otherwise.
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
 def _check_sweep_dim(sweep_dim):
@@ -209,43 +216,38 @@ def cmd_eval(args):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="hopfgal",
-        description="Exact checks for noncommutative principal bundles.")
+        description="Exact checks for noncommutative principal bundles.",
+        formatter_class=_FORMATTER)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary, func):
+        p = sub.add_parser(name, help=summary, formatter_class=_FORMATTER)
         p.add_argument("file", help="instance file")
         p.add_argument("--machine", action="store_true",
                        help="tab-separated records")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", help="run axiom suites")
-    common(p)
+    p = command("check", "run axiom suites", cmd_check)
     p.add_argument("--what", default="all",
                    choices=["hopf", "comodule", "module-coalgebra", "all"])
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("principal", help="bundle conditions A, B, C")
-    common(p)
+    p = command("principal", "bundle conditions A, B, C", cmd_principal)
     p.add_argument("--side", choices=["algebra", "comonoid"])
     p.add_argument("--dualize", action="store_true",
                    help="run the transposed pipeline")
     p.add_argument("--sweep-dim", type=int, default=0,
                    help="also sweep base modules up to this dimension")
-    p.set_defaults(func=cmd_principal)
 
-    p = sub.add_parser("descent", help="descent data and comparison functor")
-    common(p)
+    p = command("descent", "descent data and comparison functor",
+                cmd_descent)
     p.add_argument("--module", help="bmodule name from the instance")
     p.add_argument("--sweep-dim", type=int, default=3)
-    p.set_defaults(func=cmd_descent)
 
-    p = sub.add_parser("qcat", help="build and verify the quantum category")
-    common(p)
-    p.set_defaults(func=cmd_qcat)
+    command("qcat", "build and verify the quantum category", cmd_qcat)
 
-    p = sub.add_parser("eval", help="run an EXPECT assertion file")
-    common(p)
+    p = command("eval", "run an EXPECT assertion file", cmd_eval)
     p.add_argument("exprfile", help="assertion file")
-    p.set_defaults(func=cmd_eval)
 
     args = parser.parse_args(argv)
     try:

@@ -18,8 +18,8 @@ from hopfgal.hopf import (VECT, VECT_OP, Algebra, HopfAlgebra,
                           coinvariants_of, unit_algebra)
 from hopfgal.instances import parse_instance
 from hopfgal.morphism import (FactorizationError, Morphism, coequaliser,
-                              compose, compose_tensor, cotensor, dualize,
-                              factor_through_coequaliser,
+                              cokernel, compose, compose_tensor, cotensor,
+                              dualize, factor_through_coequaliser,
                               factor_through_equaliser, is_isomorphism,
                               tensor, tensor_compose, tensor_over)
 from hopfgal.report import Report, equality_check
@@ -966,13 +966,20 @@ def has_unit_rows(f):
     return units == set(range(f.dom.dim))
 
 
+def has_unit_columns(f):
+    """Whether each row of f has a column whose only nonzero is a 1 there,
+    which makes f surjective."""
+    return has_unit_rows(dualize(f))
+
+
 def assert_certified(b, name):
     """The composition certificates of b's verdicts on conditions A, B
     and, on the algebra side, C.  Returns the verdicts it certified.
 
     A failing C has no certificate: it stays on the dense reference
-    (`reference_projectivity_equations`).  Nor does a failing B whose can
-    is injective: `is_isomorphism` gives no cokernel witness.
+    (`reference_projectivity_equations`).  A failing B whose can is
+    injective is certified by the projection `cokernel(can)` that
+    `principal` prints as `can_defect_cokernel`.
     """
     certified = []
     if b.condition_A().ok:
@@ -994,6 +1001,12 @@ def assert_certified(b, name):
             assert has_unit_rows(iota), name
             assert compose(can, iota) == Morphism.zero(iota.dom, can.cod), name
             certified.append("B fail")
+        else:
+            Q, y = cokernel(can)
+            assert Q.dim == verdict.cokernel_dim > 0, name
+            assert has_unit_columns(y), name
+            assert compose(y, can) == Morphism.zero(can.dom, Q), name
+            certified.append("B fail (cokernel)")
     if isinstance(b, AlgebraBundle):
         P, B, H = b.como.space, b.base.space, b.H.space
         idP, idB = Morphism.identity(P), Morphism.identity(B)
@@ -1024,4 +1037,31 @@ def test_verdicts_carry_composition_certificates():
     for name, b in bundles.items():
         certified.update(assert_certified(b, name))
         certified.update(assert_certified(b.dualize(), name + " dualised"))
-    assert certified == {"A", "B pass", "B fail", "C pass"}
+    assert certified == {"A", "B pass", "B fail", "B fail (cokernel)",
+                         "C pass"}
+
+
+# Z_|G| acting on X = Z_|X|: free by x -> x + (|X|/|G|) g, not free by
+# x -> -x, which fixes 0 (and |X|/2 when |X| is even)
+SET_ACTION_FAMILY = {
+    "free_z4_x8": (8, 4, _shift_action(8, 2)),
+    "free_z4_x12": (12, 4, _shift_action(12, 3)),
+    "free_z3_x9": (9, 3, _shift_action(9, 3)),
+    "nonfree_z2_x6": (6, 2, lambda x, g: -x % 6 if g else x),
+    "nonfree_z2_x7": (7, 2, lambda x, g: -x % 7 if g else x),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["qq", "f101"])
+def test_set_action_family_carries_composition_certificates(field):
+    # a free action's can is invertible on both sides; a non-free action's
+    # is injective on the algebra side, and its dual has a kernel
+    for name, (npoints, ngroup, act) in SET_ACTION_FAMILY.items():
+        b = set_action_bundle(field, list(range(npoints)),
+                              list(range(ngroup)), _shift_action(ngroup, 1),
+                              lambda a: -a % ngroup, act)
+        failing = name.startswith("nonfree")
+        assert assert_certified(b, name) == [
+            "A", "B fail (cokernel)" if failing else "B pass", "C pass"]
+        assert assert_certified(b.dualize(), name + " dualised") == [
+            "A", "B fail" if failing else "B pass"]

@@ -2,6 +2,7 @@ import hashlib
 import io
 import os
 import resource
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
@@ -522,3 +523,127 @@ def test_sweep_above_the_limit_is_input_error(argv):
     # rejected before the instance is read, so before any module is built
     assert run_limited(argv) == (
         2, "", "error: line 0: --sweep-dim %s above the limit 128\n" % argv[-1])
+
+
+# `hopfgal [command] -h`: argparse's text at 78 columns, its width when
+# stdout is not a terminal and COLUMNS is unset
+HELP = {
+    (): """\
+usage: hopfgal [-h] {check,principal,descent,qcat,eval} ...
+
+Exact checks for noncommutative principal bundles.
+
+positional arguments:
+  {check,principal,descent,qcat,eval}
+    check               run axiom suites
+    principal           bundle conditions A, B, C
+    descent             descent data and comparison functor
+    qcat                build and verify the quantum category
+    eval                run an EXPECT assertion file
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("check",): """\
+usage: hopfgal check [-h] [--machine]
+                     [--what {hopf,comodule,module-coalgebra,all}]
+                     file
+
+positional arguments:
+  file                  instance file
+
+options:
+  -h, --help            show this help message and exit
+  --machine             tab-separated records
+  --what {hopf,comodule,module-coalgebra,all}
+""",
+    ("principal",): """\
+usage: hopfgal principal [-h] [--machine] [--side {algebra,comonoid}]
+                         [--dualize] [--sweep-dim SWEEP_DIM]
+                         file
+
+positional arguments:
+  file                  instance file
+
+options:
+  -h, --help            show this help message and exit
+  --machine             tab-separated records
+  --side {algebra,comonoid}
+  --dualize             run the transposed pipeline
+  --sweep-dim SWEEP_DIM
+                        also sweep base modules up to this dimension
+""",
+    ("descent",): """\
+usage: hopfgal descent [-h] [--machine] [--module MODULE]
+                       [--sweep-dim SWEEP_DIM]
+                       file
+
+positional arguments:
+  file                  instance file
+
+options:
+  -h, --help            show this help message and exit
+  --machine             tab-separated records
+  --module MODULE       bmodule name from the instance
+  --sweep-dim SWEEP_DIM
+""",
+    ("qcat",): """\
+usage: hopfgal qcat [-h] [--machine] file
+
+positional arguments:
+  file        instance file
+
+options:
+  -h, --help  show this help message and exit
+  --machine   tab-separated records
+""",
+    ("eval",): """\
+usage: hopfgal eval [-h] [--machine] file exprfile
+
+positional arguments:
+  file        instance file
+  exprfile    assertion file
+
+options:
+  -h, --help  show this help message and exit
+  --machine   tab-separated records
+""",
+}
+
+
+def run_argparse_exit(argv):
+    """(exit code, stdout, stderr) of a command argparse ends itself: a help
+    request or a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            pytest.raises(SystemExit) as exit_:
+        main(argv)
+    return exit_.value.code, out.getvalue(), err.getvalue()
+
+
+def test_cli_never_asks_the_terminal_for_its_size(monkeypatch):
+    def probe(*args, **kwargs):
+        raise AssertionError("shutil.get_terminal_size called")
+
+    monkeypatch.setattr(shutil, "get_terminal_size", probe)
+    for argv in (["check", inst("trivial_z2")],
+                 ["principal", inst("free_z2")],
+                 ["descent", inst("trivial_z2"), "--module", "M"],
+                 ["qcat", inst("mc_trivial_z2")],
+                 ["eval", inst("trivial_z2"),
+                  os.path.join(CORPUS, "trivial_z2", "assertions.txt")]):
+        code, out, _ = run(argv)
+        assert code == 0 and out.endswith("result=pass\n"), argv
+    # help and usage come out at 78 columns whatever COLUMNS says
+    for columns in ("30", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for words, text in HELP.items():
+            prog = " ".join(("hopfgal",) + words)
+            required = ("file, exprfile" if words == ("eval",)
+                        else "file" if words else "command")
+            usage = text.split("\n\n")[0] + "\n"
+            assert run_argparse_exit(list(words) + ["-h"]) == (
+                0, text, ""), (columns, prog)
+            assert run_argparse_exit(list(words)) == (
+                2, "", usage + "%s: error: the following arguments are "
+                "required: %s\n" % (prog, required)), (columns, prog)
